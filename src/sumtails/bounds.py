@@ -33,13 +33,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .discrete import (
     CONVOLUTION_CAP,
     ConvolutionCapError,
+    DiscreteRV,
+    LatticeMeasure,
     Number,
     SubMeasure,
     System,
@@ -48,6 +51,7 @@ from .discrete import (
     degenerate,
     max_tail,
     restrict_at_most,
+    to_lattice,
 )
 from .gauss import norm_cdf
 from .scalars import beta_v, mu_p
@@ -56,6 +60,9 @@ from .scalars import beta_v, mu_p
 CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
 
 WINSOR_MODES = ("winsorize", "truncate")
+
+#: a law the oracle caches: integer-lattice for exact systems, float otherwise
+Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class BoundReport:
     z: float
     delta_w: Number | None
     p1: Number
-    p2: Number
+    p2: Number | None
     p3: Number
     p4: float | None
     p5: float | None
@@ -118,85 +125,106 @@ class SystemOracle:
     """Caches the exact convolution laws needed by the bound evaluators.
 
     One oracle serves every (z, w, y, mode) query against a fixed system, so
-    sweeps reuse laws instead of re-convolving.  All cached objects are
-    immutable; the cache dictionaries are only grown, never mutated in
-    place, which keeps concurrent readers safe.
+    sweeps reuse laws instead of re-convolving.
+
+    Exact systems are convolved on an integer lattice
+    (:class:`~sumtails.discrete.LatticeMeasure`): the values of one chain
+    are integers over the lcm of the value denominators of its inputs, the
+    masses of each law are integers over that law's own denominator, and a
+    tail query compares integers and builds its ``Fraction`` only at the
+    end.  Float systems are convolved as float sub-measures.
+
+    The laws restricted to {X_i <= y} depend on y only through its
+    *signature*, the number of atoms each summand keeps
+    (``bisect_right(rv.values, y)`` per summand), so they are cached by
+    signature, and the signature of every y seen is remembered.  The
+    z-independent moment sums ``beta_v`` and ``mu_p`` are cached per
+    argument.  Cached laws are immutable apart from memoized query values;
+    the cache dictionaries are only grown, never mutated in place, which
+    keeps concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
         self.system = system
         self.cap = cap
-        self._law_sum: SubMeasure | None = None
-        self._law_capped: dict[tuple[Number, str], SubMeasure] = {}
-        self._restricted: dict[Number, tuple[list[SubMeasure], SubMeasure]] = {}
-        self._loo_capped: dict[tuple[Number, str], list[SubMeasure]] = {}
+        self._law_sum: Law | None = None
+        self._law_capped: dict[tuple[Number, str], Law] = {}
+        self._signatures: dict[Number, tuple[int, ...]] = {}
+        self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
+        self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
         self._max_tail: dict[Number, Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
+        self._beta_v: dict[Number, Number] = {}
+        self._mu_p: dict[Number, Number] = {}
 
     # -- laws ---------------------------------------------------------------
 
-    def _chain(self, measures: Sequence[SubMeasure]) -> SubMeasure:
-        exact = self.system.exact
-        if not measures:
-            return degenerate(0, exact)
-        current = measures[0]
-        for nxt in measures[1:]:
-            values, masses = _convolve_two(current, nxt, exact, self.cap)
-            current = SubMeasure(values=values, masses=masses, exact=exact)
+    def _laws(self, measures: Sequence[DiscreteRV | SubMeasure]) -> list[Law]:
+        """The inputs in the form the convolution kernel takes."""
+        return to_lattice(measures) if self.system.exact else list(measures)
+
+    def _chain(self, laws: Sequence[Law]) -> Law:
+        current = laws[0]
+        for nxt in laws[1:]:
+            values, masses = _convolve_two(current, nxt, self.system.exact, self.cap)
+            current = current.product(nxt, values, masses)
         return current
 
-    def _leave_one_out(self, measures: Sequence[SubMeasure]) -> list[SubMeasure]:
-        """Convolutions of all-but-one input, via prefix/suffix products."""
-        n = len(measures)
-        exact = self.system.exact
-        if n == 1:
-            return [degenerate(0, exact)]
-        prefix: list[SubMeasure] = [measures[0]]
-        for m in measures[1:]:
+    def _leave_one_out(self, laws: Sequence[Law]) -> list[Law]:
+        """Convolutions of all inputs but one, from prefix and suffix products."""
+        n = len(laws)
+        if n == 1:  # the empty sum: unit mass at 0
+            exact = self.system.exact
+            return [LatticeMeasure((0,), (1,), 1, 1) if exact else degenerate(0, exact)]
+        prefix = [laws[0]]  # prefix[k] = laws[0] * ... * laws[k]
+        for m in laws[1:-1]:
             prefix.append(self._chain([prefix[-1], m]))
-        suffix: list[SubMeasure] = [measures[-1]]
-        for m in reversed(measures[:-1]):
+        suffix = [laws[-1]]
+        for m in reversed(laws[1:-1]):
             suffix.append(self._chain([m, suffix[-1]]))
-        suffix.reverse()
-        out = []
-        for i in range(n):
-            if i == 0:
-                out.append(suffix[1])
-            elif i == n - 1:
-                out.append(prefix[n - 2])
-            else:
-                out.append(self._chain([prefix[i - 1], suffix[i + 1]]))
-        return out
+        suffix.reverse()  # suffix[k] = laws[k + 1] * ... * laws[-1]
+        middle = [self._chain([prefix[i - 1], suffix[i]]) for i in range(1, n - 1)]
+        return [suffix[0], *middle, prefix[-1]]
 
-    def law_sum(self) -> SubMeasure:
+    def law_sum(self) -> Law:
         """Exact law of the raw sum S."""
         if self._law_sum is None:
-            self._law_sum = self._chain([rv.as_submeasure() for rv in self.system.rvs])
+            self._law_sum = self._chain(self._laws(self.system.rvs))
         return self._law_sum
 
-    def law_capped(self, w: Number, mode: str) -> SubMeasure:
+    def law_capped(self, w: Number, mode: str) -> Law:
         """Exact law of the capped sum S_bar at level w."""
         key = (w, mode)
         if key not in self._law_capped:
-            capped = [capped_sum_rv(rv, w, mode).as_submeasure() for rv in self.system.rvs]
-            self._law_capped[key] = self._chain(capped)
+            capped = [capped_sum_rv(rv, w, mode) for rv in self.system.rvs]
+            self._law_capped[key] = self._chain(self._laws(capped))
         return self._law_capped[key]
 
-    def restricted(self, y: Number) -> tuple[list[SubMeasure], SubMeasure]:
-        """Leave-one-out and full convolutions of the summands restricted to {X <= y}."""
-        if y not in self._restricted:
-            parts = [restrict_at_most(rv, y) for rv in self.system.rvs]
-            loo = self._leave_one_out(parts)
-            full = self._chain(parts)
-            self._restricted[y] = (loo, full)
-        return self._restricted[y]
+    def signature(self, y: Number) -> tuple[int, ...]:
+        """Atoms each summand keeps under the restriction to {X_i <= y}."""
+        sig = self._signatures.get(y)
+        if sig is None:
+            sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
+            self._signatures[y] = sig
+        return sig
 
-    def loo_capped(self, w: Number, mode: str) -> list[SubMeasure]:
+    def restricted(self, y: Number) -> tuple[list[Law], Law]:
+        """Leave-one-out and full convolutions of the summands restricted to {X <= y}."""
+        sig = self.signature(y)
+        entry = self._restricted.get(sig)
+        if entry is None:
+            parts = self._laws([restrict_at_most(rv, y) for rv in self.system.rvs])
+            loo = self._leave_one_out(parts)
+            full = self._chain([loo[-1], parts[-1]]) if len(parts) > 1 else parts[0]
+            entry = self._restricted[sig] = (loo, full)
+        return entry
+
+    def loo_capped(self, w: Number, mode: str) -> list[Law]:
         """Laws of S_bar - X_bar_i (leave-one-out capped sums)."""
         key = (w, mode)
         if key not in self._loo_capped:
-            capped = [capped_sum_rv(rv, w, mode).as_submeasure() for rv in self.system.rvs]
-            self._loo_capped[key] = self._leave_one_out(capped)
+            capped = [capped_sum_rv(rv, w, mode) for rv in self.system.rvs]
+            self._loo_capped[key] = self._leave_one_out(self._laws(capped))
         return self._loo_capped[key]
 
     # -- scalar queries -----------------------------------------------------
@@ -213,6 +241,18 @@ class SystemOracle:
             self._sum_exceedance[w] = sum((rv.tail(w) for rv in self.system.rvs), zero)
         return self._sum_exceedance[w]
 
+    def beta_v_at(self, v: Number) -> Number:
+        """beta_v of the system at scale v (independent of z, so computed once per v)."""
+        if v not in self._beta_v:
+            self._beta_v[v] = beta_v(self.system, v)
+        return self._beta_v[v]
+
+    def mu_p_at(self, p: Number) -> Number:
+        """mu_p = sum_i E |X_i|^p (independent of z, so computed once per p)."""
+        if p not in self._mu_p:
+            self._mu_p[p] = mu_p(self.system, p)
+        return self._mu_p[p]
+
     def delta(self, z: Number, w: Number, mode: str) -> Number:
         """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode."""
         return self.law_sum().tail(z) - self.law_capped(w, mode).tail(z)
@@ -220,19 +260,22 @@ class SystemOracle:
     def q(self, z: Number, y: Number) -> Number:
         """Q(z, y) = max_i P(S - X_i > z - y, max_{j != i} X_j <= y)."""
         loo, _ = self.restricted(y)
-        return max(m.tail(z - y) for m in loo)
+        t = z - y
+        return max(m.tail(t) for m in loo)
 
     def qstar(self, z: Number, y: Number) -> Number:
         """Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
         loo, full = self.restricted(y)
-        q = max(m.tail(z - y) for m in loo)
+        t = z - y
+        q = max(m.tail(t) for m in loo)
         return max(q, full.tail(z))
 
 
 def bh_bound(z: Number, y: Number) -> float:
     """Bennett-Hoeffding exponential bound (e / ((z - y) y))^((z - y) / y).
 
-    Dominates Q*(z, y) for unit-total-variance systems whenever z > y > 0;
+    Dominates Q*(z, y) for systems of total variance at most one whenever
+    z > y > 0;
     returns 1 when z <= y or when the raw value exceeds 1.
     """
     if not y > 0:
@@ -305,7 +348,11 @@ def p_bounds(
     P4/P5 are reported as not-applicable (None) for z <= 0, where their
     derivation does not apply; with defaulted constants they are reported
     and flagged but excluded from ``best``.  The exact tail difference is
-    included whenever the convolution oracle fits the atom budget.
+    included whenever the convolution oracle fits the atom budget.  A y
+    whose restricted convolutions exceed it offers no P2 candidate, and its
+    P3 candidate uses the Bennett-Hoeffding bound in place of Q* when the
+    total variance is at most one (none otherwise), with a warning; P2/P3
+    are None when no y yields a candidate, so ``best`` stays a proven bound.
     """
     if mode not in WINSOR_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
@@ -323,20 +370,36 @@ def p_bounds(
         warnings.append("tail-difference oracle skipped: convolution cap exceeded")
 
     y_candidates = _auto_y_candidates(z, params.p, w) if params.y == "auto" else [params.y]
-    p2 = None
-    p3 = None
+    p2_cands: list[Number] = []
+    p3_cands: list[Number] = []
+    capped_ys = []
     for y in y_candidates:
         mt_y = oracle.max_tail_at(y)
-        cand2 = mt_y + oracle.q(z, y) * sum_exc
-        cand3 = mt_y + 2 * oracle.qstar(z, y) * p1
-        if p2 is None or cand2 < p2:
-            p2 = cand2
-        if p3 is None or cand3 < p3:
-            p3 = cand3
+        try:
+            q, qstar = oracle.q(z, y), oracle.qstar(z, y)
+        except ConvolutionCapError:
+            capped_ys.append(y)
+            continue
+        p2_cands.append(mt_y + q * sum_exc)
+        p3_cands.append(mt_y + 2 * qstar * p1)
+    if capped_ys:
+        # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
+        # Q* only for total variance at most one
+        if system.unit_variance or system.total_variance() <= 1:
+            p3_cands += [oracle.max_tail_at(y) + 2 * bh_bound(z, y) * p1 for y in capped_ys]
+            fallback = "Q* in P3 replaced by the Bennett-Hoeffding bound"
+        else:
+            fallback = "P2/P3 skipped (total variance above one, no Bennett-Hoeffding bound)"
+        warnings.append(
+            f"{fallback} at {len(capped_ys)} of {len(y_candidates)} y values: "
+            "convolution cap exceeded"
+        )
+    p2 = min(p2_cands, default=None)
+    p3 = min(p3_cands, default=None)
 
     # P4/P5 with defaulted constants are reported (flagged) but kept out of
     # `best`: an unsupplied constant must never silently tighten the bound
-    in_best: list[Number] = [p1, p2, p3]
+    in_best: list[Number] = [p for p in (p1, p2, p3) if p is not None]
     if z > 0:
         a4, a4_defaulted = params.constant("p4")
         a5, a5_defaulted = params.constant("p5")
@@ -347,7 +410,7 @@ def p_bounds(
         zf = float(z)
         denom = (params.c + zf) ** params.p
         p4 = float(oracle.max_tail_at(zf / (1.0 + params.p / 2.0))) + a4 / denom * float(p1)
-        p5 = a5 * float(mu_p(system, params.p)) / denom
+        p5 = a5 * float(oracle.mu_p_at(params.p)) / denom
         if not a4_defaulted:
             in_best.append(p4)
         if not a5_defaulted:
@@ -357,7 +420,7 @@ def p_bounds(
         p5 = None
 
     best = min(in_best)
-    theorem = theorem_bound(system, z, params)
+    theorem = theorem_bound(system, z, params, oracle=oracle)
     corollary = theorem + float(best)
     bik = bikelis_sum(system, z, params.v)
     return BoundReport(
@@ -387,15 +450,22 @@ def bikelis_sum(system: System, z: Number, v: Number = 1) -> Number:
     return beta_v(system, scale)
 
 
-def theorem_bound(system: System, z: Number, params: BoundParams = BoundParams()) -> float:
+def theorem_bound(
+    system: System,
+    z: Number,
+    params: BoundParams = BoundParams(),
+    *,
+    oracle: SystemOracle | None = None,
+) -> float:
     """Structural normal-approximation bound A * beta_v * exp(-lambda z).
 
     The constant A is caller-supplied (``constants["theorem"]``, default 1);
     it is a claimed bound only up to that constant, which
-    :func:`sumtails.verify.calibrate` estimates empirically.
+    :func:`sumtails.verify.calibrate` estimates empirically.  Pass the
+    system's ``oracle`` to reuse its cached beta_v across z.
     """
     a, _ = params.constant("theorem")
-    beta = float(beta_v(system, params.v))
+    beta = float(oracle.beta_v_at(params.v) if oracle is not None else beta_v(system, params.v))
     return a * beta * math.exp(-params.lam * float(z))
 
 

@@ -26,7 +26,7 @@ from .bounds import (
     bound_reports_to_json,
     p_bounds,
 )
-from .discrete import ConvolutionCapError, load_system
+from .discrete import load_system
 from .mc import FAMILIES, SamplerSpec, mc_check_bounds, mc_tails
 from .scalars import LemmaGrid, check_pointwise_lemmas, young_delta, young_grid_scan
 from .verify import (
@@ -122,14 +122,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     params = _bound_params(args)
     oracle = SystemOracle(system)
-    reports = []
-    for z in args.z_grid:
-        try:
-            reports.append(p_bounds(system, z, params, args.mode, oracle=oracle))
-        except ConvolutionCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("hint: use the 'mc' subcommand for systems of this size", file=sys.stderr)
-            return 2
+    reports = [p_bounds(system, z, params, args.mode, oracle=oracle) for z in args.z_grid]
     if args.format == "csv":
         buf = StringIO()
         bound_reports_to_csv(reports, buf)

@@ -11,7 +11,9 @@ Two arithmetic modes are supported and never mixed inside one computation:
 
 * exact mode -- values and masses are :class:`fractions.Fraction`; every
   probability computed downstream is exact, so inequality checks can
-  distinguish a genuine violation from rounding noise;
+  distinguish a genuine violation from rounding noise.  Convolutions run on
+  a :class:`LatticeMeasure`, the same measure as integers over a common
+  value denominator and a per-measure mass denominator;
 * float mode -- IEEE doubles, for large grids and calibration sweeps; any
   two evaluations of the same query are bit-for-bit identical.
 
@@ -25,7 +27,8 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, isqrt, sqrt
+from itertools import accumulate
+from math import isfinite, isqrt, lcm, sqrt
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -107,8 +110,25 @@ def _merge_pairs(
     return tuple(values), tuple(masses)
 
 
+class _DerivedQueries:
+    """Queries built from ``mass``, ``tail`` and ``mass_at_least``."""
+
+    __slots__ = ()
+
+    def mass_at_most(self, t: Number) -> Number:
+        """Mass of the event {value <= t}."""
+        return self.mass - self.tail(t)
+
+    def interval_mass(self, a: Number, b: Number) -> Number:
+        """Mass of the closed interval [a, b]."""
+        if b < a:
+            zero = Fraction(0) if self.exact else 0.0
+            return zero
+        return self.mass_at_least(a) - self.tail(b)
+
+
 @dataclass(frozen=True)
-class _AtomicMeasure:
+class _AtomicMeasure(_DerivedQueries):
     """Shared storage and queries for sorted atomic measures."""
 
     values: tuple[Number, ...]
@@ -137,20 +157,9 @@ class _AtomicMeasure:
         """Mass strictly above ``z``."""
         return self._suffix[bisect_right(self.values, z)]
 
-    def mass_at_most(self, t: Number) -> Number:
-        """Mass of the event {value <= t}."""
-        return self.mass - self.tail(t)
-
     def mass_at_least(self, t: Number) -> Number:
         """Mass of the event {value >= t}."""
         return self._suffix[bisect_left(self.values, t)]
-
-    def interval_mass(self, a: Number, b: Number) -> Number:
-        """Mass of the closed interval [a, b]."""
-        if b < a:
-            zero = Fraction(0) if self.exact else 0.0
-            return zero
-        return self.mass_at_least(a) - self.tail(b)
 
     def mean(self) -> Number:
         zero = Fraction(0) if self.exact else 0.0
@@ -159,6 +168,12 @@ class _AtomicMeasure:
     def second_moment(self) -> Number:
         zero = Fraction(0) if self.exact else 0.0
         return sum((x * x * p for x, p in zip(self.values, self.masses)), zero)
+
+    def product(
+        self, other: "_AtomicMeasure", values: tuple[Number, ...], masses: tuple[Number, ...]
+    ) -> "SubMeasure":
+        """The law of the independent sum, from the atoms `_convolve_two` returned."""
+        return SubMeasure(values=values, masses=masses, exact=self.exact)
 
     def abs_moment(self, p: Number) -> Number:
         """E |X|^p restricted to this measure (no normalization by mass).
@@ -369,9 +384,122 @@ def restrict_at_most(rv: DiscreteRV | SubMeasure, y: Number) -> SubMeasure:
     )
 
 
+def _as_ratio(t: Number) -> tuple[int, int] | None:
+    """``t`` as an exact (numerator, denominator) pair; None for an infinite or NaN float."""
+    if isinstance(t, float):
+        return t.as_integer_ratio() if isfinite(t) else None
+    return t.numerator, t.denominator
+
+
+class LatticeMeasure(_DerivedQueries):
+    """Exact atomic sub-measure held as integers on the grid (1/scale) Z.
+
+    Atom ``i`` sits at ``values[i] / scale`` and carries mass
+    ``masses[i] / den``.  ``scale`` is shared by every measure of one
+    convolution chain (see :func:`to_lattice`); ``den`` belongs to the
+    measure, and a convolution multiplies the two operands' ``den``.  So
+    sums of values and products of masses are integer operations, and a
+    tail query compares integers: the threshold ``t`` becomes
+    ``floor(t * scale)``, computed exactly for int, Fraction and float ``t``.
+    The suffix sums behind the queries are built on the first query, and
+    queries return :class:`fractions.Fraction` values, built on first use
+    and memoized per suffix index.  Instances are never mutated apart from that
+    memo, whose entries are deterministic, so sharing them between threads
+    is safe.
+    """
+
+    __slots__ = ("values", "masses", "den", "scale", "_suffix", "_fractions")
+    exact = True
+
+    def __init__(self, values: tuple[int, ...], masses: tuple[int, ...], den: int, scale: int):
+        self.values = values
+        self.masses = masses
+        self.den = den
+        self.scale = scale
+        # built on the first query: intermediate products of a chain get none
+        self._suffix: list[int] | None = None
+        self._fractions: dict[int, Fraction] = {}
+
+    def _suffix_mass(self, i: int) -> Fraction:
+        frac = self._fractions.get(i)
+        if frac is None:
+            if self._suffix is None:
+                # _suffix[i] = masses[i] + ... + masses[-1]; _suffix[len] = 0
+                self._suffix = list(accumulate(reversed(self.masses), initial=0))[::-1]
+            frac = self._fractions[i] = Fraction(self._suffix[i], self.den)
+        return frac
+
+    def _first_above(self, t: Number) -> int:
+        """Index of the first atom with value > t."""
+        ratio = _as_ratio(t)
+        if ratio is None:
+            return 0 if t < 0 else len(self.values)
+        num, den = ratio
+        return bisect_right(self.values, num * self.scale // den)
+
+    def _first_at_least(self, t: Number) -> int:
+        """Index of the first atom with value >= t."""
+        ratio = _as_ratio(t)
+        if ratio is None:
+            return len(self.values) if t > 0 else 0
+        num, den = ratio
+        return bisect_left(self.values, -(-num * self.scale // den))
+
+    @property
+    def mass(self) -> Fraction:
+        """Total mass of the measure."""
+        return self._suffix_mass(0)
+
+    def tail(self, z: Number) -> Fraction:
+        """Mass strictly above ``z``."""
+        return self._suffix_mass(self._first_above(z))
+
+    def mass_at_least(self, t: Number) -> Fraction:
+        """Mass of the event {value >= t}."""
+        return self._suffix_mass(self._first_at_least(t))
+
+    def product(
+        self, other: "LatticeMeasure", values: tuple[int, ...], masses: tuple[int, ...]
+    ) -> "LatticeMeasure":
+        """The law of the independent sum, from the atoms `_convolve_two` returned."""
+        return LatticeMeasure(values, masses, self.den * other.den, self.scale)
+
+    def to_submeasure(self) -> SubMeasure:
+        """The same measure with :class:`~fractions.Fraction` values and masses."""
+        return SubMeasure(
+            values=tuple(Fraction(v, self.scale) for v in self.values),
+            masses=tuple(Fraction(m, self.den) for m in self.masses),
+            exact=True,
+        )
+
+
+def to_lattice(measures: Sequence[_AtomicMeasure]) -> list[LatticeMeasure]:
+    """Exact measures on one common grid: scale is the lcm of their value denominators."""
+    scale = lcm(*(x.denominator for m in measures for x in m.values))
+    out = []
+    for m in measures:
+        den = lcm(*(p.denominator for p in m.masses))
+        out.append(
+            LatticeMeasure(
+                tuple(x.numerator * (scale // x.denominator) for x in m.values),
+                tuple(p.numerator * (den // p.denominator) for p in m.masses),
+                den,
+                scale,
+            )
+        )
+    return out
+
+
 def _convolve_two(
-    a: _AtomicMeasure, b: _AtomicMeasure, exact: bool, cap: int
+    a: LatticeMeasure | _AtomicMeasure, b: LatticeMeasure | _AtomicMeasure, exact: bool, cap: int
 ) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
+    """Atoms of the independent sum of ``a`` and ``b``, sorted by value.
+
+    Exact operands are :class:`LatticeMeasure` on one grid, so the keys and
+    masses are integers and need no merging; build the law with
+    ``a.product(b, values, masses)``.  Float operands are sub-measures, and
+    the result goes through :func:`_merge_pairs`.
+    """
     n_pairs = len(a.values) * len(b.values)
     if n_pairs > cap:
         raise ConvolutionCapError(
@@ -379,15 +507,19 @@ def _convolve_two(
             "use Monte Carlo estimation (sumtails.mc) for systems of this size"
         )
     acc: dict[Number, Number] = {}
+    b_atoms = list(zip(b.values, b.masses))
     for x1, p1 in zip(a.values, a.masses):
-        for x2, p2 in zip(b.values, b.masses):
+        for x2, p2 in b_atoms:
             key = x1 + x2
             m = p1 * p2
             if key in acc:
                 acc[key] += m
             else:
                 acc[key] = m
-    return _merge_pairs(acc.items(), exact)
+    if not exact:
+        return _merge_pairs(acc.items(), exact)
+    keys = sorted(acc)
+    return tuple(keys), tuple(acc[k] for k in keys)
 
 
 def convolve(
@@ -397,20 +529,24 @@ def convolve(
 
     Total mass is the product of the input masses, so restricted summands
     (sub-measures) yield the joint probability of the restriction events.
-    Raises :class:`ConvolutionCapError` when the naive pair count at any
-    step exceeds ``cap``.
+    Exact inputs are convolved on their common integer lattice.  Raises
+    :class:`ConvolutionCapError` when the naive pair count at any step
+    exceeds ``cap``.
     """
     if not items:
         raise ValueError("need at least one measure to convolve")
     exact = items[0].exact
     if any(m.exact != exact for m in items):
         raise ValueError("cannot convolve measures with mixed arithmetic modes")
-    values, masses = items[0].values, items[0].masses
-    current = SubMeasure(values=values, masses=masses, exact=exact)
-    for nxt in items[1:]:
+    if exact:
+        current, *rest = to_lattice(items)
+    else:
+        current = SubMeasure(values=items[0].values, masses=items[0].masses, exact=False)
+        rest = items[1:]
+    for nxt in rest:
         values, masses = _convolve_two(current, nxt, exact, cap)
-        current = SubMeasure(values=values, masses=masses, exact=exact)
-    return current
+        current = current.product(nxt, values, masses)
+    return current.to_submeasure() if exact else current
 
 
 def tail(m: _AtomicMeasure, z: Number) -> Number:

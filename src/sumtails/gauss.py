@@ -1,8 +1,10 @@
 """Standard normal primitives: density, CDF, Mills ratio, Stein function.
 
 The CDF is built on an in-module rational approximation of the complementary
-error function (the classic Cody kernel) rather than a platform call, so the
-numbers feeding calibration suprema are bit-reproducible across targets.
+error function (the classic Cody kernel) rather than a platform ``erf``.  The
+kernel still calls ``math.exp``, which comes from the platform's C library,
+so the numbers feeding calibration suprema are bit-identical from run to run
+on one platform but may differ in the last bits between platforms.
 
 The Mills ratio r(s) = Phi(-s) / phi(s) is never formed as a ratio of two
 underflowing quantities: for s above ~0.66 it is computed from the scaled

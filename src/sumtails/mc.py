@@ -305,7 +305,8 @@ def mc_check_bounds(
     A cell is flagged only when the 99% lower confidence bound of the
     estimated Delta_w(z) = P(S > z) - P(S_bar > z) exceeds the bound, i.e.
     a statistically significant violation.  For discrete systems the bound
-    is the exact min(P1, P2, P3); for the continuous families it is P1 from
+    is the exact min of P1, P2, P3 (those the convolution cap allows); for
+    the continuous families it is P1 from
     the closed-form summand CDF.  ``bound_scale`` shrinks the bound and
     exists for negative-control self-tests (a scale like 0.01 must raise
     flags).
@@ -329,9 +330,9 @@ def mc_check_bounds(
         if exact_oracle is not None:
             report = p_bounds(spec.system, float(z), params, mode, oracle=exact_oracle)
             p1 = float(report.p1)
-            p2 = float(report.p2)
-            p3 = float(report.p3)
-            bound = min(p1, p2, p3)
+            p2 = None if report.p2 is None else float(report.p2)
+            p3 = None if report.p3 is None else float(report.p3)
+            bound = min(p for p in (p1, p2, p3) if p is not None)
         else:
             n = spec.n_summands
             p1 = 1.0 - summand_cdf(spec, w) ** n

@@ -25,7 +25,9 @@ from typing import Sequence
 
 from .bounds import BoundParams, SystemOracle, normal_tail
 from .discrete import ConvolutionCapError, DiscreteRV, Number, System
-from .scalars import _BETA_CUBE_LIMIT, beta_v, g, mean_abs_bound, mu_p
+# mu_p is read through SystemOracle.mu_p_at; the name stays here because
+# benchmarks/sumbench/tracing.py wraps verify.mu_p
+from .scalars import _BETA_CUBE_LIMIT, beta_v, g, mean_abs_bound, mu_p  # noqa: F401
 
 #: default z sweep: 0, 0.25, ..., 8 (33 points, exactly representable)
 DEFAULT_Z_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 4) for i in range(33))
@@ -296,7 +298,7 @@ class CalibrationResult:
 
 def _ratio_theorem(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
     lhs = abs(float(oracle.law_capped(params.w, mode).tail(z)) - normal_tail(z))
-    beta = float(beta_v(oracle.system, params.v))
+    beta = float(oracle.beta_v_at(params.v))
     if beta == 0.0:
         return math.inf if lhs > 0.0 else 0.0
     return lhs * math.exp(params.lam * z) / beta
@@ -307,7 +309,7 @@ def _ratio_concentration(
 ) -> float:
     law = oracle.loo_capped(params.w, mode)[i]
     lhs = float(law.interval_mass(a, b))
-    beta = float(beta_v(oracle.system, params.v))
+    beta = float(oracle.beta_v_at(params.v))
     rhs = (b - a + beta) * math.exp(-params.lam * a)
     return lhs / rhs
 
@@ -326,7 +328,7 @@ def _ratio_p4(oracle: SystemOracle, z: float, params: BoundParams, mode: str) ->
 
 def _ratio_p5(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
     delta = float(oracle.delta(z, params.w, mode))
-    structure = float(mu_p(oracle.system, params.p)) / (params.c + z) ** params.p
+    structure = float(oracle.mu_p_at(params.p)) / (params.c + z) ** params.p
     if structure == 0.0:
         return math.inf if delta > 0.0 else 0.0
     return delta / structure

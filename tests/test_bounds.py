@@ -100,6 +100,152 @@ class TestConcentrationQuantities:
                     assert oracle.qstar(z, y) == qstar_by_enumeration(system, z, y)
 
 
+class TestOracleCaches:
+    def test_one_restricted_entry_per_signature(self, four_coins, monkeypatch):
+        from sumtails import bounds
+
+        calls = []
+
+        def counting_restrict(rv, y):
+            calls.append(y)
+            return st.restrict_at_most(rv, y)
+
+        monkeypatch.setattr(bounds, "restrict_at_most", counting_restrict)
+        oracle = st.SystemOracle(four_coins)
+        # every coin keeps both atoms at y = 1/2 and at y = 0.75
+        assert oracle.signature(F(1, 2)) == oracle.signature(0.75) == (2, 2, 2, 2)
+        first = oracle.restricted(F(1, 2))
+        assert len(calls) == four_coins.n
+        assert oracle.restricted(0.75) is first
+        oracle.q(F(1), 0.75)
+        oracle.qstar(F(2), 0.75)
+        assert len(calls) == four_coins.n
+        assert len(oracle._restricted) == 1
+        # y = 0 keeps one atom per coin: a second signature, a second entry
+        oracle.restricted(F(0))
+        assert len(calls) == 2 * four_coins.n
+        assert len(oracle._restricted) == 2
+
+    def test_exact_queries_are_fractions(self, two_coins):
+        oracle = st.SystemOracle(two_coins)
+        for value in (
+            oracle.q(F(5), F(1, 2)),  # zero
+            oracle.qstar(F(-5), F(1, 2)),  # full mass
+            oracle.delta(F(0), F(1, 4), "truncate"),
+            oracle.delta(0.1, F(1, 4), "winsorize"),
+        ):
+            assert type(value) is F
+
+    def test_beta_v_and_mu_p_computed_once(self, four_coins, monkeypatch):
+        from sumtails import bounds
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(system, arg):
+                calls.append((fn.__name__, arg))
+                return fn(system, arg)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "beta_v", counting(st.beta_v))
+        monkeypatch.setattr(bounds, "mu_p", counting(st.mu_p))
+        oracle = st.SystemOracle(four_coins)
+        params = st.BoundParams(v=F(1, 2), w=F(1, 4), constants={"p5": 2.0})
+        reports = [st.p_bounds(four_coins, F(n, 2), params, oracle=oracle) for n in range(1, 6)]
+        assert calls.count(("beta_v", F(1, 2))) == 1
+        assert calls.count(("mu_p", 2.0)) == 1
+        # the cached floats are the uncached ones, bit for bit
+        monkeypatch.undo()
+        for n, report in zip(range(1, 6), reports):
+            assert report.theorem_bound == st.theorem_bound(four_coins, F(n, 2), params)
+            assert report.p5 == 2.0 * float(st.mu_p(four_coins, 2.0)) / (1.0 + n / 2) ** 2
+
+
+    def test_float_system_matches_exact_system(self, small_corpus):
+        # thresholds kept off the rational atoms, so float rounding of the
+        # convolved values cannot move an atom across one
+        for system in [s for s in small_corpus if s.n >= 2][:4]:
+            as_float = st.make_system(
+                [[(float(x), float(p)) for x, p in zip(rv.values, rv.masses)] for rv in system.rvs],
+                exact=False,
+            )
+            exact, approx = st.SystemOracle(system), st.SystemOracle(as_float)
+            for z in (-0.4913, 0.2587, 1.1309):
+                for y in (0.2713, 0.6217):
+                    assert approx.q(z, y) == pytest.approx(float(exact.q(z, y)), abs=1e-12)
+                    assert approx.qstar(z, y) == pytest.approx(float(exact.qstar(z, y)), abs=1e-12)
+                for mode in ("winsorize", "truncate"):
+                    got = approx.delta(z, 0.5, mode)
+                    assert type(got) is float
+                    assert got == pytest.approx(float(exact.delta(z, F(1, 2), mode)), abs=1e-12)
+
+
+class TestCapFallback:
+    def test_small_cap_does_not_raise(self, small_corpus):
+        system = next(s for s in small_corpus if s.n >= 3)
+        params = st.BoundParams(w=F(1, 2), y=F(1, 2))
+        capped = st.p_bounds(system, 1, params, oracle=st.SystemOracle(system, cap=3))
+        exact = st.p_bounds(system, 1, params)
+        assert capped.delta_w is None
+        assert capped.p2 is None
+        assert capped.p3 >= exact.p3
+        assert capped.p3 == pytest.approx(
+            float(st.max_tail(system, F(1, 2)) + 2 * st.bh_bound(1, F(1, 2)) * exact.p1)
+        )
+        assert capped.best == min(capped.p1, capped.p3)
+        assert any("Bennett-Hoeffding" in w for w in capped.warnings)
+
+    def test_auto_y_keeps_candidates_that_fit(self, small_corpus):
+        mixed = 0
+        for system in [s for s in small_corpus if s.n >= 2][:6]:
+            oracle = st.SystemOracle(system, cap=3)
+            full = st.SystemOracle(system)
+            for z in (F(1, 2), F(2), F(4)):
+                capped = st.p_bounds(system, z, st.BoundParams(w=F(1, 4)), oracle=oracle)
+                exact = st.p_bounds(system, z, st.BoundParams(w=F(1, 4)), oracle=full)
+                assert capped.p3 >= exact.p3
+                if capped.p2 is not None:
+                    assert capped.p2 >= exact.p2
+                    # a small y keeps few atoms, so some y values fit the cap
+                    # while larger ones fall back to Bennett-Hoeffding
+                    if any("Bennett-Hoeffding" in w for w in capped.warnings):
+                        mixed += 1
+        assert mixed > 0
+
+    def test_no_surrogate_above_unit_variance(self):
+        big = st.make_system([[(F(-10), F(1, 2)), (F(10), F(1, 2))]] * 2, unit_variance=False)
+        z, params = 15, st.BoundParams(w=F(5), y=F(10))
+        # the unit-variance Bennett-Hoeffding bound undercuts Q* here
+        assert st.bh_bound(z, params.y) < st.qstar_exact(big, z, params.y)
+        exact = st.p_bounds(big, z, params)
+        capped = st.p_bounds(big, z, params, oracle=st.SystemOracle(big, cap=1))
+        assert (capped.p2, capped.p3) == (None, None)
+        assert capped.best == capped.p1 == exact.p1
+        assert capped.best >= exact.delta_w
+        assert any("total variance above one" in w for w in capped.warnings)
+
+    def test_writers_and_mc_accept_missing_p2(self, two_coins, monkeypatch):
+        import json
+
+        from sumtails import mc
+
+        params = st.BoundParams(w=F(1, 4), y=F(1, 2))
+        report = st.p_bounds(two_coins, 1, params, oracle=st.SystemOracle(two_coins, cap=1))
+        assert report.p2 is None
+        buf = io.StringIO()
+        st.bound_reports_to_csv([report], buf)
+        assert buf.getvalue().splitlines()[1].split(",")[3] == ""
+        assert json.loads(st.bound_reports_to_json([report]))[0]["p2"] == ""
+
+        monkeypatch.setattr(mc, "SystemOracle", lambda system: st.SystemOracle(system, cap=1))
+        spec = st.SamplerSpec("discrete-system", system=two_coins)
+        checked = st.mc_check_bounds(spec, params, [0.0, 1.0], 2000, 3)
+        for row in checked.rows:
+            assert row.p2 is None
+            assert row.bound == min(row.p1, row.p3)
+
+
 class TestPBounds:
     def test_two_coin_values(self, two_coins):
         report = st.p_bounds(two_coins, F(2, 5), st.BoundParams(w=F(3, 10), y=F(1, 2)))

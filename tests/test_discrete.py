@@ -8,6 +8,7 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import HALF_COIN, enumerate_outcomes
+from sumtails.discrete import _convolve_two, to_lattice
 
 
 class TestConstruction:
@@ -192,6 +193,98 @@ class TestConvolve:
                 (p for p, xs in enumerate_outcomes(rvs) if sum(xs) > z), F(0)
             )
             assert law.tail(z) == expected
+
+
+# values on mixed grids, so the lattice scale is a nontrivial lcm
+lattice_values = hyp.builds(
+    F, hyp.integers(min_value=-12, max_value=12), hyp.sampled_from([1, 2, 3, 5, 6])
+)
+
+
+@hyp.composite
+def lattice_rvs(draw):
+    values = draw(hyp.lists(lattice_values, min_size=1, max_size=4, unique=True))
+    weights = [draw(atom_masses) for _ in values]
+    total = sum(weights)
+    return st.DiscreteRV.from_atoms([(x, F(wt, total)) for x, wt in zip(values, weights)])
+
+
+def lattice_chain(measures, cap=st.CONVOLUTION_CAP):
+    """Fold the lattice kernel over ``measures`` as the oracle does."""
+    current, *rest = to_lattice(measures)
+    for nxt in rest:
+        values, masses = _convolve_two(current, nxt, True, cap)
+        current = current.product(nxt, values, masses)
+    return current
+
+
+class TestLatticeKernel:
+    """The integer-lattice kernel against the brute-force enumeration oracle."""
+
+    @given(
+        rvs=hyp.lists(lattice_rvs(), min_size=1, max_size=3),
+        y=lattice_values,
+        w=hyp.builds(F, hyp.integers(min_value=1, max_value=12), hyp.sampled_from([3, 4, 7])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tails_match_enumeration(self, rvs, y, w):
+        inputs = {
+            "raw": rvs,
+            "restricted": [st.restrict_at_most(rv, y) for rv in rvs],
+            "winsorize": [st.winsorize(rv, w) for rv in rvs],
+            "truncate": [st.truncate(rv, w) for rv in rvs],
+        }
+        # Fraction thresholds on and off the atoms, and float thresholds that
+        # are not on any grid (floor(t * scale) must be exact for them too)
+        thresholds = [F(n, 6) for n in range(-30, 31, 5)] + [n / 7 for n in range(-30, 31, 4)]
+        thresholds += [0.5, -1.0, 2.25]
+        for name, measures in inputs.items():
+            law = lattice_chain(measures)
+            outcomes = list(enumerate_outcomes(measures))
+            assert law.mass == sum((p for p, _ in outcomes), F(0)), name
+            for t in thresholds:
+                above = sum((p for p, xs in outcomes if sum(xs) > t), F(0))
+                at_least = sum((p for p, xs in outcomes if sum(xs) >= t), F(0))
+                got = law.tail(t)
+                assert type(got) is F, (name, t)
+                assert got == above, (name, t)
+                assert law.mass_at_least(t) == at_least, (name, t)
+                assert law.interval_mass(t, t + 1) == sum(
+                    (p for p, xs in outcomes if t <= sum(xs) <= t + 1), F(0)
+                ), (name, t)
+
+    @given(rvs=hyp.lists(lattice_rvs(), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_to_fraction_atoms(self, rvs):
+        law = lattice_chain(rvs)
+        sub = law.to_submeasure()
+        expected = {}
+        for p, xs in enumerate_outcomes(rvs):
+            expected[sum(xs)] = expected.get(sum(xs), F(0)) + p
+        assert sub.values == tuple(sorted(expected))
+        assert sub.masses == tuple(expected[x] for x in sorted(expected))
+        assert st.convolve(rvs) == sub
+
+    def test_non_finite_float_thresholds(self, coin):
+        law = lattice_chain([coin, coin])
+        assert law.tail(float("inf")) == 0
+        assert law.tail(float("-inf")) == 1
+        assert law.mass_at_least(float("inf")) == 0
+        assert law.mass_at_least(float("-inf")) == 1
+
+    def test_empty_restriction_has_zero_fraction_tail(self, coin):
+        law = lattice_chain([st.restrict_at_most(coin, F(-1)), coin])
+        assert law.values == ()
+        assert law.tail(-5) == 0 and type(law.tail(-5)) is F
+
+    def test_cap_error_at_the_same_pair_count(self):
+        # 100 * 100 = 10,000 pairs, then 199 * 100 = 19,900 pairs
+        rv = st.DiscreteRV.from_atoms([(F(i), F(1, 100)) for i in range(100)])
+        assert len(lattice_chain([rv] * 3, cap=19_900).values) == 298
+        with pytest.raises(st.ConvolutionCapError, match=r"needs 19900 intermediate atoms \(cap 19899\)"):
+            lattice_chain([rv] * 3, cap=19_899)
+        with pytest.raises(st.ConvolutionCapError, match=r"needs 10000 intermediate atoms \(cap 9999\)"):
+            st.convolve([rv] * 3, cap=9_999)
 
 
 class TestTailQueries:
