@@ -3,13 +3,17 @@
 The package has four layers:
 
 * :mod:`sumtails.discrete` -- exact (rational) and float atomic measures:
-  construction, capping transforms, convolution, tail queries;
+  construction, capping transforms, convolution; tail queries are methods
+  of the measures (``law.tail(z)``);
 * :mod:`sumtails.scalars` / :mod:`sumtails.gauss` -- the scalar ingredients:
   the moment functional beta_v, the Young-type inequality, normal CDF /
   Mills ratio / Stein function numerics;
-* :mod:`sumtails.bounds` -- the bound evaluators (Bennett-Hoeffding, the
-  concentration quantities Q and Q*, the five tail-difference bounds, the
-  exponential normal-approximation bound and their composite);
+* :mod:`sumtails.bounds` -- the bound evaluators: :class:`SystemOracle`
+  caches the exact laws of one system and answers Delta_w and the
+  concentration quantities Q and Q* (``oracle.delta``, ``oracle.q``,
+  ``oracle.qstar``); :func:`p_bounds` reports the five tail-difference
+  bounds, the exponential normal-approximation bound and their composite
+  (``report.corollary_bound``); plus the Bennett-Hoeffding bound;
 * :mod:`sumtails.verify` / :mod:`sumtails.mc` -- seeded corpora, exact
   verification sweeps, empirical constant calibration, sharpness reports,
   and reproducible Monte Carlo for sizes beyond the exact oracle.
@@ -25,11 +29,8 @@ from .bounds import (
     bikelis_sum,
     bound_reports_to_csv,
     bound_reports_to_json,
-    corollary_bound,
     normal_tail,
     p_bounds,
-    q_exact,
-    qstar_exact,
     theorem_bound,
 )
 from .discrete import (
@@ -48,7 +49,6 @@ from .discrete import (
     save_system,
     system_from_dict,
     system_to_dict,
-    tail,
     truncate,
     winsorize,
 )

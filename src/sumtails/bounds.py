@@ -48,6 +48,7 @@ from .discrete import (
     System,
     _convolve_two,
     capped_sum_rv,
+    check_mode,
     degenerate,
     max_tail,
     restrict_at_most,
@@ -58,8 +59,6 @@ from .scalars import beta_v, mu_p
 
 #: names of the caller-supplied constants (each defaults to 1)
 CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
-
-WINSOR_MODES = ("winsorize", "truncate")
 
 #: a law the oracle caches: integer-lattice for exact systems, float otherwise
 Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
@@ -110,7 +109,7 @@ class BoundReport:
     delta_w: Number | None
     p1: Number
     p2: Number | None
-    p3: Number
+    p3: Number | None
     p4: float | None
     p5: float | None
     best: Number
@@ -139,15 +138,16 @@ class SystemOracle:
     (``bisect_right(rv.values, y)`` per summand), so they are cached by
     signature, and the signature of every y seen is remembered.  The
     z-independent moment sums ``beta_v`` and ``mu_p`` are cached per
-    argument.  Cached laws are immutable apart from memoized query values;
-    the cache dictionaries are only grown, never mutated in place, which
-    keeps concurrent readers safe.
+    argument.  A law past the atom budget is cached as its error (see
+    :meth:`_memo`).  Cached laws are immutable apart from memoized query
+    values; the cache dictionaries are only grown, never mutated in place,
+    which keeps concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
         self.system = system
         self.cap = cap
-        self._law_sum: Law | None = None
+        self._law_sum: dict[None, Law] = {}
         self._law_capped: dict[tuple[Number, str], Law] = {}
         self._signatures: dict[Number, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
@@ -158,6 +158,25 @@ class SystemOracle:
         self._mu_p: dict[Number, Number] = {}
 
     # -- laws ---------------------------------------------------------------
+
+    @staticmethod
+    def _memo(cache: dict, key: object, build, *args):
+        """``cache[key]``, built as ``build(*args)`` on the first call.
+
+        A build that exceeds the atom budget stores its error, and every
+        later call raises a fresh :class:`ConvolutionCapError` with the
+        same message.
+        """
+        entry = cache.get(key)
+        if entry is None:
+            try:
+                entry = build(*args)
+            except ConvolutionCapError as exc:
+                entry = exc
+            cache[key] = entry
+        if isinstance(entry, ConvolutionCapError):
+            raise ConvolutionCapError(*entry.args)
+        return entry
 
     def _laws(self, measures: Sequence[DiscreteRV | SubMeasure]) -> list[Law]:
         """The inputs in the form the convolution kernel takes."""
@@ -186,19 +205,17 @@ class SystemOracle:
         middle = [self._chain([prefix[i - 1], suffix[i]]) for i in range(1, n - 1)]
         return [suffix[0], *middle, prefix[-1]]
 
+    def _capped(self, combine, w: Number, mode: str):
+        """``combine`` applied to the summands capped at level w."""
+        return combine(self._laws([capped_sum_rv(rv, w, mode) for rv in self.system.rvs]))
+
     def law_sum(self) -> Law:
         """Exact law of the raw sum S."""
-        if self._law_sum is None:
-            self._law_sum = self._chain(self._laws(self.system.rvs))
-        return self._law_sum
+        return self._memo(self._law_sum, None, lambda: self._chain(self._laws(self.system.rvs)))
 
     def law_capped(self, w: Number, mode: str) -> Law:
         """Exact law of the capped sum S_bar at level w."""
-        key = (w, mode)
-        if key not in self._law_capped:
-            capped = [capped_sum_rv(rv, w, mode) for rv in self.system.rvs]
-            self._law_capped[key] = self._chain(self._laws(capped))
-        return self._law_capped[key]
+        return self._memo(self._law_capped, (w, mode), self._capped, self._chain, w, mode)
 
     def signature(self, y: Number) -> tuple[int, ...]:
         """Atoms each summand keeps under the restriction to {X_i <= y}."""
@@ -208,24 +225,19 @@ class SystemOracle:
             self._signatures[y] = sig
         return sig
 
+    def _restrict(self, y: Number) -> tuple[list[Law], Law]:
+        parts = self._laws([restrict_at_most(rv, y) for rv in self.system.rvs])
+        loo = self._leave_one_out(parts)
+        full = self._chain([loo[-1], parts[-1]]) if len(parts) > 1 else parts[0]
+        return loo, full
+
     def restricted(self, y: Number) -> tuple[list[Law], Law]:
         """Leave-one-out and full convolutions of the summands restricted to {X <= y}."""
-        sig = self.signature(y)
-        entry = self._restricted.get(sig)
-        if entry is None:
-            parts = self._laws([restrict_at_most(rv, y) for rv in self.system.rvs])
-            loo = self._leave_one_out(parts)
-            full = self._chain([loo[-1], parts[-1]]) if len(parts) > 1 else parts[0]
-            entry = self._restricted[sig] = (loo, full)
-        return entry
+        return self._memo(self._restricted, self.signature(y), self._restrict, y)
 
     def loo_capped(self, w: Number, mode: str) -> list[Law]:
         """Laws of S_bar - X_bar_i (leave-one-out capped sums)."""
-        key = (w, mode)
-        if key not in self._loo_capped:
-            capped = [capped_sum_rv(rv, w, mode) for rv in self.system.rvs]
-            self._loo_capped[key] = self._leave_one_out(self._laws(capped))
-        return self._loo_capped[key]
+        return self._memo(self._loo_capped, (w, mode), self._capped, self._leave_one_out, w, mode)
 
     # -- scalar queries -----------------------------------------------------
 
@@ -258,7 +270,11 @@ class SystemOracle:
         return self.law_sum().tail(z) - self.law_capped(w, mode).tail(z)
 
     def q(self, z: Number, y: Number) -> Number:
-        """Q(z, y) = max_i P(S - X_i > z - y, max_{j != i} X_j <= y)."""
+        """Q(z, y) = max_i P(S - X_i > z - y, max_{j != i} X_j <= y).
+
+        For a single-summand system the leave-one-out sum is the empty sum, a
+        unit mass at 0, so Q = 1{0 > z - y}.
+        """
         loo, _ = self.restricted(y)
         t = z - y
         return max(m.tail(t) for m in loo)
@@ -289,49 +305,30 @@ def bh_bound(z: Number, y: Number) -> float:
     return 1.0 if log_val >= 0.0 else math.exp(log_val)
 
 
-def q_exact(system: System, z: Number, y: Number, *, oracle: SystemOracle | None = None) -> Number:
-    """Exact Q(z, y) by convolving the {X_j <= y}-restricted summands.
+def scaled_y(z: Number, p: Number) -> Number:
+    """The scaled choice y = z / (1 + p/2) of P2..P4.
 
-    For a single-summand system the leave-one-out sum is the empty sum, a
-    unit mass at 0, so Q = 1{0 > z - y}.
+    Exact for an exact ``z`` and an integer ``p``, float otherwise.
     """
-    oracle = oracle if oracle is not None else SystemOracle(system)
-    return oracle.q(z, y)
-
-
-def qstar_exact(
-    system: System, z: Number, y: Number, *, oracle: SystemOracle | None = None
-) -> Number:
-    """Exact Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
-    oracle = oracle if oracle is not None else SystemOracle(system)
-    return oracle.qstar(z, y)
+    if isinstance(z, (Fraction, int)) and float(p).is_integer():
+        return z / (1 + Fraction(int(p), 2))
+    return float(z) / (1.0 + float(p) / 2.0)
 
 
 def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     """Candidate y grid: the scaled choice z / (1 + p/2) plus halvings of z.
 
-    Falls back to {w} when z <= 0 leaves the grid empty (any positive y
-    yields a valid bound).
+    The halvings are exact when the scaled choice is.  Falls back to {w}
+    when z <= 0 leaves the grid empty (any positive y yields a valid bound).
     """
     if not z > 0:
         return [w]
-    exact = isinstance(z, (Fraction, int))
-    if exact and float(p).is_integer():
-        denom = 1 + Fraction(int(p), 2)
-        half = Fraction(1, 2)
+    first = scaled_y(z, p)
+    if isinstance(first, float):
+        z, half = float(z), 0.5
     else:
-        z = float(z)
-        denom = 1.0 + p / 2.0
-        half = 0.5
-    candidates = [z / denom] + [z * half**j for j in range(1, 13)]
-    seen: set = set()
-    out = []
-    for y in candidates:
-        if y in seen:
-            continue
-        seen.add(y)
-        out.append(y)
-    return out
+        half = Fraction(1, 2)
+    return list(dict.fromkeys([first] + [z * half**j for j in range(1, 13)]))
 
 
 def p_bounds(
@@ -354,8 +351,7 @@ def p_bounds(
     total variance is at most one (none otherwise), with a warning; P2/P3
     are None when no y yields a candidate, so ``best`` stays a proven bound.
     """
-    if mode not in WINSOR_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
+    check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
     warnings: list[str] = []
 
@@ -409,7 +405,7 @@ def p_bounds(
             warnings.append("constant 'p5' defaulted to 1")
         zf = float(z)
         denom = (params.c + zf) ** params.p
-        p4 = float(oracle.max_tail_at(zf / (1.0 + params.p / 2.0))) + a4 / denom * float(p1)
+        p4 = float(oracle.max_tail_at(scaled_y(zf, params.p))) + a4 / denom * float(p1)
         p5 = a5 * float(oracle.mu_p_at(params.p)) / denom
         if not a4_defaulted:
             in_best.append(p4)
@@ -469,19 +465,6 @@ def theorem_bound(
     return a * beta * math.exp(-params.lam * float(z))
 
 
-def corollary_bound(
-    system: System,
-    z: Number,
-    params: BoundParams = BoundParams(),
-    mode: str = "winsorize",
-    *,
-    oracle: SystemOracle | None = None,
-) -> float:
-    """Composite bound on |P(S > z) - P(Z > z)|: theorem term plus min(P1..P5)."""
-    report = p_bounds(system, z, params, mode, oracle=oracle)
-    return report.theorem_bound + float(report.best)
-
-
 def normal_tail(z: Number) -> float:
     """P(Z > z) for a standard normal Z."""
     return norm_cdf(-float(z))
@@ -532,12 +515,20 @@ def _report_values(report: BoundReport) -> tuple:
     )
 
 
+def write_csv(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header line and one line per row, each cell formatted by ``_fmt``.
+
+    None is an empty cell, a ``Fraction`` is num/den and a float is its
+    ``repr``; lines end in a bare newline.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def bound_reports_to_csv(reports: Iterable[BoundReport], fh: IO[str]) -> None:
     """Write one CSV row per z; exact values are printed as num/den."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for report in reports:
-        writer.writerow([_fmt(v) for v in _report_values(report)])
+    write_csv(fh, _CSV_COLUMNS, map(_report_values, reports))
 
 
 def bound_reports_to_json(reports: Iterable[BoundReport]) -> str:

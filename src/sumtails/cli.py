@@ -25,9 +25,10 @@ from .bounds import (
     bound_reports_to_csv,
     bound_reports_to_json,
     p_bounds,
+    write_csv,
 )
-from .discrete import load_system
-from .mc import FAMILIES, SamplerSpec, mc_check_bounds, mc_tails
+from .discrete import WINSOR_MODES, load_system
+from .mc import FAMILIES, MODES, SamplerSpec, mc_check_bounds, mc_tails
 from .scalars import LemmaGrid, check_pointwise_lemmas, young_delta, young_grid_scan
 from .verify import (
     CALIBRATION_BOUNDS,
@@ -118,12 +119,35 @@ def _add_bound_param_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--n-max", type=int, default=4)
+    parser.add_argument("--atoms-max", type=int, default=4)
+
+
+def _corpus(args: argparse.Namespace) -> list:
+    spec = CorpusSpec(
+        seed=args.seed, count=args.count, n_max=args.n_max, atoms_max=args.atoms_max
+    )
+    return gen_corpus(spec)
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    buf = StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     params = _bound_params(args)
     oracle = SystemOracle(system)
     reports = [p_bounds(system, z, params, args.mode, oracle=oracle) for z in args.z_grid]
     if args.format == "csv":
+        # the CSV has no column for them, so the warnings go to stderr, once each
+        for text in dict.fromkeys(w for report in reports for w in report.warnings):
+            print(f"warning: {text}", file=sys.stderr)
         buf = StringIO()
         bound_reports_to_csv(reports, buf)
         _emit(buf.getvalue(), args.out)
@@ -133,11 +157,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(
-        seed=args.seed, count=args.count, n_max=args.n_max, atoms_max=args.atoms_max
-    )
-    corpus = gen_corpus(spec)
-    modes = ("winsorize", "truncate") if args.mode == "both" else (args.mode,)
+    corpus = _corpus(args)
+    modes = WINSOR_MODES if args.mode == "both" else (args.mode,)
     sweep = verify_corpus(corpus, modes=modes)
     lemma_violations = check_pointwise_lemmas(LemmaGrid())
     young_violations, young_gap = young_grid_scan()
@@ -185,10 +206,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(
-        seed=args.seed, count=args.count, n_max=args.n_max, atoms_max=args.atoms_max
-    )
-    corpus = gen_corpus(spec)
+    corpus = _corpus(args)
     params = _bound_params(args)
     result = calibrate(
         corpus,
@@ -221,12 +239,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         for r in reports
     ]
     if args.format == "csv":
-        buf = StringIO()
-        keys = list(rows[0].keys())
-        buf.write(",".join(keys) + "\n")
-        for row in rows:
-            buf.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys) + "\n")
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(list(rows[0]), [list(row.values()) for row in rows]), args.out)
     else:
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -254,38 +267,17 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             workers=args.workers,
             bound_scale=args.bound_scale,
         )
-        lines = ["z,p_hat_raw,p_hat_bar,delta_hat,ci_lo,ci_hi,p1,p2,p3,bound,flag"]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(r.z),
-                        repr(r.p_hat_raw),
-                        repr(r.p_hat_bar),
-                        repr(r.delta_hat),
-                        repr(r.ci_lo),
-                        repr(r.ci_hi),
-                        repr(r.p1),
-                        "" if r.p2 is None else repr(r.p2),
-                        "" if r.p3 is None else repr(r.p3),
-                        repr(r.bound),
-                        str(int(r.flag)),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        header = "z,p_hat_raw,p_hat_bar,delta_hat,ci_lo,ci_hi,p1,p2,p3,bound,flag".split(",")
+        rows = [[*(getattr(r, k) for k in header[:-1]), int(r.flag)] for r in report.rows]
+        _emit(_csv_text(header, rows), args.out)
         print(f"{report.n_flags} statistically significant flags")
         return 0 if report.ok else 1
 
     estimates = mc_tails(
         spec, z_grid, args.samples, args.seed, mode=args.mode, w=args.mc_w, workers=args.workers
     )
-    lines = ["z,p_hat,ci_lo,ci_hi,n_samples,seed"]
-    for e in estimates:
-        lines.append(
-            f"{e.z!r},{e.p_hat!r},{e.ci_lo!r},{e.ci_hi!r},{e.n_samples},{e.seed}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    header = "z,p_hat,ci_lo,ci_hi,n_samples,seed".split(",")
+    _emit(_csv_text(header, [[getattr(e, k) for k in header] for e in estimates]), args.out)
     return 0
 
 
@@ -331,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds_cmd = sub.add_parser("bounds", help="bound table over a z grid for one system")
     p_bounds_cmd.add_argument("--system", required=True, help="system JSON path")
-    p_bounds_cmd.add_argument(
-        "--mode", choices=("winsorize", "truncate"), default="winsorize"
-    )
+    p_bounds_cmd.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.25:8"))
     _add_bound_param_flags(p_bounds_cmd)
     p_bounds_cmd.add_argument("--out", help="output path (default stdout)")
@@ -343,25 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="exact verification suite over a seeded corpus"
     )
-    p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--count", type=int, default=200)
-    p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--atoms-max", type=int, default=4)
-    p_verify.add_argument(
-        "--mode", choices=("winsorize", "truncate", "both"), default="both"
-    )
+    _add_corpus_flags(p_verify)
+    p_verify.add_argument("--mode", choices=(*WINSOR_MODES, "both"), default="both")
     p_verify.add_argument("--out", help="JSON report path")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="empirical minimal constant for one bound")
-    p_cal.add_argument("--seed", type=int, required=True)
-    p_cal.add_argument("--count", type=int, default=200)
-    p_cal.add_argument("--n-max", type=int, default=4)
-    p_cal.add_argument("--atoms-max", type=int, default=4)
+    _add_corpus_flags(p_cal)
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
-    p_cal.add_argument(
-        "--mode", choices=("winsorize", "truncate"), default="winsorize"
-    )
+    p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_cal.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.25:8"))
     p_cal.add_argument("--workers", type=int, default=1)
     _add_bound_param_flags(p_cal)
@@ -389,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.5:4"))
     p_mc.add_argument("--samples", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument(
-        "--mode", choices=("raw", "winsorize", "truncate"), default="raw"
-    )
+    p_mc.add_argument("--mode", choices=MODES, default="raw")
     p_mc.add_argument(
         "--mc-w", type=float, default=None, help="cap level for winsorize/truncate modes"
     )

@@ -360,14 +360,20 @@ def truncate(rv: DiscreteRV, w: Number) -> DiscreteRV:
 
 
 TRANSFORMS = {"winsorize": winsorize, "truncate": truncate}
+#: names of the capping modes, in sweep and command-line order
+WINSOR_MODES = tuple(TRANSFORMS)
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` names a capping transform."""
+    if mode not in TRANSFORMS:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
 
 
 def capped_sum_rv(rv: DiscreteRV, w: Number, mode: str) -> DiscreteRV:
-    """Apply the named capping transform (``winsorize`` or ``truncate``)."""
-    try:
-        return TRANSFORMS[mode](rv, w)
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}; expected 'winsorize' or 'truncate'") from None
+    """Apply the named capping transform (one of :data:`WINSOR_MODES`)."""
+    check_mode(mode)
+    return TRANSFORMS[mode](rv, w)
 
 
 def degenerate(x: Number = 0, exact: bool = True) -> SubMeasure:
@@ -547,11 +553,6 @@ def convolve(
         values, masses = _convolve_two(current, nxt, exact, cap)
         current = current.product(nxt, values, masses)
     return current.to_submeasure() if exact else current
-
-
-def tail(m: _AtomicMeasure, z: Number) -> Number:
-    """P(value > z), strict inequality."""
-    return m.tail(z)
 
 
 def max_tail(system: System, y: Number) -> Number:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .bounds import BoundParams, SystemOracle, p_bounds
-from .discrete import System
+from .discrete import WINSOR_MODES, System, check_mode
 
 __all__ = [
     "FAMILIES",
@@ -44,7 +44,7 @@ FAMILIES = (
     "standardized-pareto",
 )
 
-MODES = ("raw", "winsorize", "truncate")
+MODES = ("raw", *WINSOR_MODES)
 
 #: samples per Philox substream; fixed so worker count cannot change results
 BLOCK_SIZE = 1 << 16
@@ -133,6 +133,14 @@ def summand_cdf(spec: SamplerSpec, t: float) -> float:
         "closed-form summand CDF only exists for the i.i.d. families; "
         "discrete systems have exact oracles"
     )
+
+
+def _check_run(n_samples: int, seed: int) -> None:
+    """Reject a sample count or seed that no run can use, before any draw."""
+    if n_samples < 1_000:
+        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -232,10 +240,7 @@ def mc_tails(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode != "raw" and (w is None or not w > 0):
         raise ValueError(f"mode {mode!r} needs a positive cap w, got {w}")
-    if n_samples < 1_000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_run(n_samples, seed)
 
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(
@@ -311,8 +316,8 @@ def mc_check_bounds(
     exists for negative-control self-tests (a scale like 0.01 must raise
     flags).
     """
-    if mode not in ("winsorize", "truncate"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'winsorize' or 'truncate'")
+    check_mode(mode)
+    _check_run(n_samples, seed)
     w = float(params.w)
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(spec, zs, n_samples, seed, w, mode, workers)

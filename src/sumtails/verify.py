@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundParams, SystemOracle, normal_tail
-from .discrete import ConvolutionCapError, DiscreteRV, Number, System
+from .bounds import BoundParams, SystemOracle, normal_tail, scaled_y
+from .discrete import WINSOR_MODES, ConvolutionCapError, DiscreteRV, Number, System, check_mode
 # mu_p is read through SystemOracle.mu_p_at; the name stays here because
 # benchmarks/sumbench/tracing.py wraps verify.mu_p
 from .scalars import _BETA_CUBE_LIMIT, beta_v, g, mean_abs_bound, mu_p  # noqa: F401
@@ -38,7 +38,6 @@ DEFAULT_A_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 2) for i in range(-4, 9
 #: interval widths b - a for concentration calibration
 DEFAULT_GAPS: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2))
 
-WINSOR_MODES = ("winsorize", "truncate")
 CALIBRATION_BOUNDS = ("theorem", "concentration", "p4", "p5")
 
 
@@ -151,12 +150,6 @@ class OsipovViolation:
     bound_value: Number
 
 
-def _scaled_y(z: Number, p: Number) -> Number:
-    if isinstance(z, (Fraction, int)) and float(p).is_integer():
-        return z / (1 + Fraction(int(p), 2))
-    return float(z) / (1.0 + float(p) / 2.0)
-
-
 def verify_osipov(
     system: System,
     z_grid: Sequence[Number] = DEFAULT_Z_GRID,
@@ -165,28 +158,25 @@ def verify_osipov(
     mode: str = "winsorize",
     *,
     p: Number = 2,
-    include_scaled_y: bool = True,
     oracle: SystemOracle | None = None,
     skip_log: list | None = None,
 ) -> list[OsipovViolation]:
     """Exact check of 0 <= Delta_w(z) <= min(P1, P2(y), P3(y)) over the grids.
 
-    With ``include_scaled_y`` the y grid is augmented per z with the scaled
-    choice z / (1 + p/2).  Cells whose convolutions exceed the atom budget
-    are appended to ``skip_log`` instead of failing the sweep.  The expected
-    result is an empty list: these inequalities are theorems.
+    The y grid is augmented per z with the scaled choice z / (1 + p/2).
+    Cells whose convolutions exceed the atom budget are appended to
+    ``skip_log`` instead of failing the sweep.  The expected result is an
+    empty list: these inequalities are theorems.
     """
-    if mode not in WINSOR_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
+    check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
     violations: list[OsipovViolation] = []
 
     for z in z_grid:
         ys: list[Number] = list(y_grid)
-        if include_scaled_y:
-            y_extra = _scaled_y(z, p)
-            if y_extra not in ys:
-                ys.append(y_extra)
+        y_extra = scaled_y(z, p)
+        if y_extra not in ys:
+            ys.append(y_extra)
         per_y = []
         for y in ys:
             try:
@@ -245,7 +235,6 @@ def verify_corpus(
     modes: Sequence[str] = WINSOR_MODES,
     *,
     p: Number = 2,
-    include_scaled_y: bool = True,
 ) -> CorpusVerification:
     """Run :func:`verify_osipov` for every system and mode, sharing oracles."""
     violations: list[tuple[int, str, OsipovViolation]] = []
@@ -260,13 +249,11 @@ def verify_corpus(
                 y_grid,
                 mode,
                 p=p,
-                include_scaled_y=include_scaled_y,
                 oracle=oracle,
                 skip_log=skip_log,
             )
             violations.extend((idx, mode, v) for v in found)
-    y_count = len(y_grid) + (1 if include_scaled_y else 0)
-    cells = len(corpus) * len(modes) * len(z_grid) * len(w_grid) * y_count
+    cells = len(corpus) * len(modes) * len(z_grid) * len(w_grid) * (len(y_grid) + 1)
     return CorpusVerification(
         violations=violations, systems=len(corpus), cells=cells, skipped=len(skip_log)
     )
@@ -316,7 +303,7 @@ def _ratio_concentration(
 
 def _ratio_p4(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
     delta = float(oracle.delta(z, params.w, mode))
-    lead = float(oracle.max_tail_at(z / (1.0 + params.p / 2.0)))
+    lead = float(oracle.max_tail_at(scaled_y(z, params.p)))
     lhs = delta - lead
     if lhs <= 0.0:
         return 0.0
@@ -376,8 +363,7 @@ def calibrate(
         raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
     if not corpus:
         raise ValueError("calibration needs a nonempty corpus")
-    if mode not in WINSOR_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
+    check_mode(mode)
 
     zs = [float(z) for z in z_grid]
     if bound_name in ("p4", "p5"):

@@ -54,7 +54,6 @@ def test_criterion_1_exact_tail_difference_suite(corpus):
             y_grid=Y_GRID,
             modes=("winsorize", "truncate"),
             p=2,
-            include_scaled_y=True,
         )
         elapsed = time.perf_counter() - start
         assert len(corpus) >= 200

@@ -70,24 +70,24 @@ class TestBennettHoeffding:
 class TestConcentrationQuantities:
     def test_q_two_coins(self, two_coins):
         # leave-one-out: P(other coin > -0.1, other coin <= 0.5) = 1/2
-        assert st.q_exact(two_coins, F(2, 5), F(1, 2)) == F(1, 2)
+        assert st.SystemOracle(two_coins).q(F(2, 5), F(1, 2)) == F(1, 2)
 
     def test_q_zero_when_y_below_support(self, two_coins):
-        assert st.q_exact(two_coins, 0, -1) == 0
+        assert st.SystemOracle(two_coins).q(0, -1) == 0
 
     def test_q_single_summand_convention(self, unit_coin):
         # empty leave-one-out sum: unit mass at zero
-        assert st.q_exact(unit_coin, 0.3, 0.5) == 1
-        assert st.q_exact(unit_coin, 1.0, 0.5) == 0
+        assert st.SystemOracle(unit_coin).q(0.3, 0.5) == 1
+        assert st.SystemOracle(unit_coin).q(1.0, 0.5) == 0
 
     def test_qstar_two_coins(self, two_coins):
-        assert st.qstar_exact(two_coins, F(9, 10), F(1, 2)) == F(1, 2)
+        assert st.SystemOracle(two_coins).qstar(F(9, 10), F(1, 2)) == F(1, 2)
 
     def test_qstar_low_z_is_restricted_mass(self, two_coins):
         # z below the whole support: the restricted tail is the full mass
         y = F(1, 2)
-        got = st.qstar_exact(two_coins, -2, y)
-        assert got == max(st.q_exact(two_coins, -2, y), F(1))
+        got = st.SystemOracle(two_coins).qstar(-2, y)
+        assert got == max(st.SystemOracle(two_coins).q(-2, y), F(1))
 
     def test_against_enumeration(self, small_corpus):
         zs = (F(-1), F(0), F(1, 2), F(3, 2))
@@ -213,11 +213,44 @@ class TestCapFallback:
                         mixed += 1
         assert mixed > 0
 
+    def test_cap_failures_are_remembered(self, small_corpus, monkeypatch):
+        from sumtails import bounds
+
+        system = next(s for s in small_corpus if [len(rv.values) for rv in s.rvs] == [4] * 4)
+        convolve_two = bounds._convolve_two
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return convolve_two(*args)
+
+        monkeypatch.setattr(bounds, "_convolve_two", counting)
+        params = st.BoundParams(w=F(1, 2))
+        oracle = st.SystemOracle(system, cap=20)
+        for z in (F(1), F(2)):
+            first = st.p_bounds(system, z, params, oracle=oracle)
+            assert first.delta_w is None
+            assert any("Bennett-Hoeffding" in w for w in first.warnings)
+            made = len(calls)
+            # a repeat neither rebuilds the laws that fit nor re-fails the others
+            assert st.p_bounds(system, z, params, oracle=oracle) == first
+            assert len(calls) == made
+            assert first == st.p_bounds(system, z, params, oracle=st.SystemOracle(system, cap=20))
+        made = len(calls)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(st.ConvolutionCapError, match=r"\(cap 20\)") as info:
+                oracle.delta(F(1), params.w, "winsorize")
+            errors.append(info.value)
+        assert len(calls) == made
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+
     def test_no_surrogate_above_unit_variance(self):
         big = st.make_system([[(F(-10), F(1, 2)), (F(10), F(1, 2))]] * 2, unit_variance=False)
         z, params = 15, st.BoundParams(w=F(5), y=F(10))
         # the unit-variance Bennett-Hoeffding bound undercuts Q* here
-        assert st.bh_bound(z, params.y) < st.qstar_exact(big, z, params.y)
+        assert st.bh_bound(z, params.y) < st.SystemOracle(big).qstar(z, params.y)
         exact = st.p_bounds(big, z, params)
         capped = st.p_bounds(big, z, params, oracle=st.SystemOracle(big, cap=1))
         assert (capped.p2, capped.p3) == (None, None)
@@ -335,7 +368,7 @@ class TestCompositeBounds:
 
     def test_corollary_composition(self, two_coins):
         params = st.BoundParams(w=F(3, 10), y=F(1, 2), lam=0.5)
-        assert st.corollary_bound(two_coins, F(2, 5), params) == pytest.approx(
+        assert st.p_bounds(two_coins, F(2, 5), params).corollary_bound == pytest.approx(
             0.7046826882694954, rel=1e-13
         )
 
@@ -343,7 +376,7 @@ class TestCompositeBounds:
         # all atoms <= w: P1 = 0 and the best explicit bound is 0
         report = st.p_bounds(four_coins, 2, st.BoundParams(w=1))
         assert float(report.best) == 0.0
-        assert st.corollary_bound(four_coins, 2, st.BoundParams(w=1)) == pytest.approx(
+        assert st.p_bounds(four_coins, 2, st.BoundParams(w=1)).corollary_bound == pytest.approx(
             st.theorem_bound(four_coins, 2, st.BoundParams(w=1)), rel=1e-15
         )
 
@@ -351,14 +384,14 @@ class TestCompositeBounds:
         # all mass at zero: beta_v = 0 and P1 = 0, so both bounds vanish
         flat = st.make_system([[(0, 1)]], unit_variance=False)
         assert st.theorem_bound(flat, 2.0) == 0.0
-        assert st.corollary_bound(flat, 2.0) == 0.0
+        assert st.p_bounds(flat, 2.0).corollary_bound == 0.0
 
     def test_strictly_decreasing_in_z(self, four_coins):
         params = st.BoundParams(w=1)
         zs = [F(n, 2) for n in range(0, 13)]
         theorems = [st.theorem_bound(four_coins, z, params) for z in zs]
         assert all(a > b for a, b in zip(theorems, theorems[1:]))
-        corollaries = [st.corollary_bound(four_coins, z, params) for z in zs]
+        corollaries = [st.p_bounds(four_coins, z, params).corollary_bound for z in zs]
         assert all(a > b for a, b in zip(corollaries, corollaries[1:]))
 
 

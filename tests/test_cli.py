@@ -1,11 +1,18 @@
 """Command-line behaviour: outputs, exit codes, reproducibility."""
 
 import csv
+import io
 import json
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import sumtails as st
 from sumtails.cli import main
+
+#: CSV outputs captured before the command line's CSV writers were merged
+GOLDEN = Path(__file__).parent / "golden"
 
 TWO_COINS = """\
 {
@@ -75,6 +82,90 @@ class TestBoundsCommand:
         code = main(["bounds", "--system", str(bad)])
         assert code == 2
         assert "mean" in capsys.readouterr().err
+
+
+    def test_csv_warnings_go_to_stderr_once(self, two_coins_path, monkeypatch, capsys):
+        from sumtails import cli
+
+        monkeypatch.setattr(cli, "SystemOracle", lambda system: st.SystemOracle(system, cap=1))
+        code = main(["bounds", "--system", two_coins_path, "--w", "1/4", "--z-grid", "0:0.5:2"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        system = st.load_system(two_coins_path)
+        oracle = st.SystemOracle(system, cap=1)
+        params = st.BoundParams(w=F(1, 4))
+        reports = [st.p_bounds(system, F(n, 2), params, oracle=oracle) for n in range(5)]
+        warnings = [w for report in reports for w in report.warnings]
+        lines = err.splitlines()
+        assert len(lines) == len(set(lines)) < len(warnings)
+        assert {f"warning: {w}" for w in warnings} == set(lines)
+        assert "warning: tail-difference oracle skipped: convolution cap exceeded" in lines
+        assert any("Bennett-Hoeffding" in line for line in lines)
+        buf = io.StringIO()
+        st.bound_reports_to_csv(reports, buf)
+        assert out == buf.getvalue()
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("bounds_two_coins_winsorize.csv", ["--w", "3/10", "--z-grid", "0:0.25:2"]),
+            (
+                "bounds_two_coins_truncate.csv",
+                ["--mode", "truncate", "--z-grid=-1:0.5:2", "--y", "1/3", "--w", "1/4"]
+                + ["--constant", "p4=3", "--constant", "p5=2"],
+            ),
+        ],
+    )
+    def test_bounds_csv(self, two_coins_path, tmp_path, capsys, name, flags):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--system", two_coins_path, *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_extremal_csv(self, capsys):
+        assert main(["extremal", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "extremal.csv").read_text()
+
+    # the Monte Carlo numbers depend on the numpy and scipy versions, so the
+    # expected text is rendered from the objects the library returns
+
+    def test_mc_tails_csv(self, capsys):
+        flags = ["--n", "4", "--samples", "20000", "--seed", "3", "--mode", "winsorize"]
+        code = main(["mc", "--family", "standardized-exponential", *flags, "--mc-w", "0.5"])
+        assert code == 0
+        spec = st.SamplerSpec("standardized-exponential", n=4)
+        zs = [n / 2 for n in range(9)]
+        estimates = st.mc_tails(spec, zs, 20000, 3, mode="winsorize", w=0.5)
+        expected = "z,p_hat,ci_lo,ci_hi,n_samples,seed\n" + "".join(
+            f"{e.z!r},{e.p_hat!r},{e.ci_lo!r},{e.ci_hi!r},{e.n_samples},{e.seed}\n"
+            for e in estimates
+        )
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("family", ["discrete-system", "standardized-exponential"])
+    def test_mc_check_bounds_csv(self, two_coins_path, tmp_path, capsys, family):
+        out = tmp_path / "check.csv"
+        argv = ["mc", "--family", family, "--system", two_coins_path, "--n", "4", "--w", "1/4"]
+        argv += ["--samples", "20000", "--seed", "5", "--z-grid", "0:0.5:2", "--check-bounds"]
+        assert main([*argv, "--out", str(out)]) == 0
+        if family == "discrete-system":
+            spec = st.SamplerSpec(family, system=st.load_system(two_coins_path))
+        else:
+            spec = st.SamplerSpec(family, n=4)
+        zs = [n / 2 for n in range(5)]
+        report = st.mc_check_bounds(spec, st.BoundParams(w=F(1, 4)), zs, 20000, 5)
+
+        def cell(value):
+            return "" if value is None else repr(value)
+
+        lines = ["z,p_hat_raw,p_hat_bar,delta_hat,ci_lo,ci_hi,p1,p2,p3,bound,flag"]
+        for r in report.rows:
+            values = (r.z, r.p_hat_raw, r.p_hat_bar, r.delta_hat, r.ci_lo, r.ci_hi, r.p1)
+            values += (r.p2, r.p3, r.bound)
+            lines.append(",".join([*map(cell, values), str(int(r.flag))]))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (family == "discrete-system") == (report.rows[0].p2 is not None)
 
 
 class TestVerifyCommand:
@@ -215,6 +306,15 @@ class TestMcCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("check", [[], ["--check-bounds"]])
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "0", "--seed", "1"], ["--samples", "2000", "--seed", "-1"]]
+    )
+    def test_bad_samples_or_seed_is_a_usage_error(self, capsys, flags, check):
+        code = main(["mc", "--family", "standardized-exponential", "--n", "4", *flags, *check])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_discrete_family_needs_system(self, capsys):
         code = main(

@@ -290,9 +290,9 @@ class TestLatticeKernel:
 class TestTailQueries:
     def test_tail_examples(self, coin):
         law = st.convolve([coin, coin])
-        assert st.tail(law, 0) == F(1, 4)
-        assert st.tail(law, 1) == 0  # strict inequality at the boundary atom
-        assert st.tail(law, -2) == 1
+        assert law.tail(0) == F(1, 4)
+        assert law.tail(1) == 0  # strict inequality at the boundary atom
+        assert law.tail(-2) == 1
 
     def test_tail_nonincreasing(self, four_coins):
         law = st.convolve(four_coins.rvs)

@@ -87,6 +87,20 @@ class TestEstimates:
             st.mc_tails(coin_spec, [0.0], 10_000, seed=1, mode="clip")
         with pytest.raises(ValueError, match="seed"):
             st.mc_tails(coin_spec, [0.0], 10_000, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            st.mc_tails(coin_spec, [0.0], 10_000, seed=1 << 64)
+
+    def test_check_bounds_validates_before_drawing(self, coin_spec, monkeypatch):
+        from sumtails import mc
+
+        monkeypatch.setattr(mc, "_draw_summands", None)  # a draw would raise TypeError
+        params = st.BoundParams(w=F(1, 4))
+        bad = ((0, 1, "1000"), (10_000, -1, "seed"), (10_000, 1 << 64, "seed"))
+        for n_samples, seed, match in bad:
+            with pytest.raises(ValueError, match=match):
+                st.mc_check_bounds(coin_spec, params, [0.0], n_samples, seed)
+        with pytest.raises(ValueError, match="mode"):
+            st.mc_check_bounds(coin_spec, params, [0.0], 10_000, 1, mode="raw")
 
 
 class TestFamilies:
