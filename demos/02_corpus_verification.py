@@ -8,9 +8,10 @@ invariants hold in exact arithmetic.  The sweep below checks
     0 <= Delta_w(z) <= min(P1, P2(y), P3(y))
 
 for every system, every z in a 33-point grid, w in {1/4, 1/2, 1}, y in
-{1/4, 1/2, 1, z/2}, and both capping modes, comparing Fractions.  Zero
-violations is the expected (and proven) outcome; the value of the exercise
-is that a bug in either side would surface as a hard counterexample.
+{1/4, 1/2, 1, z/2}, and both capping modes, in exact rational arithmetic.
+Zero violations is the expected (and proven) outcome; the value of the
+exercise is that a bug in either side would surface as a hard
+counterexample.
 """
 
 import time

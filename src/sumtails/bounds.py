@@ -138,10 +138,11 @@ class SystemOracle:
     (``bisect_right(rv.values, y)`` per summand), so they are cached by
     signature, and the signature of every y seen is remembered.  The
     z-independent moment sums ``beta_v`` and ``mu_p`` are cached per
-    argument.  A law past the atom budget is cached as its error (see
-    :meth:`_memo`).  Cached laws are immutable apart from memoized query
-    values; the cache dictionaries are only grown, never mutated in place,
-    which keeps concurrent readers safe.
+    argument, and Q(z, y) and Q*(z, y) together per (z, y), from one pass
+    over the leave-one-out tails.  A law past the atom budget is cached as
+    its error (see :meth:`_memo`).  Cached laws are immutable apart from
+    memoized query values; the cache dictionaries are only grown, never
+    mutated in place, which keeps concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -152,6 +153,7 @@ class SystemOracle:
         self._signatures: dict[Number, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
+        self._concentration: dict[tuple[Number, Number], tuple[Number, Number]] = {}
         self._max_tail: dict[Number, Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
@@ -269,22 +271,24 @@ class SystemOracle:
         """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode."""
         return self.law_sum().tail(z) - self.law_capped(w, mode).tail(z)
 
+    def _q_pair(self, z: Number, y: Number) -> tuple[Number, Number]:
+        """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails."""
+        loo, full = self.restricted(y)
+        t = z - y
+        q = max(m.tail(t) for m in loo)
+        return q, max(q, full.tail(z))
+
     def q(self, z: Number, y: Number) -> Number:
         """Q(z, y) = max_i P(S - X_i > z - y, max_{j != i} X_j <= y).
 
         For a single-summand system the leave-one-out sum is the empty sum, a
         unit mass at 0, so Q = 1{0 > z - y}.
         """
-        loo, _ = self.restricted(y)
-        t = z - y
-        return max(m.tail(t) for m in loo)
+        return self._memo(self._concentration, (z, y), self._q_pair, z, y)[0]
 
     def qstar(self, z: Number, y: Number) -> Number:
         """Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
-        loo, full = self.restricted(y)
-        t = z - y
-        q = max(m.tail(t) for m in loo)
-        return max(q, full.tail(z))
+        return self._memo(self._concentration, (z, y), self._q_pair, z, y)[1]
 
 
 def bh_bound(z: Number, y: Number) -> float:

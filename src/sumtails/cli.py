@@ -221,27 +221,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the ``SharpnessReport`` fields of an ``extremal`` row, in CSV column order
+_EXTREMAL_COLUMNS = (
+    "n,x,y,sum_var,beta,mean_abs_first,bound,ratio,ratio_closed_form,in_regime".split(",")
+)
+
+
 def _cmd_extremal(args: argparse.Namespace) -> int:
     reports = [extremal_report(n, float(args.v)) for n in args.n_list]
-    rows = [
-        {
-            "n": r.n,
-            "x": r.x,
-            "y": r.y,
-            "sum_var": r.sum_var,
-            "beta": r.beta,
-            "mean_abs_first": r.mean_abs_first,
-            "bound": r.bound,
-            "ratio": r.ratio,
-            "ratio_closed_form": r.ratio_closed_form,
-            "in_regime": r.in_regime,
-        }
-        for r in reports
-    ]
+    rows = [[getattr(r, k) for k in _EXTREMAL_COLUMNS] for r in reports]
     if args.format == "csv":
-        _emit(_csv_text(list(rows[0]), [list(row.values()) for row in rows]), args.out)
+        _emit(_csv_text(_EXTREMAL_COLUMNS, rows), args.out)
     else:
-        _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
+        records = [dict(zip(_EXTREMAL_COLUMNS, row)) for row in rows]
+        _emit(json.dumps(records, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -135,8 +135,10 @@ def summand_cdf(spec: SamplerSpec, t: float) -> float:
     )
 
 
-def _check_run(n_samples: int, seed: int) -> None:
-    """Reject a sample count or seed that no run can use, before any draw."""
+def _check_run(n_samples: int, seed: int, workers: int) -> None:
+    """Reject a sample count, seed or worker count that no run can use, before any draw."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if n_samples < 1_000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     if not 0 <= seed < 1 << 64:
@@ -240,7 +242,7 @@ def mc_tails(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode != "raw" and (w is None or not w > 0):
         raise ValueError(f"mode {mode!r} needs a positive cap w, got {w}")
-    _check_run(n_samples, seed)
+    _check_run(n_samples, seed, workers)
 
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(
@@ -317,7 +319,7 @@ def mc_check_bounds(
     flags).
     """
     check_mode(mode)
-    _check_run(n_samples, seed)
+    _check_run(n_samples, seed, workers)
     w = float(params.w)
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(spec, zs, n_samples, seed, w, mode, workers)

@@ -2,9 +2,9 @@
 
 The exact side generates seeded corpora of small rational systems and checks
 the fully explicit inequalities (the tail-difference bounds P1..P3, the
-Bennett-Hoeffding domination of Q*, the mean-absolute-value bound) with
-Fraction arithmetic, so a reported violation is a real counterexample and
-not rounding noise.
+Bennett-Hoeffding domination of Q*, the mean-absolute-value bound) in
+exact rational arithmetic, so a reported violation is a real counterexample
+and not rounding noise.
 
 The empirical side calibrates the constants the structural bounds leave
 unspecified: for each bound it reports the supremum over a parameter grid of
@@ -150,6 +150,29 @@ class OsipovViolation:
     bound_value: Number
 
 
+def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
+    """The distinct y values the sweep evaluates at z: the grid plus z / (1 + p/2)."""
+    return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
+
+
+def _parts(x: Number) -> tuple[Number, Number]:
+    """``x`` as (numerator, denominator): integers when exact, (x, 1.0) for a float."""
+    if isinstance(x, float):
+        return x, 1.0
+    return x.numerator, x.denominator
+
+
+def _exceeds(delta: tuple, base: tuple, factor: tuple, weight: tuple) -> bool:
+    """Whether delta > base + factor * weight, each given as a :func:`_parts` pair.
+
+    Denominators are positive, so cross-multiplying keeps the order: exact
+    values compare as integers, with no gcd and no ``Fraction``.  A float's
+    denominator 1.0 leaves the float expression itself.
+    """
+    (dn, dd), (bn, bd), (fn, fd), (wn, wd) = delta, base, factor, weight
+    return dn * bd * fd * wd > dd * (bn * fd * wd + fn * wn * bd)
+
+
 def verify_osipov(
     system: System,
     z_grid: Sequence[Number] = DEFAULT_Z_GRID,
@@ -163,50 +186,55 @@ def verify_osipov(
 ) -> list[OsipovViolation]:
     """Exact check of 0 <= Delta_w(z) <= min(P1, P2(y), P3(y)) over the grids.
 
-    The y grid is augmented per z with the scaled choice z / (1 + p/2).
-    Cells whose convolutions exceed the atom budget are appended to
-    ``skip_log`` instead of failing the sweep.  The expected result is an
-    empty list: these inequalities are theorems.
+    The y values at each z are :func:`_sweep_ys`: the grid plus the scaled
+    choice z / (1 + p/2).  P2 = P(max X_i > y) + Q(z, y) sum_i P(X_i > w)
+    and P3 = P(max X_i > y) + 2 Q*(z, y) P1 are compared by
+    :func:`_exceeds` and built as numbers only for a violation.  Cells whose
+    convolutions exceed the atom budget are appended to ``skip_log``
+    instead of failing the sweep.  The expected result is an empty list:
+    these inequalities are theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
     violations: list[OsipovViolation] = []
+    per_w = []
+    for w in w_grid:
+        p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
+        per_w.append((w, p1, sum_exc, _parts(p1), _parts(sum_exc)))
 
     for z in z_grid:
-        ys: list[Number] = list(y_grid)
-        y_extra = scaled_y(z, p)
-        if y_extra not in ys:
-            ys.append(y_extra)
         per_y = []
-        for y in ys:
+        for y in _sweep_ys(z, y_grid, p):
             try:
-                per_y.append((y, oracle.max_tail_at(y), oracle.q(z, y), oracle.qstar(z, y)))
+                mt_y, q, qstar = oracle.max_tail_at(y), oracle.q(z, y), oracle.qstar(z, y)
             except ConvolutionCapError:
                 if skip_log is not None:
                     skip_log.append({"z": float(z), "y": float(y), "stage": "restricted"})
-        for w in w_grid:
+                continue
+            qstar_n, qstar_d = _parts(qstar)
+            per_y.append((y, mt_y, q, qstar, _parts(mt_y), _parts(q), (2 * qstar_n, qstar_d)))
+        for w, p1, sum_exc, p1_parts, exc_parts in per_w:
             try:
                 delta = oracle.delta(z, w, mode)
             except ConvolutionCapError:
                 if skip_log is not None:
                     skip_log.append({"z": float(z), "w": float(w), "stage": "capped-sum"})
                 continue
-            p1 = oracle.max_tail_at(w)
-            sum_exc = oracle.sum_exceedance(w)
             if delta < 0:
                 violations.append(
                     OsipovViolation(float(z), float(w), None, "nonneg", delta, 0)
                 )
             if delta > p1:
                 violations.append(OsipovViolation(float(z), float(w), None, "p1", delta, p1))
-            for y, mt_y, q, qstar in per_y:
-                p2 = mt_y + q * sum_exc
-                if delta > p2:
+            d_parts = _parts(delta)
+            for y, mt_y, q, qstar, mt_parts, q_parts, qstar2_parts in per_y:
+                if _exceeds(d_parts, mt_parts, q_parts, exc_parts):
+                    p2 = mt_y + q * sum_exc
                     violations.append(
                         OsipovViolation(float(z), float(w), float(y), "p2", delta, p2)
                     )
-                p3 = mt_y + 2 * qstar * p1
-                if delta > p3:
+                if _exceeds(d_parts, mt_parts, qstar2_parts, p1_parts):
+                    p3 = mt_y + 2 * qstar * p1
                     violations.append(
                         OsipovViolation(float(z), float(w), float(y), "p3", delta, p3)
                     )
@@ -253,7 +281,8 @@ def verify_corpus(
                 skip_log=skip_log,
             )
             violations.extend((idx, mode, v) for v in found)
-    cells = len(corpus) * len(modes) * len(z_grid) * len(w_grid) * (len(y_grid) + 1)
+    ys_per_mode = sum(len(_sweep_ys(z, y_grid, p)) for z in z_grid)
+    cells = len(corpus) * len(modes) * len(w_grid) * ys_per_mode
     return CorpusVerification(
         violations=violations, systems=len(corpus), cells=cells, skipped=len(skip_log)
     )
@@ -363,6 +392,8 @@ def calibrate(
         raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
     if not corpus:
         raise ValueError("calibration needs a nonempty corpus")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_mode(mode)
 
     zs = [float(z) for z in z_grid]

@@ -59,7 +59,9 @@ def test_criterion_1_exact_tail_difference_suite(corpus):
         assert len(corpus) >= 200
         assert result.violations == []
         assert result.skipped == 0
-        assert result.cells == 200 * 2 * 33 * 3 * 4
+        # (mode, z, w, y) cells with distinct y: the scaled y = z/2 is already
+        # on the y grid at z = 1/2, 1 and 2, so 3 of the 33 z have 3 y values
+        assert result.cells == 200 * 2 * 3 * (33 * 4 - 3) == 154_800
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
 

@@ -228,6 +228,14 @@ class TestCalibrateCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_a_usage_error(self, capsys, workers):
+        argv = ["calibrate", "--seed", "1", "--count", "2", "--bound", "theorem"]
+        assert main([*argv, "--workers", workers]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert out == ""
+
 
 class TestExtremalCommand:
     def test_json_rows(self, capsys):
@@ -236,6 +244,13 @@ class TestExtremalCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [row["n"] for row in rows] == [2, 101]
         assert rows[1]["ratio"] == pytest.approx(rows[1]["ratio_closed_form"], abs=1e-12)
+
+    def test_empty_list_csv_is_the_header_alone(self, capsys):
+        assert main(["extremal", "--format", "csv", "--n-list", ","]) == 0
+        header = (GOLDEN / "extremal.csv").read_text().splitlines(keepends=True)[0]
+        assert capsys.readouterr().out == header
+        assert main(["extremal", "--format", "json", "--n-list", ","]) == 0
+        assert capsys.readouterr().out == "[]\n"
 
 
 class TestMcCommand:
@@ -315,6 +330,16 @@ class TestMcCommand:
         code = main(["mc", "--family", "standardized-exponential", "--n", "4", *flags, *check])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("check", [[], ["--check-bounds"]])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_a_usage_error(self, capsys, workers, check):
+        argv = ["mc", "--family", "standardized-exponential", "--n", "4"]
+        argv += ["--samples", "2000", "--seed", "1", "--workers", workers, *check]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert out == ""
 
     def test_discrete_family_needs_system(self, capsys):
         code = main(

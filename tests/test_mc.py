@@ -102,6 +102,17 @@ class TestEstimates:
         with pytest.raises(ValueError, match="mode"):
             st.mc_check_bounds(coin_spec, params, [0.0], 10_000, 1, mode="raw")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected_before_drawing(self, coin_spec, monkeypatch, workers):
+        from sumtails import mc
+
+        monkeypatch.setattr(mc, "_draw_summands", None)  # a draw would raise TypeError
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            st.mc_tails(coin_spec, [0.0], 10_000, 1, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            st.mc_check_bounds(coin_spec, st.BoundParams(), [0.0], 10_000, 1, workers=workers)
+
 
 class TestFamilies:
     def test_unknown_family(self):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
@@ -79,7 +81,15 @@ class TestVerifySweep:
         result = st.verify_corpus(small_corpus)
         assert result.ok
         assert result.skipped == 0
-        assert result.cells == len(small_corpus) * 2 * 33 * 3 * 4
+        # z / 2 is on the default y grid at z = 1/2, 1 and 2
+        assert result.cells == len(small_corpus) * 2 * 3 * (33 * 4 - 3)
+
+    def test_cells_count_distinct_y(self, small_corpus):
+        # z = 1: the scaled y 1/2 is on the grid; z = 3: 3/2 is added
+        result = st.verify_corpus(
+            small_corpus[:2], z_grid=[F(1), F(3)], w_grid=[F(1)], y_grid=[F(1, 2)]
+        )
+        assert result.cells == 2 * 2 * 1 * (1 + 2)
 
     def test_delta_matches_enumeration(self, small_corpus):
         for system in small_corpus[:6]:
@@ -94,6 +104,86 @@ class TestVerifySweep:
                         (p for p, xs in enumerate_outcomes(capped) if sum(xs) > z), F(0)
                     )
                     assert oracle.delta(z, w, "winsorize") == raw - bar
+
+
+MODES = ("winsorize", "truncate")
+DEFAULT_Z = [F(i, 4) for i in range(33)]
+
+
+class ScaledConcentration(st.SystemOracle):
+    """Q and Q* times ``factor``: 0 gives P2 = P3 = P(max X_i > y), which Delta can exceed."""
+
+    def __init__(self, system, factor):
+        super().__init__(system)
+        self.factor = factor
+
+    def q(self, z, y):
+        return self.factor * super().q(z, y)
+
+    def qstar(self, z, y):
+        return self.factor * super().qstar(z, y)
+
+
+def reference_violations(system, oracle, z_grid, mode):
+    """The sweep's verdicts on the default w and y grids with p = 2, in plain number arithmetic."""
+    grid = [F(1, 4), F(1, 2), F(1)]  # the default w grid and y grid
+    out = []
+    for z in z_grid:
+        ys = grid + ([] if z / 2 in grid else [z / 2])
+        for w in grid:
+            delta = oracle.delta(z, w, mode)
+            p1 = st.max_tail(system, w)
+            sum_exc = sum(rv.tail(w) for rv in system.rvs)
+            if delta < 0:
+                out.append(st.OsipovViolation(float(z), float(w), None, "nonneg", delta, 0))
+            if delta > p1:
+                out.append(st.OsipovViolation(float(z), float(w), None, "p1", delta, p1))
+            for y in ys:
+                p2 = st.max_tail(system, y) + oracle.q(z, y) * sum_exc
+                if delta > p2:
+                    out.append(st.OsipovViolation(float(z), float(w), float(y), "p2", delta, p2))
+                p3 = st.max_tail(system, y) + 2 * oracle.qstar(z, y) * p1
+                if delta > p3:
+                    out.append(st.OsipovViolation(float(z), float(w), float(y), "p3", delta, p3))
+    return out
+
+
+class TestSweepVerdicts:
+    """verify_osipov's cross-multiplied checks against a plain-arithmetic loop."""
+
+    def test_forced_violations_exact(self, small_corpus):
+        found = []
+        for system in small_corpus[:6]:
+            for mode in MODES:
+                oracle = ScaledConcentration(system, F(0))
+                violations = st.verify_osipov(system, mode=mode, oracle=oracle)
+                assert violations == reference_violations(system, oracle, DEFAULT_Z, mode)
+                found += violations
+        assert {v.bound for v in found} == {"p2", "p3"}
+        assert all(type(v.bound_value) is F for v in found)
+
+    def test_forced_violations_float(self):
+        system, _ = st.extremal_system(5)
+        z_grid = [F(n, 4) for n in range(13)]
+        for mode in MODES:
+            oracle = ScaledConcentration(system, 0.0)
+            found = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle)
+            assert found == reference_violations(system, oracle, z_grid, mode)
+            assert found
+            assert all(type(v.bound_value) is float for v in found)
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        factor=hyp.sampled_from([F(0), F(1, 16), F(1, 4), F(1, 2), F(1)]),
+        mode=hyp.sampled_from(MODES),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_on_corpus_systems(self, seed, factor, mode):
+        (system,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=3))
+        z_grid = [F(n, 4) for n in range(-2, 17)]
+        oracle = ScaledConcentration(system, factor)
+        found = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle)
+        assert found == reference_violations(system, oracle, z_grid, mode)
 
 
 class TestCalibrate:
@@ -153,6 +243,14 @@ class TestCalibrate:
             st.calibrate(small_corpus, "p6")
         with pytest.raises(ValueError, match="nonempty corpus"):
             st.calibrate([], "theorem")
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers_before_any_work(self, small_corpus, monkeypatch, workers):
+        from sumtails import verify
+
+        monkeypatch.setattr(verify, "SystemOracle", None)  # any work would raise TypeError
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            st.calibrate(small_corpus, "theorem", workers=workers)
 
 
 class TestExtremalFamily:
