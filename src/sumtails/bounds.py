@@ -136,13 +136,15 @@ class SystemOracle:
     The laws restricted to {X_i <= y} depend on y only through its
     *signature*, the number of atoms each summand keeps
     (``bisect_right(rv.values, y)`` per summand), so they are cached by
-    signature, and the signature of every y seen is remembered.  The
-    z-independent moment sums ``beta_v`` and ``mu_p`` are cached per
-    argument, and Q(z, y) and Q*(z, y) together per (z, y), from one pass
-    over the leave-one-out tails.  A law past the atom budget is cached as
-    its error (see :meth:`_memo`).  Cached laws are immutable apart from
-    memoized query values; the cache dictionaries are only grown, never
-    mutated in place, which keeps concurrent readers safe.
+    signature, and the signature of every y seen is remembered.  The max
+    tail P(max_i X_i > y) = 1 - prod_i P(X_i <= y) depends on y through the
+    same signature and is cached by it too.  The z-independent moment sums
+    ``beta_v`` and ``mu_p`` are cached per argument, and Q(z, y) and
+    Q*(z, y) together per (z, y), from one pass over the leave-one-out
+    tails.  A law past the atom budget is cached as its error (see
+    :meth:`_memo`).  Cached laws are immutable apart from memoized query
+    values; the cache dictionaries are only grown, never mutated in place,
+    which keeps concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -154,7 +156,7 @@ class SystemOracle:
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
         self._concentration: dict[tuple[Number, Number], tuple[Number, Number]] = {}
-        self._max_tail: dict[Number, Number] = {}
+        self._max_tail: dict[tuple[int, ...], Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
         self._mu_p: dict[Number, Number] = {}
@@ -244,28 +246,35 @@ class SystemOracle:
     # -- scalar queries -----------------------------------------------------
 
     def max_tail_at(self, t: Number) -> Number:
-        if t not in self._max_tail:
-            self._max_tail[t] = max_tail(self.system, t)
-        return self._max_tail[t]
+        """P(max_i X_i > t), cached by the signature of t."""
+        sig = self.signature(t)
+        value = self._max_tail.get(sig)
+        if value is None:
+            value = self._max_tail[sig] = max_tail(self.system, t)
+        return value
 
     def sum_exceedance(self, w: Number) -> Number:
         """sum_i P(X_i > w)."""
-        if w not in self._sum_exceedance:
+        value = self._sum_exceedance.get(w)
+        if value is None:
             zero = Fraction(0) if self.system.exact else 0.0
-            self._sum_exceedance[w] = sum((rv.tail(w) for rv in self.system.rvs), zero)
-        return self._sum_exceedance[w]
+            value = sum((rv.tail(w) for rv in self.system.rvs), zero)
+            self._sum_exceedance[w] = value
+        return value
 
     def beta_v_at(self, v: Number) -> Number:
         """beta_v of the system at scale v (independent of z, so computed once per v)."""
-        if v not in self._beta_v:
-            self._beta_v[v] = beta_v(self.system, v)
-        return self._beta_v[v]
+        value = self._beta_v.get(v)
+        if value is None:
+            value = self._beta_v[v] = beta_v(self.system, v)
+        return value
 
     def mu_p_at(self, p: Number) -> Number:
         """mu_p = sum_i E |X_i|^p (independent of z, so computed once per p)."""
-        if p not in self._mu_p:
-            self._mu_p[p] = mu_p(self.system, p)
-        return self._mu_p[p]
+        value = self._mu_p.get(p)
+        if value is None:
+            value = self._mu_p[p] = mu_p(self.system, p)
+        return value
 
     def delta(self, z: Number, w: Number, mode: str) -> Number:
         """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode."""
@@ -329,10 +338,41 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
         return [w]
     first = scaled_y(z, p)
     if isinstance(first, float):
-        z, half = float(z), 0.5
+        z = float(z)
+        halvings = [z * 0.5**j for j in range(1, 13)]
     else:
-        half = Fraction(1, 2)
-    return list(dict.fromkeys([first] + [z * half**j for j in range(1, 13)]))
+        halvings = [Fraction(z.numerator, z.denominator << j) for j in range(1, 13)]
+    return list(dict.fromkeys([first, *halvings]))
+
+
+def _parts(x: Number) -> tuple[Number, Number]:
+    """``x`` as (numerator, denominator): integers when exact, (x, 1.0) for a float."""
+    if isinstance(x, float):
+        return x, 1.0
+    return x.numerator, x.denominator
+
+
+def _plus_product(base: tuple, factor: tuple, weight: tuple) -> tuple[Number, Number]:
+    """base + factor * weight as an unreduced (numerator, denominator) pair.
+
+    Each argument is a :func:`_parts` pair.  Exact values give integers, with
+    no gcd and no ``Fraction``; for floats the denominators are 1.0 and the
+    numerator is the float expression ``base + factor * weight`` itself.
+    """
+    (bn, bd), (fn, fd), (wn, wd) = base, factor, weight
+    return bn * fd * wd + fn * wn * bd, bd * fd * wd
+
+
+def _least(least: tuple | None, value: tuple, *terms: Number) -> tuple:
+    """``(*value, *terms)`` if the pair ``value`` is below ``least``'s, else ``least``.
+
+    Denominators are positive, so cross-multiplying keeps the order; a tie
+    keeps ``least``, the earlier candidate, as ``min`` does.
+    """
+    n, d = value
+    if least is None or n * least[1] < least[0] * d:
+        return (n, d, *terms)
+    return least
 
 
 def p_bounds(
@@ -370,8 +410,9 @@ def p_bounds(
         warnings.append("tail-difference oracle skipped: convolution cap exceeded")
 
     y_candidates = _auto_y_candidates(z, params.p, w) if params.y == "auto" else [params.y]
-    p2_cands: list[Number] = []
-    p3_cands: list[Number] = []
+    exc_parts, p1_parts = _parts(sum_exc), _parts(p1)
+    # the least P2 and P3 candidates so far: (numerator, denominator, max tail, Q or Q*)
+    least2 = least3 = None
     capped_ys = []
     for y in y_candidates:
         mt_y = oracle.max_tail_at(y)
@@ -380,8 +421,15 @@ def p_bounds(
         except ConvolutionCapError:
             capped_ys.append(y)
             continue
-        p2_cands.append(mt_y + q * sum_exc)
-        p3_cands.append(mt_y + 2 * qstar * p1)
+        mt_parts = _parts(mt_y)
+        qstar_n, qstar_d = _parts(qstar)
+        p2_value = _plus_product(mt_parts, _parts(q), exc_parts)
+        p3_value = _plus_product(mt_parts, (2 * qstar_n, qstar_d), p1_parts)
+        least2 = _least(least2, p2_value, mt_y, q)
+        least3 = _least(least3, p3_value, mt_y, qstar)
+    # each bound is built once, by the expression its candidates were ranked by
+    p2 = None if least2 is None else least2[2] + least2[3] * sum_exc
+    p3_cands: list[Number] = [] if least3 is None else [least3[2] + 2 * least3[3] * p1]
     if capped_ys:
         # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
         # Q* only for total variance at most one
@@ -394,7 +442,6 @@ def p_bounds(
             f"{fallback} at {len(capped_ys)} of {len(y_candidates)} y values: "
             "convolution cap exceeded"
         )
-    p2 = min(p2_cands, default=None)
     p3 = min(p3_cands, default=None)
 
     # P4/P5 with defaulted constants are reported (flagged) but kept out of

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from io import StringIO
@@ -40,8 +41,16 @@ from .verify import (
 )
 
 
+#: most points a ``start:step:stop`` grid or a ``young`` u grid may have
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[Fraction]:
-    """Parse "start:step:stop" into an inclusive exact grid."""
+    """Parse "start:step:stop" into an inclusive exact grid.
+
+    The point count is computed before any point is built, and a grid of
+    more than :data:`MAX_GRID_POINTS` points is rejected.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be start:step:stop, got {spec!r}")
@@ -51,12 +60,12 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}: {exc}") from None
     if step <= 0:
         raise argparse.ArgumentTypeError(f"grid step must be positive, got {step}")
-    out = []
-    value = start
-    while value <= stop:
-        out.append(value)
-        value += step
-    return out
+    points = max((stop - start) // step + 1, 0)
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} has {points} points, more than {MAX_GRID_POINTS}"
+        )
+    return [start + k * step for k in range(points)]
 
 
 def _parse_fraction_list(spec: str) -> list[Fraction]:
@@ -274,7 +283,20 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_u_grid(u_min: float, u_max: float, u_step: float) -> None:
+    """Reject a ``young`` u grid that is empty, not finite or too large."""
+    if not all(map(math.isfinite, (u_min, u_max, u_step))):
+        raise ValueError("--u-min, --u-max and --u-step must be finite")
+    if not u_step > 0:
+        raise ValueError(f"--u-step must be positive, got {u_step!r}")
+    if u_min > u_max:
+        raise ValueError(f"--u-min {u_min!r} is above --u-max {u_max!r}")
+    if (u_max - u_min) / u_step + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"the u grid has more than {MAX_GRID_POINTS} points")
+
+
 def _cmd_young(args: argparse.Namespace) -> int:
+    _check_u_grid(args.u_min, args.u_max, args.u_step)
     if args.k is not None:
         us = np.arange(args.u_min, args.u_max + args.u_step / 2, args.u_step)
         deltas = np.array([young_delta(args.k, float(u)).delta for u in us])
@@ -317,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds_cmd = sub.add_parser("bounds", help="bound table over a z grid for one system")
     p_bounds_cmd.add_argument("--system", required=True, help="system JSON path")
     p_bounds_cmd.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
-    p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.25:8"))
+    p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
     _add_bound_param_flags(p_bounds_cmd)
     p_bounds_cmd.add_argument("--out", help="output path (default stdout)")
     p_bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -335,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_cal)
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
     p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
-    p_cal.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.25:8"))
+    p_cal.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
     p_cal.add_argument("--workers", type=int, default=1)
     _add_bound_param_flags(p_cal)
     p_cal.add_argument("--out", help="JSON output path (default stdout)")
@@ -359,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, default=1, help="number of summands (iid families)")
     p_mc.add_argument("--q", type=float, default=0.5, help="two-point upper mass")
     p_mc.add_argument("--alpha", type=float, default=4.0, help="Pareto shape (> 2)")
-    p_mc.add_argument("--z-grid", type=_parse_grid, default=_parse_grid("0:0.5:4"))
+    p_mc.add_argument("--z-grid", type=_parse_grid, default="0:0.5:4")
     p_mc.add_argument("--samples", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--mode", choices=MODES, default="raw")

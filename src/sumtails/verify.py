@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundParams, SystemOracle, normal_tail, scaled_y
+from .bounds import BoundParams, SystemOracle, _parts, _plus_product, normal_tail, scaled_y
 from .discrete import WINSOR_MODES, ConvolutionCapError, DiscreteRV, Number, System, check_mode
 # mu_p is read through SystemOracle.mu_p_at; the name stays here because
 # benchmarks/sumbench/tracing.py wraps verify.mu_p
@@ -155,22 +155,14 @@ def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
     return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
 
 
-def _parts(x: Number) -> tuple[Number, Number]:
-    """``x`` as (numerator, denominator): integers when exact, (x, 1.0) for a float."""
-    if isinstance(x, float):
-        return x, 1.0
-    return x.numerator, x.denominator
-
-
 def _exceeds(delta: tuple, base: tuple, factor: tuple, weight: tuple) -> bool:
     """Whether delta > base + factor * weight, each given as a :func:`_parts` pair.
 
-    Denominators are positive, so cross-multiplying keeps the order: exact
-    values compare as integers, with no gcd and no ``Fraction``.  A float's
-    denominator 1.0 leaves the float expression itself.
+    Denominators are positive, so cross-multiplying with
+    :func:`~sumtails.bounds._plus_product` keeps the order.
     """
-    (dn, dd), (bn, bd), (fn, fd), (wn, wd) = delta, base, factor, weight
-    return dn * bd * fd * wd > dd * (bn * fd * wd + fn * wn * bd)
+    (dn, dd), (n, d) = delta, _plus_product(base, factor, weight)
+    return dn * d > dd * n
 
 
 def verify_osipov(

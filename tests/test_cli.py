@@ -348,7 +348,91 @@ class TestMcCommand:
         assert code == 2
 
 
+class TestGrids:
+    def test_default_grids_are_parsed_only_when_used(self, monkeypatch):
+        from sumtails import cli
+
+        calls, parse_grid = [], cli._parse_grid
+
+        def counting(spec):
+            calls.append(spec)
+            return parse_grid(spec)
+
+        monkeypatch.setattr(cli, "_parse_grid", counting)
+        parser = cli.build_parser()
+        assert calls == []
+        args = parser.parse_args(["bounds", "--system", "s.json"])
+        assert args.z_grid == [F(n, 4) for n in range(33)]
+        assert calls == ["0:0.25:8"]
+        args = parser.parse_args(["mc", "--family", "standardized-pareto", "--samples", "1", "--seed", "1"])
+        assert args.z_grid == [F(n, 2) for n in range(9)]
+        calls.clear()
+        args = parser.parse_args(["calibrate", "--seed", "1", "--bound", "p4", "--z-grid", "1:1:3"])
+        assert args.z_grid == [1, 2, 3]
+        assert calls == ["1:1:3"]
+
+    def test_grid_points(self):
+        from sumtails.cli import _parse_grid
+
+        assert _parse_grid("0:0.1:2") == [F(n, 10) for n in range(21)]
+        assert _parse_grid("-1:1/3:0") == [F(-1), F(-2, 3), F(-1, 3), F(0)]
+        assert _parse_grid("0:0.3:1") == [F(0), F(3, 10), F(6, 10), F(9, 10)]
+        assert _parse_grid("1:1:0") == []
+
+    def test_point_count_ceiling(self, monkeypatch):
+        import argparse
+
+        from sumtails import cli
+
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        assert len(cli._parse_grid("0:1:4")) == 5
+        with pytest.raises(argparse.ArgumentTypeError, match="6 points, more than 5"):
+            cli._parse_grid("0:1:5")
+
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "mc"])
+    def test_large_grid_is_a_usage_error(self, tmp_path, capsys, command):
+        # 800,001 points is over the ceiling but small enough to build, and
+        # each command fails right after parsing (missing system, empty
+        # corpus, no samples), so a missing check fails fast with another error
+        argv = {
+            "bounds": ["bounds", "--system", str(tmp_path / "missing.json")],
+            "calibrate": ["calibrate", "--seed", "1", "--count", "0", "--bound", "p4"],
+            "mc": ["mc", "--family", "standardized-pareto", "--samples", "0", "--seed", "1"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--z-grid", "0:1e-5:8"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --z-grid: grid '0:1e-5:8' has 800001 points, more than" in err
+
+
 class TestYoungCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--u-step", "0"], "--u-step must be positive, got 0.0"),
+            (["--u-step", "-0.5"], "--u-step must be positive, got -0.5"),
+            (["--u-min", "3", "--u-max", "1"], "--u-min 3.0 is above --u-max 1.0"),
+            (["--u-step", "nan"], "must be finite"),
+            (["--u-max", "inf"], "must be finite"),
+            # a million points: over the ceiling, yet harmless if a regression built them
+            (["--u-step", "1e-5"], "more than 100000 points"),
+        ],
+    )
+    @pytest.mark.parametrize("k", [["--k", "0.5"], []])
+    def test_bad_u_grid_is_a_usage_error(self, capsys, monkeypatch, flags, message, k):
+        from sumtails import cli
+
+        def no_work(*_args):
+            raise AssertionError("the grid is checked before any work")
+
+        monkeypatch.setattr(cli, "young_delta", no_work)
+        monkeypatch.setattr(cli, "young_grid_scan", no_work)
+        assert main(["young", *k, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+
     def test_boundary_violation_witness(self, capsys):
         code = main(["young", "--k", "0.9"])
         assert code == 0  # above 8/9 a negative value documents the boundary
