@@ -352,26 +352,52 @@ def _parts(x: Number) -> tuple[Number, Number]:
     return x.numerator, x.denominator
 
 
-def _plus_product(base: tuple, factor: tuple, weight: tuple) -> tuple[Number, Number]:
-    """base + factor * weight as an unreduced (numerator, denominator) pair.
+def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[list, list]:
+    """The y terms of P2 and P3 at z, and the y values past the atom budget.
 
-    Each argument is a :func:`_parts` pair.  Exact values give integers, with
-    no gcd and no ``Fraction``; for floats the denominators are 1.0 and the
-    numerator is the float expression ``base + factor * weight`` itself.
+    A term is (y, max tail, Q, Q*) followed by the :func:`_parts` numerator
+    and denominator of the max tail, of Q and of 2 Q*, flat.  Each y asks
+    the oracle for its max tail, Q and Q*, in that order.
     """
-    (bn, bd), (fn, fd), (wn, wd) = base, factor, weight
-    return bn * fd * wd + fn * wn * bd, bd * fd * wd
+    terms: list[tuple] = []
+    capped: list[Number] = []
+    for y in ys:
+        mt_y = oracle.max_tail_at(y)
+        try:
+            q, qstar = oracle.q(z, y), oracle.qstar(z, y)
+        except ConvolutionCapError:
+            capped.append(y)
+            continue
+        qstar_n, qstar_d = _parts(qstar)
+        terms.append((y, mt_y, q, qstar, *_parts(mt_y), *_parts(q), 2 * qstar_n, qstar_d))
+    return terms, capped
 
 
-def _least(least: tuple | None, value: tuple, *terms: Number) -> tuple:
-    """``(*value, *terms)`` if the pair ``value`` is below ``least``'s, else ``least``.
+def _p23_pairs(term: tuple, exc: tuple, p1: tuple) -> tuple[Number, Number, Number, Number]:
+    """P2 and P3 of a :func:`_y_terms` term as unreduced fractions: (n2, d2, n3, d3).
 
-    Denominators are positive, so cross-multiplying keeps the order; a tie
-    keeps ``least``, the earlier candidate, as ``min`` does.
+    ``exc`` and ``p1`` are the :func:`_parts` pairs of sum_i P(X_i > w) and
+    of P1.  Exact values give integers, with no gcd; a float numerator is
+    the float expression of :func:`_p23_values`, over 1.0.  Denominators are
+    positive, so cross-multiplying two fractions keeps their order.
     """
-    n, d = value
+    _, _, _, _, mn, md, qn, qd, sn, sd = term
+    (en, ed), (pn, pd) = exc, p1
+    return (
+        mn * qd * ed + qn * en * md, md * qd * ed,  # P2
+        mn * sd * pd + sn * pn * md, md * sd * pd,  # P3
+    )
+
+
+def _p23_values(t2: tuple, t3: tuple, sum_exc: Number, p1: Number) -> tuple[Number, Number]:
+    """P2 at the y of term ``t2`` and P3 at the y of term ``t3``, as numbers."""
+    return t2[1] + t2[2] * sum_exc, t3[1] + 2 * t3[3] * p1
+
+
+def _least(least: tuple | None, n: Number, d: Number, term: tuple) -> tuple:
+    """``(n, d, term)`` if n / d is below ``least``'s fraction; a tie keeps ``least``."""
     if least is None or n * least[1] < least[0] * d:
-        return (n, d, *terms)
+        return n, d, term
     return least
 
 
@@ -410,26 +436,17 @@ def p_bounds(
         warnings.append("tail-difference oracle skipped: convolution cap exceeded")
 
     y_candidates = _auto_y_candidates(z, params.p, w) if params.y == "auto" else [params.y]
+    terms, capped_ys = _y_terms(oracle, z, y_candidates)
     exc_parts, p1_parts = _parts(sum_exc), _parts(p1)
-    # the least P2 and P3 candidates so far: (numerator, denominator, max tail, Q or Q*)
+    # the least P2 and P3 candidates so far: (numerator, denominator, term)
     least2 = least3 = None
-    capped_ys = []
-    for y in y_candidates:
-        mt_y = oracle.max_tail_at(y)
-        try:
-            q, qstar = oracle.q(z, y), oracle.qstar(z, y)
-        except ConvolutionCapError:
-            capped_ys.append(y)
-            continue
-        mt_parts = _parts(mt_y)
-        qstar_n, qstar_d = _parts(qstar)
-        p2_value = _plus_product(mt_parts, _parts(q), exc_parts)
-        p3_value = _plus_product(mt_parts, (2 * qstar_n, qstar_d), p1_parts)
-        least2 = _least(least2, p2_value, mt_y, q)
-        least3 = _least(least3, p3_value, mt_y, qstar)
-    # each bound is built once, by the expression its candidates were ranked by
-    p2 = None if least2 is None else least2[2] + least2[3] * sum_exc
-    p3_cands: list[Number] = [] if least3 is None else [least3[2] + 2 * least3[3] * p1]
+    for term in terms:
+        n2, d2, n3, d3 = _p23_pairs(term, exc_parts, p1_parts)
+        least2 = _least(least2, n2, d2, term)
+        least3 = _least(least3, n3, d3, term)
+    # each bound is built once, from the term it was ranked by
+    p2, p3 = _p23_values(least2[2], least3[2], sum_exc, p1) if terms else (None, None)
+    p3_cands: list[Number] = [] if p3 is None else [p3]
     if capped_ys:
         # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
         # Q* only for total variance at most one

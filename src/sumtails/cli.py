@@ -68,13 +68,6 @@ def _parse_grid(spec: str) -> list[Fraction]:
     return [start + k * step for k in range(points)]
 
 
-def _parse_fraction_list(spec: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in spec.split(",") if part]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad list {spec!r}: {exc}") from None
-
-
 def _parse_constant(spec: str) -> tuple[str, float]:
     name, _, value = spec.partition("=")
     if name not in CONSTANT_NAMES:
@@ -396,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound-scale",
         type=float,
         default=1.0,
-        help="multiply bounds by this factor (negative-control self-test)",
+        help="multiply bounds by this finite positive factor (negative-control self-test)",
     )
     _add_bound_param_flags(p_mc)
     p_mc.add_argument("--out", help="CSV output path (default stdout)")
@@ -424,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

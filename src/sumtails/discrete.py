@@ -56,10 +56,6 @@ class Atom(NamedTuple):
     p: Number
 
 
-def _is_exact(value: object) -> bool:
-    return isinstance(value, (Fraction, int))
-
-
 def _coerce(value: Number, exact: bool) -> Number:
     if exact:
         if isinstance(value, Fraction):
@@ -575,19 +571,21 @@ def max_tail(system: System, y: Number) -> Number:
 # ---------------------------------------------------------------------------
 
 
-def _parse_number(value: object, exact: bool) -> Number:
-    if isinstance(value, str):
-        num = Fraction(value)
-    elif isinstance(value, (int, Fraction)):
-        num = Fraction(value)
-    elif isinstance(value, float):
-        num = Fraction(value)
-    else:
-        raise ValueError(f"cannot parse number from {value!r}")
-    return num if exact else float(num)
+def _parse_number(value: object, exact: bool, where: str) -> Number:
+    """``value`` in the system's arithmetic; an error names the entry ``where``."""
+    if not isinstance(value, bool):  # JSON true/false are not numbers
+        try:
+            num = Fraction(value)
+            return num if exact else float(num)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{where}: cannot parse number from {value!r}")
 
 
-def system_from_dict(data: dict) -> System:
+def system_from_dict(data: object) -> System:
+    """The system a parsed JSON document describes; a malformed entry is a ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a system must be a JSON object, got {type(data).__name__}")
     mode = data.get("mode", "rational")
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown arithmetic mode {mode!r}")
@@ -596,14 +594,20 @@ def system_from_dict(data: dict) -> System:
     if not isinstance(rvs_spec, list) or not rvs_spec:
         raise ValueError("'rvs' must be a nonempty list")
     raw = []
-    for entry in rvs_spec:
-        atoms = entry.get("atoms")
+    for k, entry in enumerate(rvs_spec):
+        atoms = entry.get("atoms") if isinstance(entry, dict) else None
         if not isinstance(atoms, list) or not atoms:
-            raise ValueError("each rv needs a nonempty 'atoms' list")
-        raw.append(
-            [(_parse_number(a["x"], exact), _parse_number(a["p"], exact)) for a in atoms]
-        )
-    unit_variance = bool(data.get("unit_variance", True))
+            raise ValueError(f"rvs[{k}] needs a nonempty 'atoms' list")
+        pairs = []
+        for j, atom in enumerate(atoms):
+            where = f"rvs[{k}].atoms[{j}]"
+            if not isinstance(atom, dict) or not {"x", "p"} <= atom.keys():
+                raise ValueError(f"{where} must be an object with 'x' and 'p'")
+            pairs.append([_parse_number(atom[key], exact, f"{where}.{key}") for key in "xp"])
+        raw.append(pairs)
+    unit_variance = data.get("unit_variance", True)
+    if not isinstance(unit_variance, bool):
+        raise ValueError(f"'unit_variance' must be true or false, got {unit_variance!r}")
     return make_system(raw, standardize=False, exact=exact, unit_variance=unit_variance)
 
 

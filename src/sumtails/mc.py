@@ -314,12 +314,14 @@ def mc_check_bounds(
     a statistically significant violation.  For discrete systems the bound
     is the exact min of P1, P2, P3 (those the convolution cap allows); for
     the continuous families it is P1 from
-    the closed-form summand CDF.  ``bound_scale`` shrinks the bound and
-    exists for negative-control self-tests (a scale like 0.01 must raise
-    flags).
+    the closed-form summand CDF.  ``bound_scale``, finite and positive,
+    shrinks the bound and exists for negative-control self-tests (a scale
+    like 0.01 must raise flags).
     """
     check_mode(mode)
     _check_run(n_samples, seed, workers)
+    if not 0 < bound_scale < math.inf:
+        raise ValueError(f"bound_scale must be finite and positive, got {bound_scale!r}")
     w = float(params.w)
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(spec, zs, n_samples, seed, w, mode, workers)

@@ -23,7 +23,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundParams, SystemOracle, _parts, _plus_product, normal_tail, scaled_y
+from .bounds import (
+    BoundParams, SystemOracle, _p23_pairs, _p23_values, _parts, _y_terms, normal_tail, scaled_y
+)
 from .discrete import WINSOR_MODES, ConvolutionCapError, DiscreteRV, Number, System, check_mode
 # mu_p is read through SystemOracle.mu_p_at; the name stays here because
 # benchmarks/sumbench/tracing.py wraps verify.mu_p
@@ -37,9 +39,6 @@ DEFAULT_Y_GRID: tuple[Fraction, ...] = DEFAULT_W_GRID
 DEFAULT_A_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 2) for i in range(-4, 9))
 #: interval widths b - a for concentration calibration
 DEFAULT_GAPS: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2))
-
-CALIBRATION_BOUNDS = ("theorem", "concentration", "p4", "p5")
-
 
 # ---------------------------------------------------------------------------
 # Corpus generation
@@ -155,16 +154,6 @@ def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
     return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
 
 
-def _exceeds(delta: tuple, base: tuple, factor: tuple, weight: tuple) -> bool:
-    """Whether delta > base + factor * weight, each given as a :func:`_parts` pair.
-
-    Denominators are positive, so cross-multiplying with
-    :func:`~sumtails.bounds._plus_product` keeps the order.
-    """
-    (dn, dd), (n, d) = delta, _plus_product(base, factor, weight)
-    return dn * d > dd * n
-
-
 def verify_osipov(
     system: System,
     z_grid: Sequence[Number] = DEFAULT_Z_GRID,
@@ -179,15 +168,15 @@ def verify_osipov(
     """Exact check of 0 <= Delta_w(z) <= min(P1, P2(y), P3(y)) over the grids.
 
     The y values at each z are :func:`_sweep_ys`: the grid plus the scaled
-    choice z / (1 + p/2).  P2 = P(max X_i > y) + Q(z, y) sum_i P(X_i > w)
-    and P3 = P(max X_i > y) + 2 Q*(z, y) P1 are compared by
-    :func:`_exceeds` and built as numbers only for a violation.  Cells whose
-    convolutions exceed the atom budget are appended to ``skip_log``
-    instead of failing the sweep.  The expected result is an empty list:
-    these inequalities are theorems.
+    choice z / (1 + p/2).  P2 and P3 are compared as the cross-multiplied
+    pairs of :func:`~sumtails.bounds._p23_pairs` and built as numbers only
+    for a violation.  Cells whose convolutions exceed the atom budget are
+    appended to ``skip_log`` instead of failing the sweep.  The expected
+    result is an empty list: these inequalities are theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
+    skip_log = skip_log if skip_log is not None else []
     violations: list[OsipovViolation] = []
     per_w = []
     for w in w_grid:
@@ -195,22 +184,13 @@ def verify_osipov(
         per_w.append((w, p1, sum_exc, _parts(p1), _parts(sum_exc)))
 
     for z in z_grid:
-        per_y = []
-        for y in _sweep_ys(z, y_grid, p):
-            try:
-                mt_y, q, qstar = oracle.max_tail_at(y), oracle.q(z, y), oracle.qstar(z, y)
-            except ConvolutionCapError:
-                if skip_log is not None:
-                    skip_log.append({"z": float(z), "y": float(y), "stage": "restricted"})
-                continue
-            qstar_n, qstar_d = _parts(qstar)
-            per_y.append((y, mt_y, q, qstar, _parts(mt_y), _parts(q), (2 * qstar_n, qstar_d)))
+        terms, capped = _y_terms(oracle, z, _sweep_ys(z, y_grid, p))
+        skip_log.extend({"z": float(z), "y": float(y), "stage": "restricted"} for y in capped)
         for w, p1, sum_exc, p1_parts, exc_parts in per_w:
             try:
                 delta = oracle.delta(z, w, mode)
             except ConvolutionCapError:
-                if skip_log is not None:
-                    skip_log.append({"z": float(z), "w": float(w), "stage": "capped-sum"})
+                skip_log.append({"z": float(z), "w": float(w), "stage": "capped-sum"})
                 continue
             if delta < 0:
                 violations.append(
@@ -218,18 +198,17 @@ def verify_osipov(
                 )
             if delta > p1:
                 violations.append(OsipovViolation(float(z), float(w), None, "p1", delta, p1))
-            d_parts = _parts(delta)
-            for y, mt_y, q, qstar, mt_parts, q_parts, qstar2_parts in per_y:
-                if _exceeds(d_parts, mt_parts, q_parts, exc_parts):
-                    p2 = mt_y + q * sum_exc
-                    violations.append(
-                        OsipovViolation(float(z), float(w), float(y), "p2", delta, p2)
-                    )
-                if _exceeds(d_parts, mt_parts, qstar2_parts, p1_parts):
-                    p3 = mt_y + 2 * qstar * p1
-                    violations.append(
-                        OsipovViolation(float(z), float(w), float(y), "p3", delta, p3)
-                    )
+            dn, dd = _parts(delta)
+            for term in terms:
+                n2, d2, n3, d3 = _p23_pairs(term, exc_parts, p1_parts)
+                over2, over3 = dn * d2 > dd * n2, dn * d3 > dd * n3
+                if over2 or over3:
+                    values = _p23_values(term, term, sum_exc, p1)
+                    violations += [
+                        OsipovViolation(float(z), float(w), float(term[0]), name, delta, value)
+                        for name, value, bad in zip(("p2", "p3"), values, (over2, over3))
+                        if bad
+                    ]
     return violations
 
 
@@ -263,14 +242,7 @@ def verify_corpus(
         oracle = SystemOracle(system)
         for mode in modes:
             found = verify_osipov(
-                system,
-                z_grid,
-                w_grid,
-                y_grid,
-                mode,
-                p=p,
-                oracle=oracle,
-                skip_log=skip_log,
+                system, z_grid, w_grid, y_grid, mode, p=p, oracle=oracle, skip_log=skip_log
             )
             violations.extend((idx, mode, v) for v in found)
     ys_per_mode = sum(len(_sweep_ys(z, y_grid, p)) for z in z_grid)
@@ -304,7 +276,8 @@ class CalibrationResult:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _ratio_theorem(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
+def _ratio_theorem(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
+    z = cell["z"]
     lhs = abs(float(oracle.law_capped(params.w, mode).tail(z)) - normal_tail(z))
     beta = float(oracle.beta_v_at(params.v))
     if beta == 0.0:
@@ -313,16 +286,18 @@ def _ratio_theorem(oracle: SystemOracle, z: float, params: BoundParams, mode: st
 
 
 def _ratio_concentration(
-    oracle: SystemOracle, i: int, a: float, b: float, params: BoundParams, mode: str
+    oracle: SystemOracle, cell: dict, params: BoundParams, mode: str
 ) -> float:
-    law = oracle.loo_capped(params.w, mode)[i]
+    a, b = cell["a"], cell["b"]
+    law = oracle.loo_capped(params.w, mode)[cell["i"]]
     lhs = float(law.interval_mass(a, b))
     beta = float(oracle.beta_v_at(params.v))
     rhs = (b - a + beta) * math.exp(-params.lam * a)
     return lhs / rhs
 
 
-def _ratio_p4(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
+def _ratio_p4(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
+    z = cell["z"]
     delta = float(oracle.delta(z, params.w, mode))
     lead = float(oracle.max_tail_at(scaled_y(z, params.p)))
     lhs = delta - lead
@@ -334,12 +309,28 @@ def _ratio_p4(oracle: SystemOracle, z: float, params: BoundParams, mode: str) ->
     return lhs / structure
 
 
-def _ratio_p5(oracle: SystemOracle, z: float, params: BoundParams, mode: str) -> float:
+def _ratio_p5(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
+    z = cell["z"]
     delta = float(oracle.delta(z, params.w, mode))
     structure = float(oracle.mu_p_at(params.p)) / (params.c + z) ** params.p
     if structure == 0.0:
         return math.inf if delta > 0.0 else 0.0
     return delta / structure
+
+
+#: the ratio of each calibrated bound at one cell: a ``concentration`` cell is
+#: {"system", "i", "a", "b"}, every other cell is {"system", "z"}
+_RATIOS = dict(
+    theorem=_ratio_theorem, concentration=_ratio_concentration, p4=_ratio_p4, p5=_ratio_p5
+)
+CALIBRATION_BOUNDS = tuple(_RATIOS)
+
+
+def _ratio(bound_name: str):
+    """The ratio function of ``bound_name``; an unknown name is a ``ValueError``."""
+    if bound_name not in _RATIOS:
+        raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
+    return _RATIOS[bound_name]
 
 
 def calibration_ratio(
@@ -350,16 +341,7 @@ def calibration_ratio(
     mode: str = "winsorize",
 ) -> float:
     """Re-evaluate one calibration cell (used to confirm a witness)."""
-    oracle = SystemOracle(corpus[cell["system"]])
-    if bound_name == "theorem":
-        return _ratio_theorem(oracle, cell["z"], params, mode)
-    if bound_name == "concentration":
-        return _ratio_concentration(oracle, cell["i"], cell["a"], cell["b"], params, mode)
-    if bound_name == "p4":
-        return _ratio_p4(oracle, cell["z"], params, mode)
-    if bound_name == "p5":
-        return _ratio_p5(oracle, cell["z"], params, mode)
-    raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
+    return _ratio(bound_name)(SystemOracle(corpus[cell["system"]]), cell, params, mode)
 
 
 def calibrate(
@@ -380,8 +362,7 @@ def calibrate(
     supremum is reduced sequentially, so the result is bit-identical for any
     ``workers`` count.  Ties keep the earliest cell as witness.
     """
-    if bound_name not in CALIBRATION_BOUNDS:
-        raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
+    ratio = _ratio(bound_name)
     if not corpus:
         raise ValueError("calibration needs a nonempty corpus")
     if workers < 1:
@@ -399,17 +380,15 @@ def calibrate(
 
     def system_cells(idx: int) -> list[tuple[float, dict]]:
         oracle = SystemOracle(corpus[idx])
-        out: list[tuple[float, dict]] = []
         if bound_name == "concentration":
-            for i in range(corpus[idx].n):
-                for a, b in intervals:
-                    ratio = _ratio_concentration(oracle, i, a, b, params, mode)
-                    out.append((ratio, {"system": idx, "i": i, "a": a, "b": b}))
+            cells = [
+                {"system": idx, "i": i, "a": a, "b": b}
+                for i in range(corpus[idx].n)
+                for a, b in intervals
+            ]
         else:
-            fn = {"theorem": _ratio_theorem, "p4": _ratio_p4, "p5": _ratio_p5}[bound_name]
-            for z in zs:
-                out.append((fn(oracle, z, params, mode), {"system": idx, "z": z}))
-        return out
+            cells = [{"system": idx, "z": z} for z in zs]
+        return [(ratio(oracle, cell, params, mode), cell) for cell in cells]
 
     if workers <= 1:
         per_system = [system_cells(i) for i in range(len(corpus))]

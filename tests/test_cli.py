@@ -26,6 +26,20 @@ TWO_COINS = """\
 """
 
 
+#: malformed system files (None: the path is a directory), each with the error it must give
+MALFORMED_SYSTEMS = [
+    ("[]", "a system must be a JSON object, got list"),
+    ('{"rvs": [5]}', "rvs[0] needs a nonempty 'atoms' list"),
+    ('{"rvs": [{"atoms": [{"x": 0}]}]}', "rvs[0].atoms[0] must be an object with 'x' and 'p'"),
+    ('{"rvs": [{"atoms": [{"x": 0, "p": "1/0"}]}]}', "rvs[0].atoms[0].p: cannot parse number"),
+    (
+        TWO_COINS.replace("false", '"false"'),
+        "'unit_variance' must be true or false, got 'false'",
+    ),
+    (None, "Is a directory"),
+]
+
+
 @pytest.fixture()
 def two_coins_path(tmp_path):
     path = tmp_path / "two_coins.json"
@@ -104,6 +118,29 @@ class TestBoundsCommand:
         buf = io.StringIO()
         st.bound_reports_to_csv(reports, buf)
         assert out == buf.getvalue()
+
+
+class TestMalformedSystems:
+    @pytest.mark.parametrize(
+        "text, message",
+        MALFORMED_SYSTEMS,
+        ids=["list", "rv-not-object", "atom-without-p", "p-1/0", "unit-variance-string", "dir"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["bounds"], ["mc", "--family", "discrete-system", "--samples", "2000", "--seed", "1"]],
+        ids=["bounds", "mc"],
+    )
+    def test_usage_error_names_the_fault(self, tmp_path, capsys, command, text, message):
+        path = tmp_path
+        if text is not None:
+            path = tmp_path / "system.json"
+            path.write_text(text)
+        assert main([*command, "--system", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert message in err
+        assert out == ""
 
 
 class TestGoldenOutputs:
@@ -339,6 +376,15 @@ class TestMcCommand:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_bound_scale_is_a_usage_error(self, two_coins_path, capsys, scale):
+        argv = ["mc", "--family", "discrete-system", "--system", two_coins_path]
+        argv += ["--samples", "2000", "--seed", "1", "--check-bounds", "--bound-scale", scale]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: bound_scale must be finite and positive")
         assert out == ""
 
     def test_discrete_family_needs_system(self, capsys):

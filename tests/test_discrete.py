@@ -10,6 +10,9 @@ import sumtails as st
 from conftest import HALF_COIN, enumerate_outcomes
 from sumtails.discrete import _convolve_two, to_lattice
 
+#: a valid atom, a unit mass at 0, for the malformed-system cases
+ATOM = {"x": 0, "p": 1}
+
 
 class TestConstruction:
     def test_four_coins_valid(self, four_coins):
@@ -366,3 +369,27 @@ class TestJsonInterface:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             st.system_from_dict({"mode": "decimal", "rvs": [{"atoms": [{"x": 0, "p": 1}]}]})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "a system must be a JSON object, got list"),
+            ({"rvs": [{"atoms": [ATOM]}, 5]}, r"rvs\[1\] needs a nonempty 'atoms' list"),
+            ({"rvs": [{"atoms": [ATOM, {"x": 0}]}]}, r"rvs\[0\]\.atoms\[1\] must be an object"),
+            ({"rvs": [{"atoms": [{"x": 0, "p": "1/0"}]}]}, r"rvs\[0\]\.atoms\[0\]\.p: cannot"),
+            ({"mode": "float", "rvs": [{"atoms": [{"x": "1e400", "p": 1}]}]}, r"\.x: cannot"),
+            ({"rvs": [{"atoms": [{"x": [0], "p": 1}]}]}, r"\.x: cannot parse number from \[0\]"),
+            ({"rvs": [{"atoms": [{"x": 0, "p": True}]}]}, r"\.p: cannot parse number from True"),
+            (
+                {"unit_variance": "false", "rvs": [{"atoms": [ATOM]}]},
+                "'unit_variance' must be true or false, got 'false'",
+            ),
+        ],
+        ids=[
+            "list", "rv-not-object", "atom-without-p", "p-1/0", "x-1e400", "x-list", "p-bool",
+            "unit-variance-string",
+        ],
+    )
+    def test_malformed_entries_are_named(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            st.system_from_dict(data)

@@ -102,6 +102,14 @@ class TestEstimates:
         with pytest.raises(ValueError, match="mode"):
             st.mc_check_bounds(coin_spec, params, [0.0], 10_000, 1, mode="raw")
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_bound_scale_rejected_before_drawing(self, coin_spec, monkeypatch, scale):
+        from sumtails import mc
+
+        monkeypatch.setattr(mc, "_draw_summands", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match="bound_scale must be finite and positive"):
+            st.mc_check_bounds(coin_spec, st.BoundParams(), [0.0], 10_000, 1, bound_scale=scale)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_rejected_before_drawing(self, coin_spec, monkeypatch, workers):
         from sumtails import mc

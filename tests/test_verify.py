@@ -186,6 +186,38 @@ class TestSweepVerdicts:
         assert found == reference_violations(system, oracle, z_grid, mode)
 
 
+class TestPBoundsAgreesWithSweep:
+    """verify_osipov reports P2 and P3 with the values p_bounds gives at the same (z, w, y)."""
+
+    def checked_bounds(self, system, factor, z_grid):
+        """Compare every P2/P3 violation in both modes; return the bounds compared."""
+        checked = []
+        for mode in MODES:
+            oracle = ScaledConcentration(system, factor)
+            for v in st.verify_osipov(system, z_grid, mode=mode, oracle=oracle):
+                if v.bound not in ("p2", "p3"):
+                    continue
+                # the grids are dyadic, so the reported floats are the exact grid points
+                params = st.BoundParams(w=F(v.w), y=F(v.y))
+                report = st.p_bounds(system, F(v.z), params, mode, oracle=oracle)
+                value = report.p2 if v.bound == "p2" else report.p3
+                assert value == v.bound_value
+                assert type(value) is type(v.bound_value)
+                checked.append(v.bound)
+        return checked
+
+    def test_exact_corpus_systems(self, small_corpus):
+        checked = []
+        for system in small_corpus[:6]:
+            checked += self.checked_bounds(system, F(0), DEFAULT_Z[1:])
+        assert set(checked) == {"p2", "p3"}
+
+    def test_float_extremal_system(self):
+        system, _ = st.extremal_system(5)
+        checked = self.checked_bounds(system, 0.0, [F(n, 4) for n in range(1, 13)])
+        assert set(checked) == {"p2", "p3"}
+
+
 class TestCalibrate:
     def test_theorem_finite_and_deterministic(self, small_corpus):
         params = st.BoundParams(v=1, w=1, lam=0.5)
@@ -243,6 +275,39 @@ class TestCalibrate:
             st.calibrate(small_corpus, "p6")
         with pytest.raises(ValueError, match="nonempty corpus"):
             st.calibrate([], "theorem")
+
+    def test_each_bound_has_its_own_ratio(self, small_corpus):
+        system = small_corpus[32]  # four summands; P1 and Delta are positive at this cell
+        params = st.BoundParams(w=F(1, 2), lam=0.5, p=2.0, c=1.0)
+        oracle = st.SystemOracle(system)
+        z, i, a, b = 1.5, 0, -0.5, 1.0
+        beta = float(st.beta_v(system, 1))
+        delta = float(oracle.delta(z, params.w, "winsorize"))
+        p1 = float(st.max_tail(system, params.w))
+        lead = float(st.max_tail(system, z / 2))
+        mass = float(oracle.loo_capped(params.w, "winsorize")[i].interval_mass(a, b))
+        capped_tail = float(oracle.law_capped(params.w, "winsorize").tail(z))
+        expected = {
+            "theorem": abs(capped_tail - st.normal_tail(z)) * math.exp(0.5 * z) / beta,
+            "concentration": mass / ((b - a + beta) * math.exp(-0.5 * a)),
+            "p4": max(delta - lead, 0.0) / (p1 / (1.0 + z) ** 2),
+            "p5": delta / (float(st.mu_p(system, 2.0)) / (1.0 + z) ** 2),
+        }
+        assert len(set(expected.values())) == 4
+        for bound, value in expected.items():
+            cell = {"system": 32, "z": z}
+            if bound == "concentration":
+                cell = {"system": 32, "i": i, "a": a, "b": b}
+            ratio = st.calibration_ratio(small_corpus, bound, cell, params)
+            assert ratio == pytest.approx(value, rel=1e-12), bound
+
+    def test_unknown_bound_message_is_shared(self, small_corpus):
+        with pytest.raises(ValueError) as by_calibrate:
+            st.calibrate(small_corpus, "p6")
+        with pytest.raises(ValueError) as by_ratio:
+            st.calibration_ratio(small_corpus, "p6", {"system": 0, "z": 1.0})
+        assert str(by_ratio.value) == str(by_calibrate.value)
+        assert str(by_ratio.value).startswith("unknown bound 'p6'; expected one of")
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_nonpositive_workers_before_any_work(self, small_corpus, monkeypatch, workers):
