@@ -240,7 +240,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_mc_flags(args: argparse.Namespace) -> None:
+    """Reject an ``mc`` flag that the chosen run would silently ignore."""
+    if args.check_bounds:
+        if args.mc_w is not None:
+            raise ValueError("--mc-w does not apply with --check-bounds, which caps at --w")
+    else:
+        if args.bound_scale is not None:
+            raise ValueError("--bound-scale applies only with --check-bounds")
+        if args.mc_w is not None and args.mode == "raw":
+            raise ValueError("--mc-w applies only with --mode winsorize or truncate")
+
+
 def _cmd_mc(args: argparse.Namespace) -> int:
+    _check_mc_flags(args)
     if args.family == "discrete-system":
         if not args.system:
             print("error: --system is required for family 'discrete-system'", file=sys.stderr)
@@ -260,7 +273,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             args.seed,
             mode="winsorize" if args.mode == "raw" else args.mode,
             workers=args.workers,
-            bound_scale=args.bound_scale,
+            bound_scale=1.0 if args.bound_scale is None else args.bound_scale,
         )
         header = "z,p_hat_raw,p_hat_bar,delta_hat,ci_lo,ci_hi,p1,p2,p3,bound,flag".split(",")
         rows = [[*(getattr(r, k) for k in header[:-1]), int(r.flag)] for r in report.rows]
@@ -388,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument(
         "--bound-scale",
         type=float,
-        default=1.0,
-        help="multiply bounds by this finite positive factor (negative-control self-test)",
+        default=None,
+        help="multiply bounds by this finite positive factor (negative-control self-test; "
+        "default 1)",
     )
     _add_bound_param_flags(p_mc)
     p_mc.add_argument("--out", help="CSV output path (default stdout)")

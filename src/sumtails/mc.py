@@ -7,6 +7,16 @@ matter how many workers execute the blocks.  Per-z tail counts are integers
 counted against one shared sorted sample set, which makes the estimated
 tails mutually consistent and monotone in z by construction.
 
+Memory per worker does not grow with the sample count.  The i.i.d.
+families draw a block in row slabs of at most ``SLAB_CELLS`` summands (one
+row when n is larger), so a worker holds at most max(``SLAB_CELLS``, n)
+draws plus the block's two vectors of raw and capped sums.  The values and
+sums are those of one full-block draw, because these families draw
+row-major from the block's one stream and each row is summed on its own.
+``discrete-system`` still holds the whole ``BLOCK_SIZE`` x n matrix: it draws
+column by column, so a slab would take other values from the stream, and
+summing its columns one at a time does not round like numpy's row sums.
+
 Confidence intervals are exact binomial (Clopper-Pearson) at 99%, since the
 deep-tail counts these sweeps care about are tiny and normal-approximation
 intervals would be optimistic there.
@@ -48,6 +58,9 @@ MODES = ("raw", *WINSOR_MODES)
 
 #: samples per Philox substream; fixed so worker count cannot change results
 BLOCK_SIZE = 1 << 16
+#: most summand draws an i.i.d. block holds at once: it draws slabs of
+#: max(1, SLAB_CELLS // n) rows, which keeps the Philox stream and the sums
+SLAB_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,23 +174,31 @@ def _draw_summands(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np
             idx = rng.choice(len(values), size=size, p=probs)
             cols.append(values[idx])
         return np.column_stack(cols)
+    # the IEEE operations of the plain expressions, such as (e - 1.0) * scale,
+    # done in place or on the two-point constants: same values, fewer copies
     n = spec.n
     scale = 1.0 / math.sqrt(n)
     if spec.family == "standardized-exponential":
         e = rng.standard_exponential(size=(size, n))
-        return (e - 1.0) * scale
+        e -= 1.0
+        e *= scale
+        return e
     if spec.family == "standardized-two-point":
         a = math.sqrt((1.0 - spec.q) / spec.q)
         b = math.sqrt(spec.q / (1.0 - spec.q))
         u = rng.random(size=(size, n))
-        return np.where(u < spec.q, a, -b) * scale
+        return np.where(u < spec.q, a * scale, -b * scale)
     # standardized-pareto: support [1, inf), cdf 1 - x^-alpha
     alpha = spec.alpha
     mean = alpha / (alpha - 1.0)
     sd = math.sqrt(alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0)))
-    u = rng.random(size=(size, n))
-    x = (1.0 - u) ** (-1.0 / alpha)
-    return (x - mean) / sd * scale
+    x = rng.random(size=(size, n))
+    np.subtract(1.0, x, out=x)
+    x **= -1.0 / alpha
+    x -= mean
+    x /= sd
+    x *= scale
+    return x
 
 
 def _apply_cap(samples: np.ndarray, w: float, mode: str) -> np.ndarray:
@@ -201,12 +222,26 @@ def _tail_counts(
         start = block * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_samples - start)
         rng = _block_rng(seed, block)
-        draws = _draw_summands(spec, rng, size)
-        s_raw = np.sort(draws.sum(axis=1))
+        # row slabs give the sums of one full-block draw for the i.i.d.
+        # families only (see the module docstring)
+        if spec.family == "discrete-system":
+            rows = size
+        else:
+            rows = max(1, SLAB_CELLS // spec.n)
+        s_raw = np.empty(size)
+        s_bar = None if w is None else np.empty(size)
+        for lo in range(0, size, rows):
+            hi = min(lo + rows, size)
+            draws = _draw_summands(spec, rng, hi - lo)
+            draws.sum(axis=1, out=s_raw[lo:hi])
+            if w is not None:
+                _apply_cap(draws, w, mode).sum(axis=1, out=s_bar[lo:hi])
+            del draws  # so that the next slab is drawn into freed memory
+        s_raw.sort()
         raw = size - np.searchsorted(s_raw, z_grid, side="right")
         if w is None:
             return raw, raw
-        s_bar = np.sort(_apply_cap(draws, w, mode).sum(axis=1))
+        s_bar.sort()
         bar = size - np.searchsorted(s_bar, z_grid, side="right")
         return raw, bar
 

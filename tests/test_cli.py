@@ -387,6 +387,53 @@ class TestMcCommand:
         assert err.startswith("error: bound_scale must be finite and positive")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bound-scale", "0.5"], "--bound-scale applies only with --check-bounds"),
+            (["--bound-scale", "nan"], "--bound-scale applies only with --check-bounds"),
+            (
+                ["--check-bounds", "--mc-w", "0.25"],
+                "--mc-w does not apply with --check-bounds, which caps at --w",
+            ),
+            (
+                ["--check-bounds", "--mode", "truncate", "--mc-w", "0.25"],
+                "--mc-w does not apply with --check-bounds, which caps at --w",
+            ),
+            (["--mc-w", "0.25"], "--mc-w applies only with --mode winsorize or truncate"),
+            (
+                ["--mode", "raw", "--mc-w", "0.25"],
+                "--mc-w applies only with --mode winsorize or truncate",
+            ),
+        ],
+        ids=[
+            "bound-scale-alone",
+            "nan-bound-scale-alone",
+            "mc-w-with-check",
+            "mc-w-with-truncate-check",
+            "mc-w-default-raw",
+            "mc-w-raw",
+        ],
+    )
+    def test_ignored_flag_is_a_usage_error(self, capsys, monkeypatch, flags, message):
+        from sumtails import cli
+
+        monkeypatch.setattr(cli, "mc_tails", None)  # a run would raise TypeError
+        monkeypatch.setattr(cli, "mc_check_bounds", None)
+        argv = ["mc", "--family", "standardized-exponential", "--n", "4"]
+        assert main([*argv, "--samples", "2000", "--seed", "1", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_explicit_default_bound_scale_changes_nothing(self, capsys):
+        argv = ["mc", "--family", "standardized-exponential", "--n", "4", "--samples", "2000"]
+        argv += ["--seed", "1", "--check-bounds", "--w", "1/4"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main([*argv, "--bound-scale", "1"]) == 0
+        assert capsys.readouterr() == default
+
     def test_discrete_family_needs_system(self, capsys):
         code = main(
             ["mc", "--family", "discrete-system", "--samples", "20000", "--seed", "1"]

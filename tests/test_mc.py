@@ -1,13 +1,23 @@
 """Monte Carlo engine: determinism, coverage, flags, families."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import sumtails as st
+from sumtails import mc
 
 Z_GRID = [-0.9, -0.5, 0.0, 0.4, 0.9]
+IID_SPECS = [
+    st.SamplerSpec(family="standardized-exponential", n=5),
+    st.SamplerSpec(family="standardized-two-point", n=5, q=0.3),
+    st.SamplerSpec(family="standardized-pareto", n=5, alpha=4.5),
+]
+IID_IDS = ["exponential", "two-point", "pareto"]
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +40,19 @@ class TestDeterminism:
     def test_worker_count_invariant(self, coin_spec):
         serial = st.mc_tails(coin_spec, Z_GRID, 200_000, seed=7, workers=1)
         parallel = st.mc_tails(coin_spec, Z_GRID, 200_000, seed=7, workers=8)
+        assert serial == parallel
+
+    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    def test_worker_count_invariant_iid(self, spec):
+        n_samples = mc.BLOCK_SIZE + 1_000
+        serial = st.mc_tails(spec, Z_GRID, n_samples, seed=3, mode="truncate", w=0.4)
+        parallel = st.mc_tails(
+            spec, Z_GRID, n_samples, seed=3, mode="truncate", w=0.4, workers=2
+        )
+        assert serial == parallel
+        params = st.BoundParams(w=F(2, 5))
+        serial = st.mc_check_bounds(spec, params, Z_GRID, n_samples, seed=3, workers=1)
+        parallel = st.mc_check_bounds(spec, params, Z_GRID, n_samples, seed=3, workers=2)
         assert serial == parallel
 
     def test_seeds_differ(self, coin_spec):
@@ -238,3 +261,105 @@ class TestBoundChecks:
         a = st.mc_check_bounds(coin_spec, params, Z_GRID, 120_000, seed=5, workers=1)
         b = st.mc_check_bounds(coin_spec, params, Z_GRID, 120_000, seed=5, workers=6)
         assert a == b
+
+#: block length for the slab-size tests: short blocks keep one-row slabs quick
+SMALL_BLOCK = 1 << 10
+
+
+def _full_block_draws(spec, rng, size):
+    """The summand matrix as one full-block draw with plain expressions."""
+
+    n = spec.n
+    scale = 1.0 / math.sqrt(n)
+    if spec.family == "standardized-exponential":
+        e = rng.standard_exponential(size=(size, n))
+        return (e - 1.0) * scale
+    if spec.family == "standardized-two-point":
+        a = math.sqrt((1.0 - spec.q) / spec.q)
+        b = math.sqrt(spec.q / (1.0 - spec.q))
+        u = rng.random(size=(size, n))
+        return np.where(u < spec.q, a, -b) * scale
+    alpha = spec.alpha
+    mean = alpha / (alpha - 1.0)
+    sd = math.sqrt(alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0)))
+    u = rng.random(size=(size, n))
+    return ((1.0 - u) ** (-1.0 / alpha) - mean) / sd * scale
+
+
+class TestSlabs:
+    """The i.i.d. families draw each block in row slabs of at most SLAB_CELLS cells."""
+
+    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_draws_match_plain_expressions(self, spec, n):
+        spec = dataclasses.replace(spec, n=n)
+        for seed in (0, 7):
+            got = mc._draw_summands(spec, mc._block_rng(seed, 1), 3_000)
+            want = _full_block_draws(spec, mc._block_rng(seed, 1), 3_000)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    def test_counts_match_full_block_draws(self, spec):
+        # the library's slabs against whole Philox blocks summed at once
+        n_samples, seed, w = mc.BLOCK_SIZE + 1_000, 21, 0.4
+        zs = np.array([-1.0, 0.0, 0.3, 1.0, 2.5])
+        for mode in ("winsorize", "truncate"):
+            want_raw = np.zeros(len(zs), dtype=np.int64)
+            want_bar = np.zeros(len(zs), dtype=np.int64)
+            for block, size in enumerate((mc.BLOCK_SIZE, 1_000)):
+                draws = _full_block_draws(spec, mc._block_rng(seed, block), size)
+                if mode == "winsorize":
+                    capped = np.minimum(draws, w)
+                else:
+                    capped = np.where(draws <= w, draws, 0.0)
+                for want, matrix in ((want_raw, draws), (want_bar, capped)):
+                    sums = np.sort(matrix.sum(axis=1))
+                    want += size - np.searchsorted(sums, zs, side="right")
+            raw, bar = mc._tail_counts(spec, zs, n_samples, seed, w, mode, workers=1)
+            assert np.array_equal(raw, want_raw)
+            assert np.array_equal(bar, want_bar)
+
+    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    @pytest.mark.parametrize(
+        "slab_cells",
+        [lambda n: 1, lambda n: n - 1, lambda n: 3 * n + 1, lambda n: SMALL_BLOCK * n],
+        ids=["one-cell", "n-1", "3n+1", "one-slab"],
+    )
+    def test_slab_size_changes_no_result(self, spec, slab_cells, monkeypatch):
+        # the sample count spans three blocks, the last one partial, and
+        # 3n + 1 cells (3 rows) divide neither block length
+        monkeypatch.setattr(mc, "BLOCK_SIZE", SMALL_BLOCK)
+        n_samples, params = 2_500, st.BoundParams(w=F(2, 5))
+
+        def results():
+            tails = [
+                st.mc_tails(spec, Z_GRID, n_samples, seed=9, mode=mode, w=0.4)
+                for mode in ("winsorize", "truncate")
+            ]
+            tails.append(st.mc_tails(spec, Z_GRID, n_samples, seed=9))
+            checks = [
+                st.mc_check_bounds(spec, params, Z_GRID, n_samples, seed=9, mode=mode)
+                for mode in ("winsorize", "truncate")
+            ]
+            return tails, checks
+
+        want = results()
+        monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells(spec.n))
+        assert results() == want
+
+    @pytest.mark.parametrize(
+        "n, slab_cells, n_samples", [(256, 1 << 12, 4_096), (3_000, 1 << 10, 1_000)]
+    )
+    def test_memory_stays_bounded(self, n, slab_cells, n_samples, monkeypatch):
+        # tracemalloc sees numpy's buffers; one full-block matrix alone
+        # would take 8 MB (n = 256) or 24 MB (n = 3,000)
+        monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells)
+        spec = st.SamplerSpec(family="standardized-two-point", n=n)
+        zs = np.array([0.0, 1.0])
+        tracemalloc.start()
+        try:
+            mc._tail_counts(spec, zs, n_samples, 1, 0.5, "winsorize", workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
