@@ -36,6 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .discrete import (
@@ -46,6 +47,7 @@ from .discrete import (
     Number,
     SubMeasure,
     System,
+    _as_ratio,
     _convolve_two,
     capped_sum_rv,
     check_mode,
@@ -62,6 +64,17 @@ CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
 
 #: a law the oracle caches: integer-lattice for exact systems, float otherwise
 Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
+
+
+def _key(x: object) -> object:
+    """The memo key of a query argument, which hashes no ``Fraction``.
+
+    A ``Fraction`` becomes its (numerator, denominator) pair; anything else
+    is its own key.  The exact type test is used because ``isinstance``
+    against ``Fraction``, an abstract-base-class subclass, is slow for the
+    floats that float queries pass.
+    """
+    return (x.numerator, x.denominator) if type(x) is Fraction else x
 
 
 @dataclass(frozen=True)
@@ -141,10 +154,15 @@ class SystemOracle:
     same signature and is cached by it too.  The z-independent moment sums
     ``beta_v`` and ``mu_p`` are cached per argument, and Q(z, y) and
     Q*(z, y) together per (z, y), from one pass over the leave-one-out
-    tails.  A law past the atom budget is cached as its error (see
-    :meth:`_memo`).  Cached laws are immutable apart from memoized query
+    tails.  The two caches asked for every (z, y), the signatures and the
+    (z, y) pairs, are keyed through :func:`_key`, so an exact argument is
+    hashed as a pair of integers.  A law past the atom budget is cached as
+    its error (see :meth:`_memo`).  The z-damped moment sum of
+    :meth:`bikelis_at` comes from one moment profile of the system's atoms,
+    built on first use.  Cached laws are immutable apart from memoized query
     values; the cache dictionaries are only grown, never mutated in place,
-    which keeps concurrent readers safe.
+    and the profile is assigned only once it is built, which keeps
+    concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -152,14 +170,15 @@ class SystemOracle:
         self.cap = cap
         self._law_sum: dict[None, Law] = {}
         self._law_capped: dict[tuple[Number, str], Law] = {}
-        self._signatures: dict[Number, tuple[int, ...]] = {}
+        self._signatures: dict[object, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
-        self._concentration: dict[tuple[Number, Number], tuple[Number, Number]] = {}
+        self._concentration: dict[tuple[object, object], tuple[Number, Number]] = {}
         self._max_tail: dict[tuple[int, ...], Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
         self._mu_p: dict[Number, Number] = {}
+        self._profile: tuple | None = None
 
     # -- laws ---------------------------------------------------------------
 
@@ -223,10 +242,11 @@ class SystemOracle:
 
     def signature(self, y: Number) -> tuple[int, ...]:
         """Atoms each summand keeps under the restriction to {X_i <= y}."""
-        sig = self._signatures.get(y)
+        key = _key(y)
+        sig = self._signatures.get(key)
         if sig is None:
             sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
-            self._signatures[y] = sig
+            self._signatures[key] = sig
         return sig
 
     def _restrict(self, y: Number) -> tuple[list[Law], Law]:
@@ -276,15 +296,73 @@ class SystemOracle:
             value = self._mu_p[p] = mu_p(self.system, p)
         return value
 
+    def _moment_profile(self) -> tuple:
+        """The exact system's atoms as integers, sorted by |x|, with moment sums.
+
+        Every |x| is ``a / xden`` and every mass ``m / pden`` over common
+        denominators.  Returns ``(a values, cubes, squares, xden, pden)``
+        where ``cubes[k]`` sums m a^3 over the first k atoms and
+        ``squares[k]`` sums m a^2 over the rest.
+        """
+        profile = self._profile
+        if profile is None:
+            atoms = [(abs(x), p) for rv in self.system.rvs for x, p in zip(rv.values, rv.masses)]
+            xden = math.lcm(*(x.denominator for x, _ in atoms))
+            pden = math.lcm(*(p.denominator for _, p in atoms))
+            ints = sorted(
+                (x.numerator * (xden // x.denominator), p.numerator * (pden // p.denominator))
+                for x, p in atoms
+            )
+            cubes = list(accumulate((m * a**3 for a, m in ints), initial=0))
+            squares = list(accumulate((m * a * a for a, m in reversed(ints)), initial=0))[::-1]
+            profile = ([a for a, _ in ints], cubes, squares, xden, pden)
+            self._profile = profile  # assigned whole, so a reader never sees a partial one
+        return profile
+
+    def bikelis_at(self, z: Number, v: Number) -> Number:
+        """:func:`bikelis_sum` of the system, from the moment profile when exact.
+
+        At the scale s = v (1 + |z|) an atom contributes p |x|^3 / s^3 when
+        |x| <= s and p x^2 / s^2 otherwise, so the sum is (A s + B) / s^3
+        with A the p x^2 sum above s and B the p |x|^3 sum up to s: one
+        bisection and a few integer products.  ``Fraction`` values are
+        canonical, so the result equals :func:`bikelis_sum`'s.  Float
+        systems and scales that are not finite and positive call
+        :func:`bikelis_sum`.
+        """
+        scale = v * (1 + abs(z))
+        ratio = _as_ratio(scale) if self.system.exact else None
+        if ratio is None or ratio[0] <= 0:
+            return bikelis_sum(self.system, z, v)
+        sn, sd = ratio
+        values, cubes, squares, xden, pden = self._moment_profile()
+        # |x| = a / xden <= sn / sd  <=>  a <= floor(sn * xden / sd)
+        k = bisect_right(values, sn * xden // sd)
+        # A = squares[k] / (pden xden^2), B = cubes[k] / (pden xden^3), s = sn / sd
+        return Fraction(
+            squares[k] * xden * sn * sd * sd + cubes[k] * sd**3, pden * xden**3 * sn**3
+        )
+
     def delta(self, z: Number, w: Number, mode: str) -> Number:
         """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode."""
         return self.law_sum().tail(z) - self.law_capped(w, mode).tail(z)
 
     def _q_pair(self, z: Number, y: Number) -> tuple[Number, Number]:
-        """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails."""
+        """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails.
+
+        For an exact system and ``Fraction`` z and y the threshold z - y
+        stays an unreduced integer pair, read on each law's own grid.  A
+        float z or y keeps the float subtraction, whose rounding decides
+        which atoms lie above the threshold.
+        """
         loo, full = self.restricted(y)
-        t = z - y
-        q = max(m.tail(t) for m in loo)
+        if self.system.exact and isinstance(z, Fraction) and isinstance(y, Fraction):
+            zn, zd, yn, yd = z.numerator, z.denominator, y.numerator, y.denominator
+            tn, td = zn * yd - yn * zd, zd * yd
+            q = max(m.tail_ratio(tn, td) for m in loo)
+        else:
+            t = z - y
+            q = max(m.tail(t) for m in loo)
         return q, max(q, full.tail(z))
 
     def q(self, z: Number, y: Number) -> Number:
@@ -293,11 +371,11 @@ class SystemOracle:
         For a single-summand system the leave-one-out sum is the empty sum, a
         unit mass at 0, so Q = 1{0 > z - y}.
         """
-        return self._memo(self._concentration, (z, y), self._q_pair, z, y)[0]
+        return self._memo(self._concentration, (_key(z), _key(y)), self._q_pair, z, y)[0]
 
     def qstar(self, z: Number, y: Number) -> Number:
         """Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
-        return self._memo(self._concentration, (z, y), self._q_pair, z, y)[1]
+        return self._memo(self._concentration, (_key(z), _key(y)), self._q_pair, z, y)[1]
 
 
 def bh_bound(z: Number, y: Number) -> float:
@@ -333,6 +411,9 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
 
     The halvings are exact when the scaled choice is.  Falls back to {w}
     when z <= 0 leaves the grid empty (any positive y yields a valid bound).
+    Repeats are dropped by comparison, keeping the first: the halvings never
+    increase, so a repeat (a float halving that underflowed to 0) follows
+    its twin, and only ``first`` can equal a later value.
     """
     if not z > 0:
         return [w]
@@ -342,7 +423,11 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
         halvings = [z * 0.5**j for j in range(1, 13)]
     else:
         halvings = [Fraction(z.numerator, z.denominator << j) for j in range(1, 13)]
-    return list(dict.fromkeys([first, *halvings]))
+    ys = [first]
+    for y in halvings:
+        if y != first and y != ys[-1]:
+            ys.append(y)
+    return ys
 
 
 def _parts(x: Number) -> tuple[Number, Number]:
@@ -486,7 +571,7 @@ def p_bounds(
     best = min(in_best)
     theorem = theorem_bound(system, z, params, oracle=oracle)
     corollary = theorem + float(best)
-    bik = bikelis_sum(system, z, params.v)
+    bik = oracle.bikelis_at(z, params.v)
     return BoundReport(
         z=float(z),
         delta_w=delta_w,

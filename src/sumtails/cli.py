@@ -9,6 +9,7 @@ and no statistically significant Monte Carlo flag was found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -241,14 +242,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _check_mc_flags(args: argparse.Namespace) -> None:
-    """Reject an ``mc`` flag that the chosen run would silently ignore."""
+    """Reject an ``mc`` flag that the chosen run would silently ignore.
+
+    ``--mode`` defaults to None, so that a given ``raw`` can be told from
+    the default: None means ``raw`` for tails and ``winsorize`` for the check.
+    """
     if args.check_bounds:
         if args.mc_w is not None:
             raise ValueError("--mc-w does not apply with --check-bounds, which caps at --w")
+        if args.mode == "raw":
+            raise ValueError("--mode raw does not apply with --check-bounds, which caps at --w")
     else:
         if args.bound_scale is not None:
             raise ValueError("--bound-scale applies only with --check-bounds")
-        if args.mc_w is not None and args.mode == "raw":
+        if args.mc_w is not None and args.mode in (None, "raw"):
             raise ValueError("--mc-w applies only with --mode winsorize or truncate")
 
 
@@ -271,7 +278,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             z_grid,
             args.samples,
             args.seed,
-            mode="winsorize" if args.mode == "raw" else args.mode,
+            mode=args.mode or "winsorize",
             workers=args.workers,
             bound_scale=1.0 if args.bound_scale is None else args.bound_scale,
         )
@@ -282,7 +289,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     estimates = mc_tails(
-        spec, z_grid, args.samples, args.seed, mode=args.mode, w=args.mc_w, workers=args.workers
+        spec, z_grid, args.samples, args.seed, mode=args.mode or "raw", w=args.mc_w,
+        workers=args.workers,
     )
     header = "z,p_hat,ci_lo,ci_hi,n_samples,seed".split(",")
     _emit(_csv_text(header, [[getattr(e, k) for k in header] for e in estimates]), args.out)
@@ -390,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--z-grid", type=_parse_grid, default="0:0.5:4")
     p_mc.add_argument("--samples", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--mode", choices=MODES, default="raw")
+    # None: raw for the tails, winsorize for --check-bounds (see _check_mc_flags)
+    p_mc.add_argument("--mode", choices=MODES, default=None)
     p_mc.add_argument(
         "--mc-w", type=float, default=None, help="cap level for winsorize/truncate modes"
     )
@@ -420,9 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -431,14 +431,6 @@ class LatticeMeasure(_DerivedQueries):
             frac = self._fractions[i] = Fraction(self._suffix[i], self.den)
         return frac
 
-    def _first_above(self, t: Number) -> int:
-        """Index of the first atom with value > t."""
-        ratio = _as_ratio(t)
-        if ratio is None:
-            return 0 if t < 0 else len(self.values)
-        num, den = ratio
-        return bisect_right(self.values, num * self.scale // den)
-
     def _first_at_least(self, t: Number) -> int:
         """Index of the first atom with value >= t."""
         ratio = _as_ratio(t)
@@ -454,7 +446,18 @@ class LatticeMeasure(_DerivedQueries):
 
     def tail(self, z: Number) -> Fraction:
         """Mass strictly above ``z``."""
-        return self._suffix_mass(self._first_above(z))
+        ratio = _as_ratio(z)
+        if ratio is None:
+            return self._suffix_mass(0 if z < 0 else len(self.values))
+        return self.tail_ratio(*ratio)
+
+    def tail_ratio(self, num: int, den: int) -> Fraction:
+        """Mass strictly above ``num / den`` for integers with ``den > 0``.
+
+        The pair need not be reduced: the threshold is ``floor(num * scale /
+        den)`` on this measure's own grid, so no ``Fraction`` is built for it.
+        """
+        return self._suffix_mass(bisect_right(self.values, num * self.scale // den))
 
     def mass_at_least(self, t: Number) -> Fraction:
         """Mass of the event {value >= t}."""

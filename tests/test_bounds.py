@@ -5,12 +5,12 @@ from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
-from sumtails.bounds import _auto_y_candidates
+from sumtails.bounds import _auto_y_candidates, scaled_y
 from sumtails.discrete import WINSOR_MODES
 
 
@@ -140,6 +140,21 @@ class TestOracleCaches:
             oracle.delta(0.1, F(1, 4), "winsorize"),
         ):
             assert type(value) is F
+
+    def test_equal_arguments_of_any_type_agree(self, small_corpus, unit_coin):
+        # dyadic values, so the float subtraction z - y is exact too; every
+        # form keyed apart from the Fraction form must hold the same numbers
+        points = [(F(1), F(1, 2)), (F(2), F(1)), (F(0), F(1, 4)), (F(-1), F(3, 4))]
+        points.append((F(3, 2), F(1, 8)))
+        for system in [unit_coin, *[s for s in small_corpus if s.n >= 2][:4]]:
+            oracle = st.SystemOracle(system)
+            for z, y in points:
+                expected = oracle.q(z, y), oracle.qstar(z, y)
+                forms = [(float(z), float(y)), (z, float(y)), (float(z), y)]
+                forms += [(int(z), y)] if z.denominator == 1 else []
+                forms += [(int(z), int(y)), (float(z), int(y))] if y.denominator == 1 else []
+                for a, b in forms:
+                    assert (oracle.q(a, b), oracle.qstar(a, b)) == expected, (a, b)
 
     def test_beta_v_and_mu_p_computed_once(self, four_coins, monkeypatch):
         from sumtails import bounds
@@ -473,6 +488,33 @@ class TestYSearch:
         assert floats == [float(z) / 2.25, *(float(z) * 0.5**j for j in range(1, 13))]
         assert all(type(y) is float for y in floats)
 
+    @given(
+        z=hyp.one_of(
+            hyp.builds(F, hyp.integers(min_value=-10**6, max_value=10**6), hyp.integers(1, 10**6)),
+            hyp.integers(min_value=-10, max_value=10**6),
+            hyp.floats(min_value=-1e300, max_value=1e300),
+        ),
+        p=hyp.sampled_from([1.0, 2.0, 2.5, 6.0]),
+    )
+    # float halvings of subnormals underflow to 0 and repeat
+    @example(z=5e-324, p=1.0)
+    @example(z=1e-320, p=2.5)
+    @example(z=5e-324, p=6.0)
+    def test_candidates_drop_repeats_as_fromkeys_did(self, z, p):
+        w = F(1, 3)
+        got = _auto_y_candidates(z, p, w)
+        if not z > 0:
+            assert got == [w]
+            return
+        first = scaled_y(z, p)
+        if isinstance(first, float):
+            halvings = [float(z) * 0.5**j for j in range(1, 13)]
+        else:
+            halvings = [z * F(1, 2) ** j for j in range(1, 13)]
+        expected = list(dict.fromkeys([first, *halvings]))
+        assert got == expected
+        assert [type(y) for y in got] == [type(y) for y in expected]
+
 
 class TestBikelis:
     def test_equals_beta_at_zero(self, four_coins, small_corpus):
@@ -488,6 +530,27 @@ class TestBikelis:
         vals = [st.bikelis_sum(four_coins, F(n, 2), 1) for n in range(0, 17)]
         assert all(v <= beta1 for v in vals)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_moment_profile_equals_bikelis_sum(self, four_coins, small_corpus):
+        for system in [four_coins, *small_corpus[:16]]:
+            oracle = st.SystemOracle(system)
+            atoms = sorted({abs(x) for rv in system.rvs for x in rv.values} - {0})
+            cases = [(F(n, 4), v) for n in (-5, 0, 1, 6, 32) for v in (1, F(1, 2), F(7, 3), 0.7)]
+            # scales v (1 + |z|) equal to an atom's |x|, where g switches branch
+            cases += [(0, x) for x in atoms] + [(F(-1, 2), x * F(2, 3)) for x in atoms]
+            cases += [(1.5, float(x) / 2.5) for x in atoms] + [(-0.25, 2.0), (3, 1)]
+            for z, v in cases:
+                got = oracle.bikelis_at(z, v)
+                assert got == st.bikelis_sum(system, z, v), (z, v)
+                assert type(got) is F, (z, v)
+
+    def test_float_systems_keep_bikelis_sum(self, small_corpus):
+        for system in small_corpus[:4]:
+            approx = as_float_system(system)
+            oracle = st.SystemOracle(approx)
+            for z, v in ((F(1, 2), 1), (2.25, 0.5), (0, F(1, 3))):
+                got = oracle.bikelis_at(z, v)
+                assert type(got) is float and got == st.bikelis_sum(approx, z, v)
 
 
 class TestCompositeBounds:

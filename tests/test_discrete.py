@@ -268,6 +268,25 @@ class TestLatticeKernel:
         assert sub.masses == tuple(expected[x] for x in sorted(expected))
         assert st.convolve(rvs) == sub
 
+    @given(
+        rvs=hyp.lists(lattice_rvs(), min_size=1, max_size=3),
+        num=hyp.integers(min_value=-400, max_value=400),
+        den=hyp.integers(min_value=1, max_value=60),
+        factor=hyp.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tail_ratio_is_tail_of_the_fraction(self, coin, rvs, num, den, factor):
+        # the oracle's empty sum (one summand left out of one) has scale 1
+        (empty_sum,), _ = st.SystemOracle(st.System((coin,), unit_variance=False)).restricted(0)
+        assert empty_sum.scale == 1
+        # an unreduced pair (num * factor, den * factor) names the same threshold
+        for law in (lattice_chain(rvs), empty_sum):
+            expected = law.to_submeasure().tail(F(num, den))
+            assert law.tail(F(num, den)) == expected
+            for pair in ((num, den), (num * factor, den * factor)):
+                got = law.tail_ratio(*pair)
+                assert got == expected and type(got) is F, pair
+
     def test_non_finite_float_thresholds(self, coin):
         law = lattice_chain([coin, coin])
         assert law.tail(float("inf")) == 0
