@@ -66,6 +66,11 @@ CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
 Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
 
 
+#: query argument types that ``_q_pair`` reads as integer pairs (matched by
+#: exact type, for the reason given in :func:`_key`)
+_EXACT_TYPES = (Fraction, int)
+
+
 def _key(x: object) -> object:
     """The memo key of a query argument, which hashes no ``Fraction``.
 
@@ -350,13 +355,13 @@ class SystemOracle:
     def _q_pair(self, z: Number, y: Number) -> tuple[Number, Number]:
         """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails.
 
-        For an exact system and ``Fraction`` z and y the threshold z - y
-        stays an unreduced integer pair, read on each law's own grid.  A
-        float z or y keeps the float subtraction, whose rounding decides
-        which atoms lie above the threshold.
+        For an exact system and exact (``Fraction`` or ``int``) z and y the
+        threshold z - y stays an unreduced integer pair, read on each law's
+        own grid.  A float z or y keeps the float subtraction, whose rounding
+        decides which atoms lie above the threshold.
         """
         loo, full = self.restricted(y)
-        if self.system.exact and isinstance(z, Fraction) and isinstance(y, Fraction):
+        if self.system.exact and type(z) in _EXACT_TYPES and type(y) in _EXACT_TYPES:
             zn, zd, yn, yd = z.numerator, z.denominator, y.numerator, y.denominator
             tn, td = zn * yd - yn * zd, zd * yd
             q = max(m.tail_ratio(tn, td) for m in loo)
@@ -411,9 +416,6 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
 
     The halvings are exact when the scaled choice is.  Falls back to {w}
     when z <= 0 leaves the grid empty (any positive y yields a valid bound).
-    Repeats are dropped by comparison, keeping the first: the halvings never
-    increase, so a repeat (a float halving that underflowed to 0) follows
-    its twin, and only ``first`` can equal a later value.
     """
     if not z > 0:
         return [w]
@@ -423,11 +425,7 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
         halvings = [z * 0.5**j for j in range(1, 13)]
     else:
         halvings = [Fraction(z.numerator, z.denominator << j) for j in range(1, 13)]
-    ys = [first]
-    for y in halvings:
-        if y != first and y != ys[-1]:
-            ys.append(y)
-    return ys
+    return list(dict.fromkeys([first, *halvings]))
 
 
 def _parts(x: Number) -> tuple[Number, Number]:

@@ -9,7 +9,6 @@ and no statistically significant Monte Carlo flag was found.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -398,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--z-grid", type=_parse_grid, default="0:0.5:4")
     p_mc.add_argument("--samples", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
-    # None: raw for the tails, winsorize for --check-bounds (see _check_mc_flags)
-    p_mc.add_argument("--mode", choices=MODES, default=None)
+    p_mc.add_argument(
+        "--mode",
+        choices=MODES,
+        default=None,
+        help="capping of the sampled sums (default: raw for the tails, winsorize with "
+        "--check-bounds, which accepts only winsorize or truncate)",
+    )
     p_mc.add_argument(
         "--mc-w", type=float, default=None, help="cap level for winsorize/truncate modes"
     )
@@ -429,14 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and reused."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _main_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

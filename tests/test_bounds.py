@@ -5,12 +5,12 @@ from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
-from sumtails.bounds import _auto_y_candidates, scaled_y
+from sumtails.bounds import _auto_y_candidates
 from sumtails.discrete import WINSOR_MODES
 
 
@@ -487,33 +487,6 @@ class TestYSearch:
         floats = _auto_y_candidates(z, 2.5, F(1))
         assert floats == [float(z) / 2.25, *(float(z) * 0.5**j for j in range(1, 13))]
         assert all(type(y) is float for y in floats)
-
-    @given(
-        z=hyp.one_of(
-            hyp.builds(F, hyp.integers(min_value=-10**6, max_value=10**6), hyp.integers(1, 10**6)),
-            hyp.integers(min_value=-10, max_value=10**6),
-            hyp.floats(min_value=-1e300, max_value=1e300),
-        ),
-        p=hyp.sampled_from([1.0, 2.0, 2.5, 6.0]),
-    )
-    # float halvings of subnormals underflow to 0 and repeat
-    @example(z=5e-324, p=1.0)
-    @example(z=1e-320, p=2.5)
-    @example(z=5e-324, p=6.0)
-    def test_candidates_drop_repeats_as_fromkeys_did(self, z, p):
-        w = F(1, 3)
-        got = _auto_y_candidates(z, p, w)
-        if not z > 0:
-            assert got == [w]
-            return
-        first = scaled_y(z, p)
-        if isinstance(first, float):
-            halvings = [float(z) * 0.5**j for j in range(1, 13)]
-        else:
-            halvings = [z * F(1, 2) ** j for j in range(1, 13)]
-        expected = list(dict.fromkeys([first, *halvings]))
-        assert got == expected
-        assert [type(y) for y in got] == [type(y) for y in expected]
 
 
 class TestBikelis:

@@ -3,9 +3,6 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -558,28 +555,3 @@ class TestYoungCommand:
         assert report["violations"] == []
         assert report["closed_form_max_gap"] < 1e-6
 
-
-class TestParserReuse:
-    def test_reused_parser_carries_no_state(self, two_coins_path, capsys):
-        from sumtails import cli
-
-        mc = ["mc", "--family", "standardized-exponential", "--n", "4", "--samples", "2000"]
-        runs = [
-            ["bounds", "--system", two_coins_path, "--constant", "p4=2", "--constant", "p5=3"],
-            ["bounds", "--system", two_coins_path, "--format", "json"],
-            ["bounds", "--system", two_coins_path, "--z-grid", "0:0:1"],  # a usage error
-            [*mc, "--seed", "1", "--z-grid", "0:1:2"],
-            ["bounds", "--system", two_coins_path],
-        ]
-        parser = cli._main_parser()
-        env = {**os.environ, "PYTHONPATH": str(Path(st.__file__).parents[1])}
-        for argv in runs:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            out = capsys.readouterr().out
-            command = [sys.executable, "-m", "sumtails.cli", *argv]
-            fresh = subprocess.run(command, capture_output=True, text=True, env=env)
-            assert (code, out) == (fresh.returncode, fresh.stdout), argv
-        assert cli._main_parser() is parser
