@@ -148,13 +148,16 @@ class SystemOracle:
     (:class:`~sumtails.discrete.LatticeMeasure`): the values of one chain
     are integers over the lcm of the value denominators of its inputs, the
     masses of each law are integers over that law's own denominator, and a
-    tail query compares integers and builds its ``Fraction`` only at the
-    end.  Float systems are convolved as float sub-measures.
+    tail query compares integers.  Delta, Q and Q* combine the laws' tails
+    as integer pairs (:meth:`LatticeMeasure.tail_pair`) and build one
+    ``Fraction`` per returned value.  Float systems are convolved as float
+    sub-measures.
 
     The laws restricted to {X_i <= y} depend on y only through its
     *signature*, the number of atoms each summand keeps
-    (``bisect_right(rv.values, y)`` per summand), so they are cached by
-    signature, and the signature of every y seen is remembered.  The max
+    (``bisect_right(rv.values, y)`` per summand, taken on the integer
+    lattice for an exact system), so they are cached by signature, and the
+    signature of every y seen is remembered.  The max
     tail P(max_i X_i > y) = 1 - prod_i P(X_i <= y) depends on y through the
     same signature and is cached by it too.  The z-independent moment sums
     ``beta_v`` and ``mu_p`` are cached per argument, and Q(z, y) and
@@ -162,12 +165,13 @@ class SystemOracle:
     tails.  The two caches asked for every (z, y), the signatures and the
     (z, y) pairs, are keyed through :func:`_key`, so an exact argument is
     hashed as a pair of integers.  A law past the atom budget is cached as
-    its error (see :meth:`_memo`).  The z-damped moment sum of
-    :meth:`bikelis_at` comes from one moment profile of the system's atoms,
-    built on first use.  Cached laws are immutable apart from memoized query
-    values; the cache dictionaries are only grown, never mutated in place,
-    and the profile is assigned only once it is built, which keeps
-    concurrent readers safe.
+    its error (see :meth:`_memo`).  On an exact system the z-damped moment
+    sum of :meth:`bikelis_at` and ``beta_v`` (its z = 0 case) come from one
+    moment profile of the system's atoms, built on first use.  Cached laws
+    are immutable apart from their suffix sums, built on the first query;
+    the cache dictionaries are only grown, never mutated in place, and the
+    profile and the lattice summands are assigned only once they are
+    built, which keeps concurrent readers safe.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -184,6 +188,7 @@ class SystemOracle:
         self._beta_v: dict[Number, Number] = {}
         self._mu_p: dict[Number, Number] = {}
         self._profile: tuple | None = None
+        self._lattice: list[LatticeMeasure] | None = None
 
     # -- laws ---------------------------------------------------------------
 
@@ -245,12 +250,35 @@ class SystemOracle:
         """Exact law of the capped sum S_bar at level w."""
         return self._memo(self._law_capped, (w, mode), self._capped, self._chain, w, mode)
 
+    def _lattice_rvs(self) -> list[LatticeMeasure]:
+        """The exact system's summands on their common integer lattice, built once."""
+        lattice = self._lattice
+        if lattice is None:
+            lattice = self._lattice = to_lattice(self.system.rvs)
+        return lattice
+
     def signature(self, y: Number) -> tuple[int, ...]:
-        """Atoms each summand keeps under the restriction to {X_i <= y}."""
+        """Atoms each summand keeps under the restriction to {X_i <= y}.
+
+        On an exact system a finite y is read exactly as ``floor(y * scale)``
+        and bisects the integer lattice values, which compares no
+        ``Fraction`` with y; x = a / scale <= y holds exactly when a <= that
+        floor.  A NaN y is a ``ValueError``: the restriction to {X_i <= NaN}
+        keeps no atom, while the max tail reads P(X_i <= NaN) as
+        1 - P(X_i > NaN) = 1, so no signature could key both caches.
+        """
         key = _key(y)
         sig = self._signatures.get(key)
         if sig is None:
-            sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
+            if y != y:
+                raise ValueError("y must not be NaN")
+            ratio = _as_ratio(y) if self.system.exact else None
+            if ratio is None:
+                sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
+            else:
+                lattice = self._lattice_rvs()
+                cut = ratio[0] * lattice[0].scale // ratio[1]
+                sig = tuple(bisect_right(m.values, cut) for m in lattice)
             self._signatures[key] = sig
         return sig
 
@@ -288,10 +316,15 @@ class SystemOracle:
         return value
 
     def beta_v_at(self, v: Number) -> Number:
-        """beta_v of the system at scale v (independent of z, so computed once per v)."""
+        """beta_v of the system at scale v (independent of z, so computed once per v).
+
+        An exact system reads it from the moment profile as
+        ``bikelis_at(0, v)``; a float system sums :func:`beta_v`.
+        """
         value = self._beta_v.get(v)
         if value is None:
-            value = self._beta_v[v] = beta_v(self.system, v)
+            exact = self.system.exact
+            value = self._beta_v[v] = self.bikelis_at(0, v) if exact else beta_v(self.system, v)
         return value
 
     def mu_p_at(self, p: Number) -> Number:
@@ -349,25 +382,49 @@ class SystemOracle:
         )
 
     def delta(self, z: Number, w: Number, mode: str) -> Number:
-        """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode."""
-        return self.law_sum().tail(z) - self.law_capped(w, mode).tail(z)
+        """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode.
+
+        On an exact system a finite z is read exactly as an integer pair,
+        and the two tails are subtracted as integer pairs into one
+        ``Fraction``.
+        """
+        raw, capped = self.law_sum(), self.law_capped(w, mode)
+        ratio = _as_ratio(z) if self.system.exact else None
+        if ratio is None:
+            return raw.tail(z) - capped.tail(z)
+        a, da = raw.tail_pair(*ratio)
+        b, db = capped.tail_pair(*ratio)
+        return Fraction(a * db - b * da, da * db)
 
     def _q_pair(self, z: Number, y: Number) -> tuple[Number, Number]:
         """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails.
 
-        For an exact system and exact (``Fraction`` or ``int``) z and y the
-        threshold z - y stays an unreduced integer pair, read on each law's
-        own grid.  A float z or y keeps the float subtraction, whose rounding
-        decides which atoms lie above the threshold.
+        On an exact system the threshold z - y is an unreduced integer pair:
+        computed from the pairs of z and y when both are exact (``Fraction``
+        or ``int``), and read exactly from the float z - y otherwise, whose
+        rounding decides which atoms lie above it.  Each law answers with an
+        integer pair, the largest is picked by cross-multiplication, and
+        only Q and Q* become ``Fraction``s.
         """
         loo, full = self.restricted(y)
-        if self.system.exact and type(z) in _EXACT_TYPES and type(y) in _EXACT_TYPES:
-            zn, zd, yn, yd = z.numerator, z.denominator, y.numerator, y.denominator
-            tn, td = zn * yd - yn * zd, zd * yd
-            q = max(m.tail_ratio(tn, td) for m in loo)
-        else:
-            t = z - y
-            q = max(m.tail(t) for m in loo)
+        if self.system.exact:
+            if type(z) in _EXACT_TYPES and type(y) in _EXACT_TYPES:
+                zn, zd, yn, yd = z.numerator, z.denominator, y.numerator, y.denominator
+                threshold, at_z = (zn * yd - yn * zd, zd * yd), (zn, zd)
+            else:
+                threshold, at_z = _as_ratio(z - y), _as_ratio(z)
+            if threshold is not None and at_z is not None:
+                # the first largest tail wins, as in max(); masses are >= 0
+                top, qn, qd = None, -1, 1
+                for m in loo:
+                    n, d = m.tail_pair(*threshold)
+                    if n * qd > qn * d:
+                        top, qn, qd = m, n, d
+                q = top.fraction(qn)
+                fn, fd = full.tail_pair(*at_z)
+                return q, (full.fraction(fn) if fn * qd > qn * fd else q)
+        t = z - y
+        q = max(m.tail(t) for m in loo)
         return q, max(q, full.tail(z))
 
     def q(self, z: Number, y: Number) -> Number:

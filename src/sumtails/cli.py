@@ -371,7 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
     p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_cal.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    p_cal.add_argument("--workers", type=int, default=1)
+    p_cal.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads for the per-system cells (default 1); the result is bit-identical for "
+        "any count, but the cells are pure Python under the interpreter lock, so more "
+        "threads do not make it faster",
+    )
     _add_bound_param_flags(p_cal)
     p_cal.add_argument("--out", help="JSON output path (default stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
@@ -433,9 +440,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv: Sequence[str]) -> list[str]:
+    """``--z-grid VALUE`` as ``--z-grid=VALUE``.
+
+    argparse takes a value such as ``-1:0.5:1``, which starts with ``-`` and
+    is not a plain negative number, for an option, so the two-token form of
+    a grid with a negative start would fail to parse.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--z-grid":
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

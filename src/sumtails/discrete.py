@@ -402,12 +402,17 @@ class LatticeMeasure(_DerivedQueries):
     measure, and a convolution multiplies the two operands' ``den``.  So
     sums of values and products of masses are integer operations, and a
     tail query compares integers: the threshold ``t`` becomes
-    ``floor(t * scale)``, computed exactly for int, Fraction and float ``t``.
-    The suffix sums behind the queries are built on the first query, and
-    queries return :class:`fractions.Fraction` values, built on first use
-    and memoized per suffix index.  Instances are never mutated apart from that
-    memo, whose entries are deterministic, so sharing them between threads
-    is safe.
+    ``floor(t * scale)``, computed exactly for int, Fraction and float ``t``;
+    at a NaN threshold :meth:`tail`, :meth:`mass_at_least` and
+    :meth:`interval_mass` count no atom, as no comparison with NaN holds.
+    The suffix sums behind the queries are built on the first query.
+    :meth:`tail_pair` answers with an unreduced integer pair, so callers
+    that combine several answers compare integers and build a ``Fraction``
+    only for the answer they return, through :meth:`fraction`; the
+    ``Fraction`` queries build theirs from the same reads.  Instances are
+    never mutated apart from the suffix sums, which are assigned whole once
+    built, and the memo of :meth:`fraction`, whose entries are
+    deterministic, so sharing them between threads is safe.
     """
 
     __slots__ = ("values", "masses", "den", "scale", "_suffix", "_fractions")
@@ -422,46 +427,62 @@ class LatticeMeasure(_DerivedQueries):
         self._suffix: list[int] | None = None
         self._fractions: dict[int, Fraction] = {}
 
-    def _suffix_mass(self, i: int) -> Fraction:
-        frac = self._fractions.get(i)
+    def fraction(self, mass: int) -> Fraction:
+        """``mass / den`` as a ``Fraction``, built once per numerator."""
+        frac = self._fractions.get(mass)
         if frac is None:
-            if self._suffix is None:
-                # _suffix[i] = masses[i] + ... + masses[-1]; _suffix[len] = 0
-                self._suffix = list(accumulate(reversed(self.masses), initial=0))[::-1]
-            frac = self._fractions[i] = Fraction(self._suffix[i], self.den)
+            frac = self._fractions[mass] = Fraction(mass, self.den)
         return frac
 
-    def _first_at_least(self, t: Number) -> int:
-        """Index of the first atom with value >= t."""
+    def _suffix_sums(self) -> list[int]:
+        """``s[i] = masses[i] + ... + masses[-1]``, with ``s[len] = 0``."""
+        suffix = self._suffix
+        if suffix is None:
+            suffix = self._suffix = list(accumulate(reversed(self.masses), initial=0))[::-1]
+        return suffix
+
+    def _cut(self, t: Number, strict: bool) -> int:
+        """Index of the first atom above ``t`` (``strict``) or at least ``t``."""
         ratio = _as_ratio(t)
-        if ratio is None:
-            return len(self.values) if t > 0 else 0
+        if ratio is None:  # every atom is above -inf; none is above +inf or NaN
+            return 0 if t < 0 else len(self.values)
         num, den = ratio
+        if strict:
+            return bisect_right(self.values, num * self.scale // den)
         return bisect_left(self.values, -(-num * self.scale // den))
 
     @property
     def mass(self) -> Fraction:
         """Total mass of the measure."""
-        return self._suffix_mass(0)
+        return self.fraction(self._suffix_sums()[0])
+
+    def tail_pair(self, num: int, den: int) -> tuple[int, int]:
+        """Mass strictly above ``num / den`` as an unreduced pair ``(mass numerator, self.den)``.
+
+        ``num`` and ``den > 0`` are integers and need not be reduced: the
+        threshold is ``floor(num * scale / den)`` on this measure's own grid,
+        so no ``Fraction`` is built, neither for the threshold nor for the mass.
+        """
+        return self._suffix_sums()[bisect_right(self.values, num * self.scale // den)], self.den
+
+    def tail_ratio(self, num: int, den: int) -> Fraction:
+        """Mass strictly above ``num / den``, read as :meth:`tail_pair`."""
+        return self.fraction(self.tail_pair(num, den)[0])
 
     def tail(self, z: Number) -> Fraction:
         """Mass strictly above ``z``."""
-        ratio = _as_ratio(z)
-        if ratio is None:
-            return self._suffix_mass(0 if z < 0 else len(self.values))
-        return self.tail_ratio(*ratio)
-
-    def tail_ratio(self, num: int, den: int) -> Fraction:
-        """Mass strictly above ``num / den`` for integers with ``den > 0``.
-
-        The pair need not be reduced: the threshold is ``floor(num * scale /
-        den)`` on this measure's own grid, so no ``Fraction`` is built for it.
-        """
-        return self._suffix_mass(bisect_right(self.values, num * self.scale // den))
+        return self.fraction(self._suffix_sums()[self._cut(z, True)])
 
     def mass_at_least(self, t: Number) -> Fraction:
         """Mass of the event {value >= t}."""
-        return self._suffix_mass(self._first_at_least(t))
+        return self.fraction(self._suffix_sums()[self._cut(t, False)])
+
+    def interval_mass(self, a: Number, b: Number) -> Fraction:
+        """Mass of the closed interval [a, b], from one difference of suffix sums."""
+        if not a <= b:  # empty, or a NaN endpoint
+            return Fraction(0)
+        suffix = self._suffix_sums()
+        return self.fraction(suffix[self._cut(a, False)] - suffix[self._cut(b, True)])
 
     def product(
         self, other: "LatticeMeasure", values: tuple[int, ...], masses: tuple[int, ...]

@@ -372,15 +372,18 @@ def calibrate(
     zs = [float(z) for z in z_grid]
     if bound_name in ("p4", "p5"):
         zs = [z for z in zs if z > 0.0]
-    intervals = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
+    concentration = bound_name == "concentration"
+    intervals = []
+    if concentration:  # only this bound reads them
+        intervals = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
     if bound_name in ("theorem", "p4", "p5") and not zs:
         raise ValueError("calibration needs a nonempty z grid")
-    if bound_name == "concentration" and not intervals:
+    if concentration and not intervals:
         raise ValueError("calibration needs nonempty interval grids")
 
     def system_cells(idx: int) -> list[tuple[float, dict]]:
         oracle = SystemOracle(corpus[idx])
-        if bound_name == "concentration":
+        if concentration:
             cells = [
                 {"system": idx, "i": i, "a": a, "b": b}
                 for i in range(corpus[idx].n)
@@ -413,7 +416,7 @@ def calibrate(
         "p": params.p,
         "c": params.c,
         "z": {"min": min(zs), "max": max(zs), "count": len(zs)} if zs else None,
-        "intervals": len(intervals) if bound_name == "concentration" else None,
+        "intervals": len(intervals) if concentration else None,
         "systems": len(corpus),
     }
     return CalibrationResult(

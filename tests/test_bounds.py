@@ -1,6 +1,7 @@
 """Bound evaluators against enumeration oracles and frozen reference values."""
 
 import io
+import math
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as hyp
 import sumtails as st
 from conftest import enumerate_outcomes
 from sumtails.bounds import _auto_y_candidates
-from sumtails.discrete import WINSOR_MODES
+from sumtails.discrete import WINSOR_MODES, _as_ratio, capped_sum_rv
 
 
 def q_by_enumeration(system, z, y):
@@ -171,16 +172,29 @@ class TestOracleCaches:
         monkeypatch.setattr(bounds, "beta_v", counting(st.beta_v))
         monkeypatch.setattr(bounds, "mu_p", counting(st.mu_p))
         oracle = st.SystemOracle(four_coins)
+        profile_reads = []
+        bikelis_at = oracle.bikelis_at
+
+        def counting_bikelis(z, v):
+            profile_reads.append((z, v))
+            return bikelis_at(z, v)
+
+        monkeypatch.setattr(oracle, "bikelis_at", counting_bikelis)
         params = st.BoundParams(v=F(1, 2), w=F(1, 4), constants={"p5": 2.0})
         reports = [st.p_bounds(four_coins, F(n, 2), params, oracle=oracle) for n in range(1, 6)]
-        assert calls.count(("beta_v", F(1, 2))) == 1
+        # an exact oracle reads beta_v from its moment profile, once per v,
+        # and never sums it with scalars.beta_v
+        assert [name for name, _ in calls].count("beta_v") == 0
+        assert profile_reads.count((0, F(1, 2))) == 1
         assert calls.count(("mu_p", 2.0)) == 1
+        beta = oracle.beta_v_at(F(1, 2))
+        assert type(beta) is F and beta == st.beta_v(four_coins, F(1, 2))
+        assert profile_reads.count((0, F(1, 2))) == 1
         # the cached floats are the uncached ones, bit for bit
         monkeypatch.undo()
         for n, report in zip(range(1, 6), reports):
             assert report.theorem_bound == st.theorem_bound(four_coins, F(n, 2), params)
             assert report.p5 == 2.0 * float(st.mu_p(four_coins, 2.0)) / (1.0 + n / 2) ** 2
-
 
     def test_float_system_matches_exact_system(self, small_corpus):
         # thresholds kept off the rational atoms, so float rounding of the
@@ -195,6 +209,73 @@ class TestOracleCaches:
                     got = approx.delta(z, 0.5, mode)
                     assert type(got) is float
                     assert got == pytest.approx(float(exact.delta(z, F(1, 2), mode)), abs=1e-12)
+
+
+#: query arguments of every kind the oracle accepts: Fraction, int, float
+#: (mostly off every lattice), and the non-finite floats
+query_args = hyp.one_of(
+    hyp.builds(F, hyp.integers(min_value=-40, max_value=40), hyp.sampled_from([1, 2, 3, 4, 8])),
+    hyp.integers(min_value=-4, max_value=4),
+    hyp.floats(min_value=-6, max_value=6, allow_subnormal=False),
+    hyp.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+def _mass_where(outcomes, keep):
+    return sum((p for p, xs in outcomes if keep(sum(xs, F(0)))), F(0))
+
+
+class TestIntegerReads:
+    """Integer-pair reads of the exact oracle against brute-force enumeration."""
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        args=hyp.lists(query_args, min_size=2, max_size=5),
+        w=hyp.sampled_from([F(1, 4), F(1, 2), F(1), 0.3]),
+        factor=hyp.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reads_match_enumeration(self, seed, args, w, factor):
+        (system,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=3, atoms_max=3))
+        oracle = st.SystemOracle(system)
+        raw = list(enumerate_outcomes(system))
+        laws = [(oracle.law_sum(), raw)]
+        for mode in WINSOR_MODES:
+            capped = list(enumerate_outcomes([capped_sum_rv(rv, w, mode) for rv in system.rvs]))
+            laws.append((oracle.law_capped(w, mode), capped))
+            for z in args:
+                expected = _mass_where(raw, lambda s: s > z) - _mass_where(capped, lambda s: s > z)
+                got = oracle.delta(z, w, mode)
+                assert got == expected and type(got) is F, (mode, z)
+        for law, outcomes in laws:
+            for t in args:
+                above = _mass_where(outcomes, lambda s: s > t)
+                ratio = _as_ratio(t)
+                if ratio is not None:
+                    # an unreduced pair names the same threshold
+                    for num, den in (ratio, (ratio[0] * factor, ratio[1] * factor)):
+                        a, d = law.tail_pair(num, den)
+                        assert F(a, d) == above, t
+                        assert a / d == float(F(a, d))
+                for b in args:
+                    got = law.interval_mass(t, b)
+                    assert got == _mass_where(outcomes, lambda s: t <= s <= b), (t, b)
+                    assert type(got) is F
+        for y in args:
+            if y != y:
+                for query in (oracle.signature, oracle.max_tail_at, oracle.restricted):
+                    with pytest.raises(ValueError, match="NaN"):
+                        query(y)
+                with pytest.raises(ValueError, match="NaN"):
+                    oracle.q(F(0), y)
+                continue
+            kept = tuple(sum(1 for x in rv.values if x <= y) for rv in system.rvs)
+            assert oracle.signature(y) == kept, y
+            for z in args:
+                q, qstar = oracle.q(z, y), oracle.qstar(z, y)
+                assert q == q_by_enumeration(system, z, y), (z, y)
+                assert qstar == qstar_by_enumeration(system, z, y), (z, y)
+                assert type(q) is F and type(qstar) is F
 
 
 class TestCapFallback:

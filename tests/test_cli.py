@@ -488,6 +488,21 @@ class TestGrids:
             cli._parse_grid("0:1:5")
 
     @pytest.mark.parametrize("command", ["bounds", "calibrate", "mc"])
+    def test_negative_start_in_either_form(self, two_coins_path, capsys, command):
+        argv = {
+            "bounds": ["bounds", "--system", two_coins_path],
+            "calibrate": ["calibrate", "--seed", "1", "--count", "3", "--bound", "theorem"],
+            "mc": ["mc", "--family", "standardized-exponential", "--n", "4"]
+            + ["--samples", "2000", "--seed", "1"],
+        }[command]
+        outputs = []
+        for grid in (["--z-grid", "-1:0.5:1"], ["--z-grid=-1:0.5:1"]):
+            assert main([*argv, *grid]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.count("\n") > 1
+
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "mc"])
     def test_large_grid_is_a_usage_error(self, tmp_path, capsys, command):
         # 800,001 points is over the ceiling but small enough to build, and
         # each command fails right after parsing (missing system, empty
