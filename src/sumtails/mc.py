@@ -17,9 +17,18 @@ row-major from the block's one stream and each row is summed on its own.
 column by column, so a slab would take other values from the stream, and
 summing its columns one at a time does not round like numpy's row sums.
 
+Each block call allocates one slab buffer and reuses it for every slab: the
+generator draws into it (a short last slab uses its first rows), the
+two-point values are selected into it, and the cap overwrites it once the
+raw sums are taken.  Allocating per slab would free and page-fault back the
+same memory on every slab.  The buffer belongs to its block call, never to
+the module, because ``workers > 1`` runs blocks on threads.
+
 Confidence intervals are exact binomial (Clopper-Pearson) at 99%, since the
 deep-tail counts these sweeps care about are tiny and normal-approximation
-intervals would be optimistic there.
+intervals would be optimistic there.  Their beta quantile comes from
+``scipy.special``, imported on the first interval, so importing this module
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .bounds import BoundParams, SystemOracle, p_bounds
 from .discrete import WINSOR_MODES, System, check_mode
@@ -116,9 +124,13 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     """Exact binomial confidence interval for k successes out of n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    # the floats of scipy.stats.beta.ppf, without importing scipy.stats (most
+    # of a cold start); imported here so that exact runs never load scipy
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -163,8 +175,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_summands(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Matrix of raw summand draws, shape (size, n_summands)."""
+def _draw_summands(
+    spec: SamplerSpec, rng: np.random.Generator, size: int, buf: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix of raw summand draws, shape (size, n_summands).
+
+    An i.i.d. family given ``buf``, a float matrix of n columns and at least
+    ``size`` rows, draws into its first ``size`` rows and returns that view.
+    """
     if spec.family == "discrete-system":
         cols = []
         for rv in spec.system.rvs:
@@ -178,33 +196,42 @@ def _draw_summands(spec: SamplerSpec, rng: np.random.Generator, size: int) -> np
     # done in place or on the two-point constants: same values, fewer copies
     n = spec.n
     scale = 1.0 / math.sqrt(n)
+    out = np.empty((size, n)) if buf is None else buf[:size]
     if spec.family == "standardized-exponential":
-        e = rng.standard_exponential(size=(size, n))
-        e -= 1.0
-        e *= scale
-        return e
+        rng.standard_exponential(out=out)
+        out -= 1.0
+        out *= scale
+        return out
+    rng.random(out=out)
     if spec.family == "standardized-two-point":
         a = math.sqrt((1.0 - spec.q) / spec.q)
         b = math.sqrt(spec.q / (1.0 - spec.q))
-        u = rng.random(size=(size, n))
-        return np.where(u < spec.q, a * scale, -b * scale)
+        # np.where(u < q, a * scale, -b * scale) on the bit patterns, in place
+        # and several times faster: lo ^ (is_hi * (hi ^ lo)) is hi or lo
+        hi, lo = np.array([a * scale, -b * scale]).view(np.uint64)
+        is_hi = out < spec.q
+        bits = out.view(np.uint64)
+        np.multiply(is_hi, hi ^ lo, out=bits)
+        bits ^= lo
+        return out
     # standardized-pareto: support [1, inf), cdf 1 - x^-alpha
     alpha = spec.alpha
     mean = alpha / (alpha - 1.0)
     sd = math.sqrt(alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0)))
-    x = rng.random(size=(size, n))
-    np.subtract(1.0, x, out=x)
-    x **= -1.0 / alpha
-    x -= mean
-    x /= sd
-    x *= scale
-    return x
+    np.subtract(1.0, out, out=out)
+    out **= -1.0 / alpha
+    out -= mean
+    out /= sd
+    out *= scale
+    return out
 
 
 def _apply_cap(samples: np.ndarray, w: float, mode: str) -> np.ndarray:
+    """Cap the summand matrix in place and return it."""
     if mode == "winsorize":
-        return np.minimum(samples, w)
-    return np.where(samples <= w, samples, 0.0)
+        return np.minimum(samples, w, out=samples)
+    np.copyto(samples, 0.0, where=~(samples <= w))
+    return samples
 
 
 def _tail_counts(
@@ -223,20 +250,20 @@ def _tail_counts(
         size = min(BLOCK_SIZE, n_samples - start)
         rng = _block_rng(seed, block)
         # row slabs give the sums of one full-block draw for the i.i.d.
-        # families only (see the module docstring)
+        # families only; one buffer serves every slab (see the module docstring)
         if spec.family == "discrete-system":
-            rows = size
+            rows, buf = size, None
         else:
-            rows = max(1, SLAB_CELLS // spec.n)
+            rows = min(size, max(1, SLAB_CELLS // spec.n))
+            buf = np.empty((rows, spec.n))
         s_raw = np.empty(size)
         s_bar = None if w is None else np.empty(size)
         for lo in range(0, size, rows):
             hi = min(lo + rows, size)
-            draws = _draw_summands(spec, rng, hi - lo)
+            draws = _draw_summands(spec, rng, hi - lo, buf)
             draws.sum(axis=1, out=s_raw[lo:hi])
             if w is not None:
                 _apply_cap(draws, w, mode).sum(axis=1, out=s_bar[lo:hi])
-            del draws  # so that the next slab is drawn into freed memory
         s_raw.sort()
         raw = size - np.searchsorted(s_raw, z_grid, side="right")
         if w is None:

@@ -276,50 +276,66 @@ class CalibrationResult:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _ratio_theorem(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
-    z = cell["z"]
-    lhs = abs(float(oracle.law_capped(params.w, mode).tail(z)) - normal_tail(z))
+def _ratio_theorem(oracle: SystemOracle, params: BoundParams, mode: str):
     beta = float(oracle.beta_v_at(params.v))
-    if beta == 0.0:
-        return math.inf if lhs > 0.0 else 0.0
-    return lhs * math.exp(params.lam * z) / beta
+
+    def at(cell: dict) -> float:
+        z = cell["z"]
+        lhs = abs(float(oracle.law_capped(params.w, mode).tail(z)) - normal_tail(z))
+        if beta == 0.0:
+            return math.inf if lhs > 0.0 else 0.0
+        return lhs * math.exp(params.lam * z) / beta
+
+    return at
 
 
-def _ratio_concentration(
-    oracle: SystemOracle, cell: dict, params: BoundParams, mode: str
-) -> float:
-    a, b = cell["a"], cell["b"]
-    law = oracle.loo_capped(params.w, mode)[cell["i"]]
-    lhs = float(law.interval_mass(a, b))
+def _ratio_concentration(oracle: SystemOracle, params: BoundParams, mode: str):
     beta = float(oracle.beta_v_at(params.v))
-    rhs = (b - a + beta) * math.exp(-params.lam * a)
-    return lhs / rhs
+
+    def at(cell: dict) -> float:
+        a, b = cell["a"], cell["b"]
+        law = oracle.loo_capped(params.w, mode)[cell["i"]]
+        lhs = float(law.interval_mass(a, b))
+        rhs = (b - a + beta) * math.exp(-params.lam * a)
+        return lhs / rhs
+
+    return at
 
 
-def _ratio_p4(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
-    z = cell["z"]
-    delta = float(oracle.delta(z, params.w, mode))
-    lead = float(oracle.max_tail_at(scaled_y(z, params.p)))
-    lhs = delta - lead
-    if lhs <= 0.0:
-        return 0.0
-    structure = float(oracle.max_tail_at(params.w)) / (params.c + z) ** params.p
-    if structure == 0.0:
-        return math.inf
-    return lhs / structure
+def _ratio_p4(oracle: SystemOracle, params: BoundParams, mode: str):
+    def at(cell: dict) -> float:
+        z = cell["z"]
+        delta = float(oracle.delta(z, params.w, mode))
+        lead = float(oracle.max_tail_at(scaled_y(z, params.p)))
+        lhs = delta - lead
+        if lhs <= 0.0:
+            return 0.0
+        structure = float(oracle.max_tail_at(params.w)) / (params.c + z) ** params.p
+        if structure == 0.0:
+            return math.inf
+        return lhs / structure
+
+    return at
 
 
-def _ratio_p5(oracle: SystemOracle, cell: dict, params: BoundParams, mode: str) -> float:
-    z = cell["z"]
-    delta = float(oracle.delta(z, params.w, mode))
-    structure = float(oracle.mu_p_at(params.p)) / (params.c + z) ** params.p
-    if structure == 0.0:
-        return math.inf if delta > 0.0 else 0.0
-    return delta / structure
+def _ratio_p5(oracle: SystemOracle, params: BoundParams, mode: str):
+    mu = float(oracle.mu_p_at(params.p))
+
+    def at(cell: dict) -> float:
+        z = cell["z"]
+        delta = float(oracle.delta(z, params.w, mode))
+        structure = mu / (params.c + z) ** params.p
+        if structure == 0.0:
+            return math.inf if delta > 0.0 else 0.0
+        return delta / structure
+
+    return at
 
 
-#: the ratio of each calibrated bound at one cell: a ``concentration`` cell is
-#: {"system", "i", "a", "b"}, every other cell is {"system", "z"}
+#: the ratio of each calibrated bound: ``_RATIOS[name](oracle, params, mode)``
+#: converts the system's cell-independent scalars to floats once and returns
+#: the ratio at one cell; a ``concentration`` cell is {"system", "i", "a",
+#: "b"}, every other cell is {"system", "z"}
 _RATIOS = dict(
     theorem=_ratio_theorem, concentration=_ratio_concentration, p4=_ratio_p4, p5=_ratio_p5
 )
@@ -341,7 +357,7 @@ def calibration_ratio(
     mode: str = "winsorize",
 ) -> float:
     """Re-evaluate one calibration cell (used to confirm a witness)."""
-    return _ratio(bound_name)(SystemOracle(corpus[cell["system"]]), cell, params, mode)
+    return _ratio(bound_name)(SystemOracle(corpus[cell["system"]]), params, mode)(cell)
 
 
 def calibrate(
@@ -391,7 +407,8 @@ def calibrate(
             ]
         else:
             cells = [{"system": idx, "z": z} for z in zs]
-        return [(ratio(oracle, cell, params, mode), cell) for cell in cells]
+        ratio_at = ratio(oracle, params, mode)
+        return [(ratio_at(cell), cell) for cell in cells]
 
     if workers <= 1:
         per_system = [system_cells(i) for i in range(len(corpus))]

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -570,3 +573,42 @@ class TestYoungCommand:
         assert report["violations"] == []
         assert report["closed_form_max_gap"] < 1e-6
 
+
+
+#: run in a fresh interpreter: the exact commands and one Monte Carlo run
+#: must leave the named scipy modules unloaded
+COLD_START = """\
+import io, json, sys
+from contextlib import redirect_stdout
+
+import sumtails, sumtails.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with redirect_stdout(io.StringIO()):
+    code = sumtails.cli.main(["bounds", "--system", sys.argv[1], "--z-grid", "0:0.5:2"])
+after_bounds = scipy_modules()
+spec = sumtails.SamplerSpec("standardized-exponential", n=4)
+sumtails.mc_tails(spec, [0.0, 1.0], 2_000, seed=1)
+print(json.dumps({"code": code, "after_bounds": after_bounds,
+                  "stats_after_mc": "scipy.stats" in sys.modules}))
+"""
+
+
+class TestColdStart:
+    def test_exact_commands_load_no_scipy(self, two_coins_path):
+        src = str(Path(st.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START, two_coins_path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        report = json.loads(done.stdout)
+        assert report["code"] == 0
+        assert report["after_bounds"] == []
+        assert report["stats_after_mc"] is False

@@ -218,6 +218,31 @@ class TestClopperPearson:
         _, hi = st.clopper_pearson(0, n)
         assert hi == pytest.approx(1 - 0.005 ** (1 / n), rel=1e-9)
 
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    def test_bit_identical_to_beta_ppf(self, confidence):
+        # the interval was scipy.stats.beta.ppf(q, a, b); betaincinv(a, b, q)
+        # must give the same floats, or every Monte Carlo output changes
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(2011)
+        cases = [(k, n) for n in range(1, 201) for k in range(n + 1)]
+        for n in (1 << 15, 1 << 16):
+            ks = {0, 1, n - 1, n, *rng.integers(0, n + 1, size=200).tolist()}
+            cases += [(k, n) for k in sorted(ks)]
+        ks = np.array([k for k, _ in cases])
+        ns = np.array([n for _, n in cases])
+        alpha = 1.0 - confidence
+        # nan at the k = 0 and k = n ends, which are set below
+        lo = beta.ppf(alpha / 2.0, ks, ns - ks + 1)
+        hi = beta.ppf(1.0 - alpha / 2.0, ks + 1, ns - ks)
+        want = [
+            (0.0 if k == 0 else float(lo[j]), 1.0 if k == n else float(hi[j]))
+            for j, (k, n) in enumerate(cases)
+        ]
+        got = [st.clopper_pearson(k, n, confidence) for k, n in cases]
+        differ = [(case, g, w) for case, g, w in zip(cases, got, want) if g != w]
+        assert not differ, f"{len(differ)} of {len(cases)} intervals differ, e.g. {differ[:3]}"
+
 
 class TestBoundChecks:
     def test_discrete_agrees_with_exact_verifier(self, two_coins, coin_spec):
@@ -346,6 +371,20 @@ class TestSlabs:
         want = results()
         monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells(spec.n))
         assert results() == want
+
+    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    @pytest.mark.parametrize("mode", ["winsorize", "truncate"])
+    def test_reused_buffers_leak_no_rows(self, spec, mode, monkeypatch):
+        # three blocks, the last one partial; slabs of 3 rows leave a short
+        # last slab in every block, and two workers draw blocks side by side
+        monkeypatch.setattr(mc, "BLOCK_SIZE", SMALL_BLOCK)
+        n_samples = 2_500
+        zs = np.array(Z_GRID)
+        want = mc._tail_counts(spec, zs, n_samples, 5, 0.4, mode, workers=1)
+        monkeypatch.setattr(mc, "SLAB_CELLS", 3 * spec.n)
+        for workers in (1, 2):
+            raw, bar = mc._tail_counts(spec, zs, n_samples, 5, 0.4, mode, workers=workers)
+            assert np.array_equal(raw, want[0]) and np.array_equal(bar, want[1])
 
     @pytest.mark.parametrize(
         "n, slab_cells, n_samples", [(256, 1 << 12, 4_096), (3_000, 1 << 10, 1_000)]
