@@ -22,7 +22,9 @@ spec = st.CorpusSpec(seed=1, count=200, n_max=4, atoms_max=4)
 corpus = st.gen_corpus(spec)
 print(f"corpus: {len(corpus)} systems, sizes n=1..4, atoms 2..4 per summand")
 print("first system:", [(str(x), str(p)) for x, p in zip(corpus[0].rvs[0].values, corpus[0].rvs[0].masses)])
-print("every total variance is exactly one:", all(s.total_variance() == 1 for s in corpus))
+unit = all(s.total_variance() == 1 for s in corpus)
+print("every total variance is exactly one:", unit)
+assert unit
 
 start = time.perf_counter()
 result = st.verify_corpus(corpus)

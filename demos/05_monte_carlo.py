@@ -22,7 +22,9 @@ for e in estimates:
     print(f"{e.z:>5} {e.p_hat:>10.6f}   [{e.ci_lo:.6f}, {e.ci_hi:.6f}]")
 
 again = st.mc_tails(spec, z_grid, n_samples=500_000, seed=11, workers=8)
-print("\neight workers, identical bits:", again == estimates)
+identical = again == estimates
+print("\neight workers, identical bits:", identical)
+assert identical
 
 # Check the capped-tail cost against the exceedance bound P1, which has a
 # closed form for i.i.d. families.  Expected: zero flags.

@@ -210,14 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     corpus = _corpus(args)
     params = _bound_params(args)
-    result = calibrate(
-        corpus,
-        args.bound,
-        params=params,
-        z_grid=args.z_grid,
-        mode=args.mode,
-        workers=args.workers,
-    )
+    result = calibrate(corpus, args.bound, params=params, z_grid=args.z_grid, mode=args.mode)
     _emit(result.to_json() + "\n", args.out)
     print(f"{args.bound}: a_min = {result.a_min!r} over {result.n_cells} cells")
     return 0
@@ -371,14 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
     p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_cal.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    p_cal.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="threads for the per-system cells (default 1); the result is bit-identical for "
-        "any count, but the cells are pure Python under the interpreter lock, so more "
-        "threads do not make it faster",
-    )
     _add_bound_param_flags(p_cal)
     p_cal.add_argument("--out", help="JSON output path (default stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import isfinite, isqrt, lcm, sqrt
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, TypeVar, Union
 
 Number = Union[Fraction, float, int]
 
@@ -106,25 +106,11 @@ def _merge_pairs(
     return tuple(values), tuple(masses)
 
 
-class _DerivedQueries:
-    """Queries built from ``mass``, ``tail`` and ``mass_at_least``."""
-
-    __slots__ = ()
-
-    def mass_at_most(self, t: Number) -> Number:
-        """Mass of the event {value <= t}."""
-        return self.mass - self.tail(t)
-
-    def interval_mass(self, a: Number, b: Number) -> Number:
-        """Mass of the closed interval [a, b]."""
-        if b < a:
-            zero = Fraction(0) if self.exact else 0.0
-            return zero
-        return self.mass_at_least(a) - self.tail(b)
+_M = TypeVar("_M", bound="_AtomicMeasure")
 
 
 @dataclass(frozen=True)
-class _AtomicMeasure(_DerivedQueries):
+class _AtomicMeasure:
     """Shared storage and queries for sorted atomic measures."""
 
     values: tuple[Number, ...]
@@ -139,6 +125,11 @@ class _AtomicMeasure(_DerivedQueries):
         for i in range(len(self.masses) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + self.masses[i]
         object.__setattr__(self, "_suffix", tuple(suffix))
+
+    @classmethod
+    def from_atoms(cls: type[_M], pairs: Iterable[tuple[Number, Number]], exact: bool = True) -> _M:
+        values, masses = _merge_pairs(pairs, exact)
+        return cls(values=values, masses=masses, exact=exact)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -156,6 +147,16 @@ class _AtomicMeasure(_DerivedQueries):
     def mass_at_least(self, t: Number) -> Number:
         """Mass of the event {value >= t}."""
         return self._suffix[bisect_left(self.values, t)]
+
+    def mass_at_most(self, t: Number) -> Number:
+        """Mass of the event {value <= t}."""
+        return self.mass - self.tail(t)
+
+    def interval_mass(self, a: Number, b: Number) -> Number:
+        """Mass of the closed interval [a, b]."""
+        if b < a:
+            return Fraction(0) if self.exact else 0.0
+        return self.mass_at_least(a) - self.tail(b)
 
     def mean(self) -> Number:
         zero = Fraction(0) if self.exact else 0.0
@@ -196,11 +197,6 @@ class SubMeasure(_AtomicMeasure):
         if total > limit:
             raise ValueError(f"sub-measure mass {total} exceeds 1")
 
-    @classmethod
-    def from_atoms(cls, pairs: Iterable[tuple[Number, Number]], exact: bool = True) -> "SubMeasure":
-        values, masses = _merge_pairs(pairs, exact)
-        return cls(values=values, masses=masses, exact=exact)
-
 
 @dataclass(frozen=True)
 class DiscreteRV(_AtomicMeasure):
@@ -217,17 +213,9 @@ class DiscreteRV(_AtomicMeasure):
         elif abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"masses must sum to 1 within {MASS_TOL}, got {total}")
 
-    @classmethod
-    def from_atoms(cls, pairs: Iterable[tuple[Number, Number]], exact: bool = True) -> "DiscreteRV":
-        values, masses = _merge_pairs(pairs, exact)
-        return cls(values=values, masses=masses, exact=exact)
-
     def variance(self) -> Number:
         m = self.mean()
         return self.second_moment() - m * m
-
-    def as_submeasure(self) -> SubMeasure:
-        return SubMeasure(values=self.values, masses=self.masses, exact=self.exact)
 
 
 @dataclass(frozen=True)
@@ -393,7 +381,7 @@ def _as_ratio(t: Number) -> tuple[int, int] | None:
     return t.numerator, t.denominator
 
 
-class LatticeMeasure(_DerivedQueries):
+class LatticeMeasure:
     """Exact atomic sub-measure held as integers on the grid (1/scale) Z.
 
     Atom ``i`` sits at ``values[i] / scale`` and carries mass
@@ -464,10 +452,6 @@ class LatticeMeasure(_DerivedQueries):
         so no ``Fraction`` is built, neither for the threshold nor for the mass.
         """
         return self._suffix_sums()[bisect_right(self.values, num * self.scale // den)], self.den
-
-    def tail_ratio(self, num: int, den: int) -> Fraction:
-        """Mass strictly above ``num / den``, read as :meth:`tail_pair`."""
-        return self.fraction(self.tail_pair(num, den)[0])
 
     def tail(self, z: Number) -> Fraction:
         """Mass strictly above ``z``."""

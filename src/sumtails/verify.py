@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -214,7 +213,12 @@ def verify_osipov(
 
 @dataclass
 class CorpusVerification:
-    """Aggregate result of the exact sweep over a corpus."""
+    """Aggregate result of the exact sweep over a corpus.
+
+    A cell is one (system, mode, z, w, y); ``cells`` counts the evaluated
+    ones and ``skipped`` those past the atom budget, so together they make
+    the whole grid.
+    """
 
     violations: list[tuple[int, str, OsipovViolation]]
     systems: int
@@ -235,20 +239,35 @@ def verify_corpus(
     *,
     p: Number = 2,
 ) -> CorpusVerification:
-    """Run :func:`verify_osipov` for every system and mode, sharing oracles."""
+    """Run :func:`verify_osipov` for every system and mode, sharing oracles.
+
+    A cell (z, w, y) is skipped when the capped sum at (z, w) or the
+    restriction at (z, y) was past the atom budget: a skip-log entry of
+    either stage stands for a whole row of cells.
+    """
     violations: list[tuple[int, str, OsipovViolation]] = []
-    skip_log: list = []
+    skipped = 0
     for idx, system in enumerate(corpus):
         oracle = SystemOracle(system)
         for mode in modes:
+            skip_log: list = []
             found = verify_osipov(
                 system, z_grid, w_grid, y_grid, mode, p=p, oracle=oracle, skip_log=skip_log
             )
             violations.extend((idx, mode, v) for v in found)
+            if skip_log:
+                capped = {(e["z"], e["w"]) for e in skip_log if e["stage"] == "capped-sum"}
+                restricted = {(e["z"], e["y"]) for e in skip_log if e["stage"] == "restricted"}
+                skipped += sum(
+                    (float(z), float(w)) in capped or (float(z), float(y)) in restricted
+                    for z in z_grid
+                    for y in _sweep_ys(z, y_grid, p)
+                    for w in w_grid
+                )
     ys_per_mode = sum(len(_sweep_ys(z, y_grid, p)) for z in z_grid)
-    cells = len(corpus) * len(modes) * len(w_grid) * ys_per_mode
+    grid = len(corpus) * len(modes) * len(w_grid) * ys_per_mode
     return CorpusVerification(
-        violations=violations, systems=len(corpus), cells=cells, skipped=len(skip_log)
+        violations=violations, systems=len(corpus), cells=grid - skipped, skipped=skipped
     )
 
 
@@ -369,20 +388,16 @@ def calibrate(
     a_grid: Sequence[Number] = DEFAULT_A_GRID,
     gaps: Sequence[Number] = DEFAULT_GAPS,
     mode: str = "winsorize",
-    workers: int = 1,
 ) -> CalibrationResult:
     """Empirical minimal constant over (corpus x grid) for one bound family.
 
-    Deterministic given (corpus, grids, params): cells are enumerated in a
-    fixed order, per-cell ratios are pure float computations, and the final
-    supremum is reduced sequentially, so the result is bit-identical for any
-    ``workers`` count.  Ties keep the earliest cell as witness.
+    Deterministic given (corpus, grids, params): one pass walks the systems
+    and their cells in a fixed order, and each per-cell ratio is a pure
+    float computation.  Ties keep the earliest cell as witness.
     """
     ratio = _ratio(bound_name)
     if not corpus:
         raise ValueError("calibration needs a nonempty corpus")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     check_mode(mode)
 
     zs = [float(z) for z in z_grid]
@@ -397,34 +412,24 @@ def calibrate(
     if concentration and not intervals:
         raise ValueError("calibration needs nonempty interval grids")
 
-    def system_cells(idx: int) -> list[tuple[float, dict]]:
-        oracle = SystemOracle(corpus[idx])
-        if concentration:
-            cells = [
-                {"system": idx, "i": i, "a": a, "b": b}
-                for i in range(corpus[idx].n)
-                for a, b in intervals
-            ]
-        else:
-            cells = [{"system": idx, "z": z} for z in zs]
-        ratio_at = ratio(oracle, params, mode)
-        return [(ratio_at(cell), cell) for cell in cells]
-
-    if workers <= 1:
-        per_system = [system_cells(i) for i in range(len(corpus))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_system = list(pool.map(system_cells, range(len(corpus))))
-
     a_min = -math.inf
     witness: dict = {}
     n_cells = 0
-    for chunk in per_system:
-        for ratio, cell in chunk:
+    for idx, system in enumerate(corpus):
+        ratio_at = ratio(SystemOracle(system), params, mode)
+        if concentration:
+            cells = (
+                {"system": idx, "i": i, "a": a, "b": b}
+                for i in range(system.n)
+                for a, b in intervals
+            )
+        else:
+            cells = ({"system": idx, "z": z} for z in zs)
+        for cell in cells:
             n_cells += 1
-            if ratio > a_min:
-                a_min = ratio
-                witness = cell
+            value = ratio_at(cell)
+            if value > a_min:
+                a_min, witness = value, cell
     grid_desc = {
         "mode": mode,
         "v": float(params.v),

@@ -153,9 +153,6 @@ def test_criterion_8_calibration_determinism(corpus):
         assert math.isfinite(first.a_min)
         assert first.a_min == second.a_min
         assert first.witness == second.witness
-        eight = st.calibrate(corpus, "theorem", params=params, mode="winsorize", workers=8)
-        assert first.a_min == eight.a_min
-        assert first.witness == eight.witness
         coarse = st.calibrate(
             corpus, "theorem", params=params, z_grid=[F(i, 2) for i in range(17)]
         )

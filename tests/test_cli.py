@@ -14,7 +14,8 @@ import pytest
 import sumtails as st
 from sumtails.cli import main
 
-#: CSV outputs captured before the command line's CSV writers were merged
+#: outputs captured before a refactor: the CSV before the command line's CSV writers
+#: were merged, the calibrate JSON before calibration became one serial pass
 GOLDEN = Path(__file__).parent / "golden"
 
 TWO_COINS = """\
@@ -246,35 +247,14 @@ class TestCalibrateCommand:
         assert result["a_min"] > 0
         assert "witness" in result
 
-    def test_workers_flag_reproducible(self, tmp_path):
-        outs = []
-        for workers, name in ((1, "w1.json"), (8, "w8.json")):
-            path = tmp_path / name
-            main(
-                [
-                    "calibrate",
-                    "--seed",
-                    "2",
-                    "--count",
-                    "6",
-                    "--bound",
-                    "concentration",
-                    "--workers",
-                    str(workers),
-                    "--out",
-                    str(path),
-                ]
-            )
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_nonpositive_workers_is_a_usage_error(self, capsys, workers):
-        argv = ["calibrate", "--seed", "1", "--count", "2", "--bound", "theorem"]
-        assert main([*argv, "--workers", workers]) == 2
-        out, err = capsys.readouterr()
-        assert err == f"error: workers must be >= 1, got {workers}\n"
-        assert out == ""
+    def test_output_matches_golden(self, tmp_path):
+        # witness ties and n_cells summed across twenty systems, for every bound
+        for bound in ("theorem", "concentration", "p4", "p5"):
+            path = tmp_path / f"{bound}.json"
+            argv = ["calibrate", "--seed", "1", "--count", "20", "--bound", bound]
+            assert main([*argv, "--out", str(path)]) == 0
+            golden = GOLDEN / f"calibrate_seed1_count20_{bound}.json"
+            assert path.read_bytes() == golden.read_bytes(), bound
 
 
 class TestExtremalCommand:

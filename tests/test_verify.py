@@ -1,5 +1,7 @@
 """Corpus generation, exact sweeps, calibration determinism, sharpness."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -90,6 +92,60 @@ class TestVerifySweep:
             small_corpus[:2], z_grid=[F(1), F(3)], w_grid=[F(1)], y_grid=[F(1, 2)]
         )
         assert result.cells == 2 * 2 * 1 * (1 + 2)
+
+    def test_forced_cap_counts_cells(self, monkeypatch):
+        # a capped-sum entry stands for |Y_z| cells and a restriction entry for |W|
+        from sumtails import verify
+
+        systems = [s for s in st.gen_corpus(st.CorpusSpec(seed=1, count=40)) if s.n == 4][:2]
+        z_grid = [F(0), F(1), F(2)]
+        oracle_at_cap = functools.partial(st.SystemOracle, cap=40)
+        log = []
+        for system in systems:
+            oracle = oracle_at_cap(system)
+            for mode in MODES:
+                found = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle, skip_log=log)
+                assert found == []
+        stages = [entry["stage"] for entry in log]
+        assert (stages.count("restricted"), stages.count("capped-sum")) == (30, 36)
+
+        monkeypatch.setattr(verify, "SystemOracle", oracle_at_cap)
+        result = st.verify_corpus(systems, z_grid=z_grid)
+        # |Y_z| is 4 at z = 0 and 3 at z = 1 and 2 (z / 2 is on the grid there)
+        assert result.cells + result.skipped == 2 * 2 * 3 * (4 + 3 + 3)
+        expected = 0
+        for system in systems:
+            oracle = oracle_at_cap(system)
+            for mode, z in itertools.product(MODES, z_grid):
+                ys = verify._sweep_ys(z, verify.DEFAULT_Y_GRID, 2)
+                for w, y in itertools.product(verify.DEFAULT_W_GRID, ys):
+                    try:
+                        oracle.delta(z, w, mode)
+                        oracle.q(z, y)
+                    except st.ConvolutionCapError:
+                        expected += 1
+        assert result.skipped == expected
+
+    def test_skipped_rows_overlap_once(self, small_corpus, monkeypatch):
+        # restriction at y = 1/2 skips 3 z x 3 w cells, the capped sum at
+        # (z, w) = (1, 1) skips the 3 y at z = 1, and the two share one cell
+        from sumtails import verify
+
+        class Budget(st.SystemOracle):
+            def q(self, z, y):
+                if y == F(1, 2):
+                    raise st.ConvolutionCapError("restriction over budget")
+                return super().q(z, y)
+
+            def delta(self, z, w, mode):
+                if (z, w) == (1, 1):
+                    raise st.ConvolutionCapError("capped sum over budget")
+                return super().delta(z, w, mode)
+
+        monkeypatch.setattr(verify, "SystemOracle", Budget)
+        z_grid = [F(0), F(1), F(2)]
+        result = st.verify_corpus(small_corpus[:1], z_grid=z_grid, modes=("winsorize",))
+        assert (result.cells, result.skipped) == (30 - 11, 11)
 
     def test_delta_matches_enumeration(self, small_corpus):
         for system in small_corpus[:6]:
@@ -227,13 +283,6 @@ class TestCalibrate:
         assert first.a_min > 0
         assert first == second
 
-    def test_worker_count_does_not_change_bits(self, small_corpus):
-        params = st.BoundParams(v=1, w=1, lam=0.5)
-        serial = st.calibrate(small_corpus, "theorem", params=params, workers=1)
-        parallel = st.calibrate(small_corpus, "theorem", params=params, workers=8)
-        assert serial.a_min == parallel.a_min
-        assert serial.witness == parallel.witness
-
     def test_witness_reproduces_a_min(self, small_corpus):
         for bound in ("theorem", "concentration", "p4", "p5"):
             result = st.calibrate(small_corpus, bound)
@@ -308,14 +357,6 @@ class TestCalibrate:
             st.calibration_ratio(small_corpus, "p6", {"system": 0, "z": 1.0})
         assert str(by_ratio.value) == str(by_calibrate.value)
         assert str(by_ratio.value).startswith("unknown bound 'p6'; expected one of")
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_nonpositive_workers_before_any_work(self, small_corpus, monkeypatch, workers):
-        from sumtails import verify
-
-        monkeypatch.setattr(verify, "SystemOracle", None)  # any work would raise TypeError
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            st.calibrate(small_corpus, "theorem", workers=workers)
 
 
 class TestExtremalFamily:
