@@ -172,13 +172,23 @@ class SystemOracle:
     the cache dictionaries are only grown, never mutated in place, and the
     profile and the lattice summands are assigned only once they are
     built, which keeps concurrent readers safe.
+
+    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
+    holds everything a sweep reads that does not depend on the capping
+    mode, so the second mode of a sweep on one oracle asks no max tail, Q
+    or Q* again.  It is keyed by the ``_key`` tuples of the sweep's y grid,
+    p and w grid; an entry holds the per-w P1 and sum_i P(X_i > w) and a
+    dictionary keyed by (type of z, ``_key(z)``) (the type decides whether
+    the scaled y is exact) whose values are the :func:`_y_terms` y values
+    past the atom budget and, per w, the :func:`_p23_pairs` of each term
+    next to the term.  :func:`p_bounds` does not use it.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
         self.system = system
         self.cap = cap
         self._law_sum: dict[None, Law] = {}
-        self._law_capped: dict[tuple[Number, str], Law] = {}
+        self._law_capped: dict[tuple[object, str], Law] = {}
         self._signatures: dict[object, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
@@ -187,6 +197,7 @@ class SystemOracle:
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
         self._mu_p: dict[Number, Number] = {}
+        self._sweeps: dict[tuple, tuple[list, dict]] = {}
         self._profile: tuple | None = None
         self._lattice: list[LatticeMeasure] | None = None
 
@@ -242,13 +253,16 @@ class SystemOracle:
         """``combine`` applied to the summands capped at level w."""
         return combine(self._laws([capped_sum_rv(rv, w, mode) for rv in self.system.rvs]))
 
+    def _raw_sum(self) -> Law:
+        return self._chain(self._laws(self.system.rvs))
+
     def law_sum(self) -> Law:
         """Exact law of the raw sum S."""
-        return self._memo(self._law_sum, None, lambda: self._chain(self._laws(self.system.rvs)))
+        return self._memo(self._law_sum, None, self._raw_sum)
 
     def law_capped(self, w: Number, mode: str) -> Law:
-        """Exact law of the capped sum S_bar at level w."""
-        return self._memo(self._law_capped, (w, mode), self._capped, self._chain, w, mode)
+        """Exact law of the capped sum S_bar at level w, cached by ``(_key(w), mode)``."""
+        return self._memo(self._law_capped, (_key(w), mode), self._capped, self._chain, w, mode)
 
     def _lattice_rvs(self) -> list[LatticeMeasure]:
         """The exact system's summands on their common integer lattice, built once."""
@@ -464,7 +478,7 @@ def scaled_y(z: Number, p: Number) -> Number:
     Exact for an exact ``z`` and an integer ``p``, float otherwise.
     """
     if isinstance(z, (Fraction, int)) and float(p).is_integer():
-        return z / (1 + Fraction(int(p), 2))
+        return Fraction(2 * z.numerator, z.denominator * (2 + int(p)))  # z / (1 + p/2)
     return float(z) / (1.0 + float(p) / 2.0)
 
 

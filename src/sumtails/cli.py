@@ -223,7 +223,11 @@ _EXTREMAL_COLUMNS = (
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
-    reports = [extremal_report(n, float(args.v)) for n in args.n_list]
+    try:
+        v = float(args.v)
+    except OverflowError:
+        raise ValueError(f"--v must be at most {sys.float_info.max!r}") from None
+    reports = [extremal_report(n, v) for n in args.n_list]
     rows = [[getattr(r, k) for k in _EXTREMAL_COLUMNS] for r in reports]
     if args.format == "csv":
         _emit(_csv_text(_EXTREMAL_COLUMNS, rows), args.out)
@@ -302,6 +306,8 @@ def _check_u_grid(u_min: float, u_max: float, u_step: float) -> None:
 
 
 def _cmd_young(args: argparse.Namespace) -> int:
+    if args.k is not None and not math.isfinite(args.k):
+        raise ValueError(f"--k must be finite, got {args.k!r}")
     _check_u_grid(args.u_min, args.u_max, args.u_step)
     if args.k is not None:
         us = np.arange(args.u_min, args.u_max + args.u_step / 2, args.u_step)

@@ -111,7 +111,12 @@ _M = TypeVar("_M", bound="_AtomicMeasure")
 
 @dataclass(frozen=True)
 class _AtomicMeasure:
-    """Shared storage and queries for sorted atomic measures."""
+    """Shared storage and queries for sorted atomic measures.
+
+    At a NaN threshold every query counts no atom, as no comparison with
+    NaN holds (bisection alone would count all of them for
+    :meth:`mass_at_least` and :meth:`mass_at_most`).
+    """
 
     values: tuple[Number, ...]
     masses: tuple[Number, ...]
@@ -146,16 +151,20 @@ class _AtomicMeasure:
 
     def mass_at_least(self, t: Number) -> Number:
         """Mass of the event {value >= t}."""
+        if t != t:
+            return self._suffix[-1]
         return self._suffix[bisect_left(self.values, t)]
 
     def mass_at_most(self, t: Number) -> Number:
         """Mass of the event {value <= t}."""
+        if t != t:
+            return self._suffix[-1]
         return self.mass - self.tail(t)
 
     def interval_mass(self, a: Number, b: Number) -> Number:
         """Mass of the closed interval [a, b]."""
-        if b < a:
-            return Fraction(0) if self.exact else 0.0
+        if not a <= b:  # empty, or a NaN endpoint
+            return self._suffix[-1]
         return self.mass_at_least(a) - self.tail(b)
 
     def mean(self) -> Number:
@@ -560,8 +569,14 @@ def convolve(
 
 
 def max_tail(system: System, y: Number) -> Number:
-    """P(max_i X_i > y) = 1 - prod_i P(X_i <= y), exact under independence."""
+    """P(max_i X_i > y) = 1 - prod_i P(X_i <= y), exact under independence.
+
+    At a NaN y it is 0, as :meth:`~_AtomicMeasure.tail` is: no comparison
+    with NaN holds.
+    """
     one = Fraction(1) if system.exact else 1.0
+    if y != y:
+        return one - one
     prod = one
     for rv in system.rvs:
         prod *= rv.mass_at_most(y)

@@ -79,8 +79,8 @@ class SamplerSpec:
     * ``standardized-exponential``: (E - 1)/sqrt(n) with E ~ Exp(1);
     * ``standardized-two-point``: the centered unit-variance two-point law
       with P(positive value) = q, scaled by 1/sqrt(n);
-    * ``standardized-pareto``: standardized Pareto with shape ``alpha`` > 2
-      (finite variance), scaled by 1/sqrt(n).
+    * ``standardized-pareto``: standardized Pareto with a finite shape
+      ``alpha`` > 2 (finite variance), scaled by 1/sqrt(n).
     """
 
     family: str
@@ -100,8 +100,10 @@ class SamplerSpec:
                 raise ValueError(f"n must be >= 1, got {self.n}")
         if self.family == "standardized-two-point" and not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
-        if self.family == "standardized-pareto" and not self.alpha > 2.0:
-            raise ValueError(f"alpha must exceed 2 for finite variance, got {self.alpha}")
+        if self.family == "standardized-pareto" and not 2.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be finite and exceed 2 for finite variance, got {self.alpha}"
+            )
 
     @property
     def n_summands(self) -> int:

@@ -23,7 +23,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import (
-    BoundParams, SystemOracle, _p23_pairs, _p23_values, _parts, _y_terms, normal_tail, scaled_y
+    BoundParams,
+    SystemOracle,
+    _key,
+    _p23_pairs,
+    _p23_values,
+    _parts,
+    _y_terms,
+    normal_tail,
+    scaled_y,
 )
 from .discrete import WINSOR_MODES, ConvolutionCapError, DiscreteRV, Number, System, check_mode
 # mu_p is read through SystemOracle.mu_p_at; the name stays here because
@@ -167,44 +175,60 @@ def verify_osipov(
     """Exact check of 0 <= Delta_w(z) <= min(P1, P2(y), P3(y)) over the grids.
 
     The y values at each z are :func:`_sweep_ys`: the grid plus the scaled
-    choice z / (1 + p/2).  P2 and P3 are compared as the cross-multiplied
-    pairs of :func:`~sumtails.bounds._p23_pairs` and built as numbers only
-    for a violation.  Cells whose convolutions exceed the atom budget are
-    appended to ``skip_log`` instead of failing the sweep.  The expected
-    result is an empty list: these inequalities are theorems.
+    choice z / (1 + p/2).  Every verdict cross-multiplies (numerator,
+    denominator) pairs: integers for exact values, ``(x, 1.0)`` for floats.
+    P2 and P3 are the pairs of :func:`~sumtails.bounds._p23_pairs` and are
+    built as numbers only for a violation.  What does not depend on
+    ``mode`` (P1, the y terms and the P2/P3 pairs) is kept in the oracle's
+    ``_sweeps`` memo, so a sweep of the other mode on the same oracle reads
+    it instead of asking the oracle again.  Cells whose convolutions exceed
+    the atom budget are appended to ``skip_log`` instead of failing the
+    sweep.  The expected result is an empty list: these inequalities are
+    theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
     skip_log = skip_log if skip_log is not None else []
     violations: list[OsipovViolation] = []
-    per_w = []
-    for w in w_grid:
-        p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
-        per_w.append((w, p1, sum_exc, _parts(p1), _parts(sum_exc)))
+    grid = (tuple(map(_key, y_grid)), _key(p), tuple(map(_key, w_grid)))
+    sweep = oracle._sweeps.get(grid)
+    if sweep is None:
+        per_w = []
+        for w in w_grid:
+            p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
+            per_w.append((w, float(w), p1, sum_exc, _parts(p1), _parts(sum_exc)))
+        sweep = oracle._sweeps[grid] = (per_w, {})
+    per_w, at_z = sweep
 
     for z in z_grid:
-        terms, capped = _y_terms(oracle, z, _sweep_ys(z, y_grid, p))
-        skip_log.extend({"z": float(z), "y": float(y), "stage": "restricted"} for y in capped)
-        for w, p1, sum_exc, p1_parts, exc_parts in per_w:
+        zf, zkey = float(z), (type(z), _key(z))
+        entry = at_z.get(zkey)
+        if entry is None:
+            terms, capped = _y_terms(oracle, z, _sweep_ys(z, y_grid, p))
+            rows = [
+                [(*_p23_pairs(term, exc_parts, p1_parts), term) for term in terms]
+                for *_, p1_parts, exc_parts in per_w
+            ]
+            entry = at_z[zkey] = (capped, rows)
+        capped, rows = entry
+        skip_log.extend({"z": zf, "y": float(y), "stage": "restricted"} for y in capped)
+        for (w, wf, p1, sum_exc, (p1n, p1d), _), row in zip(per_w, rows):
             try:
                 delta = oracle.delta(z, w, mode)
             except ConvolutionCapError:
-                skip_log.append({"z": float(z), "w": float(w), "stage": "capped-sum"})
+                skip_log.append({"z": zf, "w": wf, "stage": "capped-sum"})
                 continue
-            if delta < 0:
-                violations.append(
-                    OsipovViolation(float(z), float(w), None, "nonneg", delta, 0)
-                )
-            if delta > p1:
-                violations.append(OsipovViolation(float(z), float(w), None, "p1", delta, p1))
             dn, dd = _parts(delta)
-            for term in terms:
-                n2, d2, n3, d3 = _p23_pairs(term, exc_parts, p1_parts)
+            if dn < 0:
+                violations.append(OsipovViolation(zf, wf, None, "nonneg", delta, 0))
+            if dn * p1d > p1n * dd:
+                violations.append(OsipovViolation(zf, wf, None, "p1", delta, p1))
+            for n2, d2, n3, d3, term in row:
                 over2, over3 = dn * d2 > dd * n2, dn * d3 > dd * n3
                 if over2 or over3:
                     values = _p23_values(term, term, sum_exc, p1)
                     violations += [
-                        OsipovViolation(float(z), float(w), float(term[0]), name, delta, value)
+                        OsipovViolation(zf, wf, float(term[0]), name, delta, value)
                         for name, value, bad in zip(("p2", "p3"), values, (over2, over3))
                         if bad
                     ]

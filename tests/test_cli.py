@@ -265,6 +265,12 @@ class TestExtremalCommand:
         assert [row["n"] for row in rows] == [2, 101]
         assert rows[1]["ratio"] == pytest.approx(rows[1]["ratio_closed_form"], abs=1e-12)
 
+    def test_v_beyond_float_is_a_usage_error(self, capsys):
+        assert main(["extremal", "--v=1e400"]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --v must be at most {sys.float_info.max!r}\n"
+        assert out == ""
+
     def test_empty_list_csv_is_the_header_alone(self, capsys):
         assert main(["extremal", "--format", "csv", "--n-list", ","]) == 0
         header = (GOLDEN / "extremal.csv").read_text().splitlines(keepends=True)[0]
@@ -414,6 +420,17 @@ class TestMcCommand:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_pareto_alpha_not_finite_is_a_usage_error(self, capsys, monkeypatch, alpha):
+        from sumtails import cli
+
+        monkeypatch.setattr(cli, "mc_tails", None)  # a run would raise TypeError
+        argv = ["mc", "--family", "standardized-pareto", "--n", "4", "--alpha", alpha]
+        assert main([*argv, "--samples", "1000", "--seed", "1", "--z-grid", "0:2:100"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: alpha must be finite and exceed 2") and err.count("\n") == 1
+        assert out == ""
+
     def test_explicit_default_bound_scale_changes_nothing(self, capsys):
         argv = ["mc", "--family", "standardized-exponential", "--n", "4", "--samples", "2000"]
         argv += ["--seed", "1", "--check-bounds", "--w", "1/4"]
@@ -527,6 +544,19 @@ class TestYoungCommand:
         assert main(["young", *k, *flags]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+    def test_k_not_finite_is_a_usage_error(self, capsys, monkeypatch, k):
+        from sumtails import cli
+
+        def no_work(*_args):
+            raise AssertionError("k is checked before any work")
+
+        monkeypatch.setattr(cli, "young_delta", no_work)
+        assert main(["young", f"--k={k}"]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --k must be finite, got {float(k)!r}\n"
         assert out == ""
 
     def test_boundary_violation_witness(self, capsys):

@@ -346,6 +346,26 @@ class TestTailQueries:
         assert law.interval_mass(0, 0) == F(1, 2)
         assert law.interval_mass(F(1, 2), F(1, 4)) == 0  # empty interval
 
+    def test_nan_threshold_counts_no_atom(self):
+        # no comparison with NaN holds, on float, exact and lattice measures alike
+        nan = float("nan")
+        pairs = [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
+        exact = st.DiscreteRV.from_atoms(pairs)
+        floats = st.DiscreteRV.from_atoms([(float(x), float(p)) for x, p in pairs], exact=False)
+        (lattice,) = to_lattice([exact])
+        for law in (floats, exact, lattice):
+            queries = [
+                law.tail(nan),
+                law.mass_at_least(nan),
+                law.interval_mass(nan, 1.0),
+                law.interval_mass(-1.0, nan),
+            ]
+            if law is not lattice:  # the lattice measure has no mass_at_most
+                queries.append(law.mass_at_most(nan))
+            assert queries == [0] * len(queries)
+            assert all(type(q) is type(law.tail(1.0)) for q in queries)
+        assert st.max_tail(st.System(rvs=(exact, exact), unit_variance=False), nan) == 0
+
 
 class TestFloatMode:
     def test_float_queries_are_reproducible(self):

@@ -158,6 +158,12 @@ class TestFamilies:
         with pytest.raises(ValueError, match="alpha"):
             st.SamplerSpec(family="standardized-pareto", n=2, alpha=2.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_pareto_needs_finite_alpha(self, alpha):
+        # an infinite shape passed `alpha > 2` and made every summand NaN
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            st.SamplerSpec(family="standardized-pareto", n=4, alpha=alpha)
+
     def test_two_point_q_validation(self):
         with pytest.raises(ValueError, match="q"):
             st.SamplerSpec(family="standardized-two-point", n=2, q=1.5)

@@ -228,6 +228,29 @@ class TestSweepVerdicts:
             assert found
             assert all(type(v.bound_value) is float for v in found)
 
+    def test_nonneg_and_p1_verdicts_exact(self, small_corpus):
+        found = []
+        for system in small_corpus[:6]:
+            for mode in MODES:
+                oracle = ShiftedDelta(system)
+                violations = st.verify_osipov(system, mode=mode, oracle=oracle)
+                assert violations == reference_violations(system, oracle, DEFAULT_Z, mode)
+                found += violations
+        assert {"nonneg", "p1"} <= {v.bound for v in found}
+        assert all(type(v.delta) is F for v in found)
+
+    def test_nonneg_and_p1_verdicts_float(self):
+        system, _ = st.extremal_system(5)
+        z_grid = [F(n, 4) for n in range(13)]
+        found = []
+        for mode in MODES:
+            oracle = ShiftedDelta(system)
+            violations = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle)
+            assert violations == reference_violations(system, oracle, z_grid, mode)
+            found += violations
+        assert {"nonneg", "p1"} <= {v.bound for v in found}
+        assert all(type(v.delta) is float for v in found)
+
     @given(
         seed=hyp.integers(min_value=0, max_value=10**6),
         factor=hyp.sampled_from([F(0), F(1, 16), F(1, 4), F(1, 2), F(1)]),
@@ -240,6 +263,102 @@ class TestSweepVerdicts:
         oracle = ScaledConcentration(system, factor)
         found = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle)
         assert found == reference_violations(system, oracle, z_grid, mode)
+
+
+class CountingOracle(st.SystemOracle):
+    """Counts the max tail, Q and Q* lookups a sweep makes."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.lookups = 0
+
+    def max_tail_at(self, t):
+        self.lookups += 1
+        return super().max_tail_at(t)
+
+    def q(self, z, y):
+        self.lookups += 1
+        return super().q(z, y)
+
+    def qstar(self, z, y):
+        self.lookups += 1
+        return super().qstar(z, y)
+
+
+def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2)):
+    """(violations, skip log) of a sweep in each mode, on ``oracles[i]`` with p = ``ps[i]``."""
+    out = []
+    for mode, oracle, p in zip(MODES, oracles, ps):
+        log = []
+        found = st.verify_osipov(system, z_grid, mode=mode, p=p, oracle=oracle, skip_log=log)
+        out.append((found, log))
+    return out
+
+
+class TestSweepMemo:
+    """The second mode of a sweep on one oracle reuses the y terms, P1 and P2/P3 pairs."""
+
+    @pytest.mark.parametrize("factor", [F(0), F(1, 4)])
+    def test_shared_oracle_matches_fresh_oracles(self, small_corpus, factor):
+        found = []
+        for system in small_corpus[:6]:
+            shared = ScaledConcentration(system, factor)
+            fresh = [ScaledConcentration(system, factor) for _ in MODES]
+            assert sweeps(system, [shared, shared]) == sweeps(system, fresh)
+            found += sweeps(system, fresh)
+        if factor == 0:
+            assert any(violations for violations, _ in found)
+
+    def test_shared_oracle_matches_fresh_oracles_at_cap(self):
+        systems = [s for s in st.gen_corpus(st.CorpusSpec(seed=1, count=40)) if s.n == 4][:2]
+        z_grid = [F(0), F(1), F(2)]
+        logs = []
+        for system in systems:
+            shared = st.SystemOracle(system, cap=40)
+            fresh = [st.SystemOracle(system, cap=40) for _ in MODES]
+            got = sweeps(system, [shared, shared], z_grid)
+            assert got == sweeps(system, fresh, z_grid)
+            logs += [log for _, log in got]
+        stages = [entry["stage"] for log in logs for entry in log]
+        assert (stages.count("restricted"), stages.count("capped-sum")) == (30, 36)
+
+    def test_other_grid_is_not_reused(self, small_corpus):
+        # p = 4 moves the scaled y, so the second sweep must not read the first's terms
+        for system in small_corpus[:3]:
+            oracle = ScaledConcentration(system, F(0))
+            fresh = [ScaledConcentration(system, F(0)) for _ in MODES]
+            assert sweeps(system, [oracle, oracle], ps=(2, 4)) == sweeps(system, fresh, ps=(2, 4))
+
+    def test_second_mode_asks_no_lookup(self, small_corpus):
+        for system in small_corpus[:6]:
+            oracle = CountingOracle(system)
+            st.verify_osipov(system, mode="winsorize", oracle=oracle)
+            assert oracle.lookups > 0
+            oracle.lookups = 0
+            st.verify_osipov(system, mode="truncate", oracle=oracle)
+            assert oracle.lookups == 0
+
+
+class ShiftedDelta(st.SystemOracle):
+    """Delta_w(z) moved onto P1, above P1, below 0 or onto 0, by the position of z.
+
+    Delta <= P1 is a theorem, so no true oracle reaches a nonneg or P1
+    violation; these four cases hit both verdicts and their boundaries.
+    """
+
+    def delta(self, z, w, mode):
+        delta = super().delta(z, w, mode)
+        p1 = self.max_tail_at(w)
+        case = int(4 * z) % 5
+        if case == 1:
+            return p1
+        if case == 2:
+            return p1 + (p1 + 1) / 64
+        if case == 3:
+            return delta - delta - (p1 + 1) / 64
+        if case == 4:
+            return delta - delta
+        return delta
 
 
 class TestPBoundsAgreesWithSweep:
