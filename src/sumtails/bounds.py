@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,12 +75,14 @@ _EXACT_TYPES = (Fraction, int)
 def _key(x: object) -> object:
     """The memo key of a query argument, which hashes no ``Fraction``.
 
-    A ``Fraction`` becomes its (numerator, denominator) pair; anything else
-    is its own key.  The exact type test is used because ``isinstance``
-    against ``Fraction``, an abstract-base-class subclass, is slow for the
-    floats that float queries pass.
+    An exact value (``Fraction`` or ``int``) becomes its (numerator,
+    denominator) pair and a float is its own key, so 3 and 3.0, which
+    ``_q_pair`` reads differently, never share an entry.  The exact type
+    test is used because ``isinstance`` against ``Fraction``, an
+    abstract-base-class subclass, is slow for the floats that float queries
+    pass.
     """
-    return (x.numerator, x.denominator) if type(x) is Fraction else x
+    return (x.numerator, x.denominator) if type(x) in _EXACT_TYPES else x
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,12 @@ class BoundParams:
                 raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
             if not value > 0:
                 raise ValueError(f"constant {name!r} must be positive, got {value}")
+
+    def check_float_range(self) -> None:
+        """Raise ``ValueError`` if v or w is too large to be read as a float."""
+        for name in ("v", "w"):
+            if getattr(self, name) > sys.float_info.max:
+                raise ValueError(f"parameter {name} must be at most {sys.float_info.max!r}")
 
     def constant(self, name: str) -> tuple[float, bool]:
         """Return (value, defaulted) for a named constant."""
@@ -178,10 +187,9 @@ class SystemOracle:
     mode, so the second mode of a sweep on one oracle asks no max tail, Q
     or Q* again.  It is keyed by the ``_key`` tuples of the sweep's y grid,
     p and w grid; an entry holds the per-w P1 and sum_i P(X_i > w) and a
-    dictionary keyed by (type of z, ``_key(z)``) (the type decides whether
-    the scaled y is exact) whose values are the :func:`_y_terms` y values
-    past the atom budget and, per w, the :func:`_p23_pairs` of each term
-    next to the term.  :func:`p_bounds` does not use it.
+    dictionary keyed by ``_key(z)`` whose values are the :func:`_y_terms`
+    y values past the atom budget and, per w, the :func:`_p23_pairs` of
+    each term next to the term.  :func:`p_bounds` does not use it.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):

@@ -223,11 +223,9 @@ _EXTREMAL_COLUMNS = (
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
-    try:
-        v = float(args.v)
-    except OverflowError:
-        raise ValueError(f"--v must be at most {sys.float_info.max!r}") from None
-    reports = [extremal_report(n, v) for n in args.n_list]
+    if args.v > sys.float_info.max:
+        raise ValueError(f"--v must be at most {sys.float_info.max!r}")
+    reports = [extremal_report(n, float(args.v)) for n in args.n_list]
     rows = [[getattr(r, k) for k in _EXTREMAL_COLUMNS] for r in reports]
     if args.format == "csv":
         _emit(_csv_text(_EXTREMAL_COLUMNS, rows), args.out)

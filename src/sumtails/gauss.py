@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "GaussEval",
-    "erf",
     "erfc",
     "erfcx",
     "mills",
@@ -140,13 +139,6 @@ def erfc(x: float) -> float:
     else:
         result = _erfcx_core(y) * _exp_neg_sq(y)
     return 2.0 - result if x < 0.0 else result
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    if abs(x) <= _THRESH:
-        return _erf_small(x)
-    return 1.0 - erfc(x)
 
 
 def erfcx(x: float) -> float:

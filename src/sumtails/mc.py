@@ -7,22 +7,23 @@ matter how many workers execute the blocks.  Per-z tail counts are integers
 counted against one shared sorted sample set, which makes the estimated
 tails mutually consistent and monotone in z by construction.
 
-Memory per worker does not grow with the sample count.  The i.i.d.
-families draw a block in row slabs of at most ``SLAB_CELLS`` summands (one
-row when n is larger), so a worker holds at most max(``SLAB_CELLS``, n)
-draws plus the block's two vectors of raw and capped sums.  The values and
-sums are those of one full-block draw, because these families draw
-row-major from the block's one stream and each row is summed on its own.
-``discrete-system`` still holds the whole ``BLOCK_SIZE`` x n matrix: it draws
-column by column, so a slab would take other values from the stream, and
-summing its columns one at a time does not round like numpy's row sums.
+Memory per worker grows neither with the sample count nor, past one row,
+with n.  Every family draws a block in row slabs of at most ``SLAB_CELLS``
+summands (one row when n is larger), so a worker holds one slab buffer of at
+most max(``SLAB_CELLS``, n) draws, for ``discrete-system`` a slab of
+uniforms and a temporary besides, and the block's two vectors of raw and
+capped sums.  These are the values and sums of one full-block draw, because
+every family draws row-major from the block's one stream and each row is
+summed on its own.
 
 Each block call allocates one slab buffer and reuses it for every slab: the
 generator draws into it (a short last slab uses its first rows), the
-two-point values are selected into it, and the cap overwrites it once the
-raw sums are taken.  Allocating per slab would free and page-fault back the
-same memory on every slab.  The buffer belongs to its block call, never to
-the module, because ``workers > 1`` runs blocks on threads.
+two-point and discrete values are selected into it, and the cap overwrites
+it once the raw sums are taken.  Allocating per slab would free and
+page-fault back the same memory on every slab (reusing a uniform buffer for
+``discrete-system`` measured no faster, so it allocates its uniforms per
+slab).  The buffer belongs to its block call, never to the module, because
+``workers > 1`` runs blocks on threads.
 
 Confidence intervals are exact binomial (Clopper-Pearson) at 99%, since the
 deep-tail counts these sweeps care about are tiny and normal-approximation
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +68,7 @@ MODES = ("raw", *WINSOR_MODES)
 
 #: samples per Philox substream; fixed so worker count cannot change results
 BLOCK_SIZE = 1 << 16
-#: most summand draws an i.i.d. block holds at once: it draws slabs of
+#: most summand draws a block holds at once: it draws slabs of
 #: max(1, SLAB_CELLS // n) rows, which keeps the Philox stream and the sums
 SLAB_CELLS = 1 << 16
 
@@ -92,12 +94,10 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "discrete-system":
-            if self.system is None:
-                raise ValueError("family 'discrete-system' needs a system")
-        else:
-            if self.n < 1:
-                raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.family == "discrete-system" and self.system is None:
+            raise ValueError("family 'discrete-system' needs a system")
+        if self.family != "discrete-system" and self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.family == "standardized-two-point" and not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         if self.family == "standardized-pareto" and not 2.0 < self.alpha < math.inf:
@@ -108,6 +108,25 @@ class SamplerSpec:
     @property
     def n_summands(self) -> int:
         return self.system.n if self.family == "discrete-system" else self.n
+
+    @cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A ``discrete-system``'s inverse CDF on float bits, built once per spec.
+
+        The first atoms, shape (n,); each atom XOR the one before it, shape
+        (k - 1, n); and the cumulative masses at which a uniform passes to it,
+        normalized so that the left-out last one is 1.0, and +inf past a
+        summand's own atoms.
+        """
+        rvs = self.system.rvs
+        k = max(len(rv.values) for rv in rvs)
+        values, thresholds = np.zeros((k, len(rvs))), np.full((k - 1, len(rvs)), np.inf)
+        for j, rv in enumerate(rvs):
+            values[: len(rv.values), j] = [float(x) for x in rv.values]
+            cdf = np.cumsum([float(p) for p in rv.masses])
+            thresholds[: len(cdf) - 1, j] = cdf[:-1] / cdf[-1]
+        bits = values.view(np.uint64)
+        return bits[0], bits[1:] ^ bits[:-1], thresholds
 
 
 @dataclass(frozen=True)
@@ -182,23 +201,24 @@ def _draw_summands(
 ) -> np.ndarray:
     """Matrix of raw summand draws, shape (size, n_summands).
 
-    An i.i.d. family given ``buf``, a float matrix of n columns and at least
-    ``size`` rows, draws into its first ``size`` rows and returns that view.
+    Given ``buf``, a float matrix of n columns and at least ``size`` rows,
+    it draws into the first ``size`` rows and returns that view.
     """
+    n = spec.n_summands
+    out = np.empty((size, n)) if buf is None else buf[:size]
     if spec.family == "discrete-system":
-        cols = []
-        for rv in spec.system.rvs:
-            values = np.array([float(x) for x in rv.values])
-            probs = np.array([float(p) for p in rv.masses])
-            probs = probs / probs.sum()
-            idx = rng.choice(len(values), size=size, p=probs)
-            cols.append(values[idx])
-        return np.column_stack(cols)
+        # inverse CDF on the bit patterns, as for the two-point family: the
+        # first atom XOR every change whose threshold the uniform reaches
+        first, changes, thresholds = spec._inverse_cdf
+        u = rng.random((size, n))
+        bits = out.view(np.uint64)
+        np.copyto(bits, first)
+        for change, threshold in zip(changes, thresholds):
+            bits ^= (u >= threshold) * change
+        return out
     # the IEEE operations of the plain expressions, such as (e - 1.0) * scale,
     # done in place or on the two-point constants: same values, fewer copies
-    n = spec.n
     scale = 1.0 / math.sqrt(n)
-    out = np.empty((size, n)) if buf is None else buf[:size]
     if spec.family == "standardized-exponential":
         rng.standard_exponential(out=out)
         out -= 1.0
@@ -251,13 +271,10 @@ def _tail_counts(
         start = block * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_samples - start)
         rng = _block_rng(seed, block)
-        # row slabs give the sums of one full-block draw for the i.i.d.
-        # families only; one buffer serves every slab (see the module docstring)
-        if spec.family == "discrete-system":
-            rows, buf = size, None
-        else:
-            rows = min(size, max(1, SLAB_CELLS // spec.n))
-            buf = np.empty((rows, spec.n))
+        # row slabs give the sums of one full-block draw, and one buffer
+        # serves every slab (see the module docstring)
+        rows = min(size, max(1, SLAB_CELLS // spec.n_summands))
+        buf = np.empty((rows, spec.n_summands))
         s_raw = np.empty(size)
         s_bar = None if w is None else np.empty(size)
         for lo in range(0, size, rows):
@@ -280,12 +297,7 @@ def _tail_counts(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_block, range(n_blocks)))
-    raw_total = np.zeros(len(z_grid), dtype=np.int64)
-    bar_total = np.zeros(len(z_grid), dtype=np.int64)
-    for raw, bar in results:
-        raw_total += raw
-        bar_total += bar
-    return raw_total, bar_total
+    return tuple(np.sum(results, axis=0, dtype=np.int64))
 
 
 def mc_tails(
@@ -384,15 +396,14 @@ def mc_check_bounds(
     """
     check_mode(mode)
     _check_run(n_samples, seed, workers)
+    params.check_float_range()
     if not 0 < bound_scale < math.inf:
         raise ValueError(f"bound_scale must be finite and positive, got {bound_scale!r}")
     w = float(params.w)
     zs = np.asarray([float(z) for z in z_grid], dtype=float)
     raw, bar = _tail_counts(spec, zs, n_samples, seed, w, mode, workers)
 
-    exact_oracle = None
-    if spec.family == "discrete-system":
-        exact_oracle = SystemOracle(spec.system)
+    exact_oracle = SystemOracle(spec.system) if spec.family == "discrete-system" else None
 
     rows = []
     for z, k_raw, k_bar in zip(zs, raw, bar):
@@ -401,18 +412,11 @@ def mc_check_bounds(
         k_delta = int(k_raw - k_bar)
         lo, hi = clopper_pearson(k_delta, n_samples)
         if exact_oracle is not None:
-            report = p_bounds(spec.system, float(z), params, mode, oracle=exact_oracle)
-            p1 = float(report.p1)
-            p2 = None if report.p2 is None else float(report.p2)
-            p3 = None if report.p3 is None else float(report.p3)
-            bound = min(p for p in (p1, p2, p3) if p is not None)
+            r = p_bounds(spec.system, float(z), params, mode, oracle=exact_oracle)
+            p1, p2, p3 = (None if p is None else float(p) for p in (r.p1, r.p2, r.p3))
         else:
-            n = spec.n_summands
-            p1 = 1.0 - summand_cdf(spec, w) ** n
-            p2 = None
-            p3 = None
-            bound = p1
-        bound *= bound_scale
+            p1, p2, p3 = 1.0 - summand_cdf(spec, w) ** spec.n, None, None
+        bound = min(p for p in (p1, p2, p3) if p is not None) * bound_scale
         rows.append(
             BoundCheckRow(
                 z=float(z),

@@ -46,6 +46,8 @@ DEFAULT_Y_GRID: tuple[Fraction, ...] = DEFAULT_W_GRID
 DEFAULT_A_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 2) for i in range(-4, 9))
 #: interval widths b - a for concentration calibration
 DEFAULT_GAPS: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2))
+#: most summands :func:`extremal_system` builds; larger n needs :func:`extremal_report`
+MAX_MATERIALIZE = 100_000
 
 # ---------------------------------------------------------------------------
 # Corpus generation
@@ -201,7 +203,7 @@ def verify_osipov(
     per_w, at_z = sweep
 
     for z in z_grid:
-        zf, zkey = float(z), (type(z), _key(z))
+        zf, zkey = float(z), _key(z)
         entry = at_z.get(zkey)
         if entry is None:
             terms, capped = _y_terms(oracle, z, _sweep_ys(z, y_grid, p))
@@ -423,6 +425,7 @@ def calibrate(
     if not corpus:
         raise ValueError("calibration needs a nonempty corpus")
     check_mode(mode)
+    params.check_float_range()
 
     zs = [float(z) for z in z_grid]
     if bound_name in ("p4", "p5"):
@@ -532,9 +535,7 @@ def extremal_report(n: int, v: float = 1.0) -> SharpnessReport:
     )
 
 
-def extremal_system(
-    n: int, v: float = 1.0, *, max_materialize: int = 100_000
-) -> tuple[System, SharpnessReport]:
+def extremal_system(n: int, v: float = 1.0) -> tuple[System, SharpnessReport]:
     """Materialize the extremal family as a float-mode :class:`System`.
 
     Summands are fair two-point variables (+-x and +-y), the unique
@@ -542,9 +543,9 @@ def extremal_system(
     n use :func:`extremal_report`, which needs no materialization.
     """
     report = extremal_report(n, v)
-    if n > max_materialize:
+    if n > MAX_MATERIALIZE:
         raise ValueError(
-            f"n={n} exceeds the materialization limit {max_materialize}; "
+            f"n={n} exceeds the materialization limit {MAX_MATERIALIZE}; "
             "use extremal_report for the numbers alone"
         )
     heavy = DiscreteRV.from_atoms([(-report.x, 0.5), (report.x, 0.5)], exact=False)

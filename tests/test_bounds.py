@@ -132,6 +132,19 @@ class TestOracleCaches:
         assert len(calls) == 2 * four_coins.n
         assert len(oracle._restricted) == 2
 
+    def test_int_and_equal_float_z_keep_their_own_entries(self):
+        # leave-one-out sums of four coins +-3/5 reach 12/5 = 3 - 3/5 exactly,
+        # and the float 3.0 - 3/5 rounds below 12/5: Q(3, y) = Q*(3, y) = 0
+        # and Q(3.0, y) = Q*(3.0, y) = 1/16, whichever one is asked first
+        coin = [(F(-3, 5), F(1, 2)), (F(3, 5), F(1, 2))]
+        system = st.make_system([coin] * 5, unit_variance=False)
+        y = F(3, 5)
+        for order in ((3, 3.0), (3.0, 3)):
+            oracle = st.SystemOracle(system)
+            for z in order:
+                want = F(0) if type(z) is int else F(1, 16)
+                assert (oracle.q(z, y), oracle.qstar(z, y)) == (want, want), order
+
     def test_exact_queries_are_fractions(self, two_coins):
         oracle = st.SystemOracle(two_coins)
         for value in (

@@ -257,6 +257,42 @@ class TestCalibrateCommand:
             assert path.read_bytes() == golden.read_bytes(), bound
 
 
+class TestParamsBeyondFloat:
+    """--v and --w are exact, so a value past the float range parses; readers of floats reject it."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--v=1e400"], "v"),
+            (["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--w=1e400"], "w"),
+            (
+                ["mc", "--family", "standardized-exponential", "--n", "4"]
+                + ["--samples", "2000", "--seed", "1", "--check-bounds", "--w=1e400"],
+                "w",
+            ),
+        ],
+        ids=["calibrate-v", "calibrate-w", "mc-check-bounds-w"],
+    )
+    def test_usage_error_before_any_work(self, capsys, monkeypatch, argv, name):
+        from sumtails import mc, verify
+
+        def no_work(*_args):
+            raise AssertionError("v and w are checked before any work")
+
+        monkeypatch.setattr(verify, "SystemOracle", no_work)
+        monkeypatch.setattr(mc, "_tail_counts", no_work)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: parameter {name} must be at most {sys.float_info.max!r}\n"
+        assert out == ""
+
+    def test_bounds_still_reads_them_exactly(self, two_coins_path, capsys):
+        argv = ["bounds", "--system", two_coins_path, "--v=1e400", "--w=1e400"]
+        assert main([*argv, "--z-grid", "0:1:2"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 4
+
+
 class TestExtremalCommand:
     def test_json_rows(self, capsys):
         code = main(["extremal", "--n-list", "2,101"])

@@ -18,6 +18,13 @@ IID_SPECS = [
     st.SamplerSpec(family="standardized-pareto", n=5, alpha=4.5),
 ]
 IID_IDS = ["exponential", "two-point", "pareto"]
+#: corpus summands of 4, 3, 4 and 2 atoms, so the inverse-CDF table is ragged
+CORPUS_RVS = st.gen_corpus(st.CorpusSpec(seed=1, count=8))[7].rvs
+DISCRETE_SPEC = st.SamplerSpec(
+    family="discrete-system", system=st.System(CORPUS_RVS, unit_variance=False)
+)
+#: every family, for the block loop they share
+SLAB_SPECS, SLAB_IDS = [*IID_SPECS, DISCRETE_SPEC], [*IID_IDS, "discrete-system"]
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +73,19 @@ class TestEstimates:
         (est,) = st.mc_tails(coin_spec, [0.0], 1_000_000, seed=3)
         assert est.ci_lo <= 0.25 <= est.ci_hi
         assert est.p_hat == pytest.approx(0.25, abs=0.005)
+
+    def test_many_coins_cover_binomial_tail(self):
+        # S = (2B - 256) / 16 with B ~ Binomial(256, 1/2), so P(S > z) is a
+        # binomial tail; the sums are multiples of 1/16 and exact in floats
+        coin = [(F(-1, 16), F(1, 2)), (F(1, 16), F(1, 2))]
+        spec = st.SamplerSpec(family="discrete-system", system=st.make_system([coin] * 256))
+        zs = [k / 2 for k in range(9)]
+        estimates = st.mc_tails(spec, zs, 100_000, seed=11)
+        covered = 0
+        for z, est in zip(zs, estimates):
+            tail = sum(math.comb(256, k) for k in range(128 + int(8 * z) + 1, 257)) / 2**256
+            covered += est.ci_lo <= tail <= est.ci_hi
+        assert covered >= 0.95 * len(zs)
 
     def test_exponential_closed_form(self):
         spec = st.SamplerSpec(family="standardized-exponential", n=1)
@@ -300,6 +320,16 @@ SMALL_BLOCK = 1 << 10
 def _full_block_draws(spec, rng, size):
     """The summand matrix as one full-block draw with plain expressions."""
 
+    if spec.family == "discrete-system":
+        # each column's atoms at np.searchsorted of its cumulative masses
+        u = rng.random(size=(size, spec.n_summands))
+        columns = []
+        for j, rv in enumerate(spec.system.rvs):
+            cdf = np.cumsum([float(p) for p in rv.masses])
+            cdf /= cdf[-1]
+            values = np.array([float(x) for x in rv.values])
+            columns.append(values[np.searchsorted(cdf, u[:, j], side="right")])
+        return np.column_stack(columns)
     n = spec.n
     scale = 1.0 / math.sqrt(n)
     if spec.family == "standardized-exponential":
@@ -318,7 +348,7 @@ def _full_block_draws(spec, rng, size):
 
 
 class TestSlabs:
-    """The i.i.d. families draw each block in row slabs of at most SLAB_CELLS cells."""
+    """Every family draws each block in row slabs of at most SLAB_CELLS cells."""
 
     @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -329,7 +359,16 @@ class TestSlabs:
             want = _full_block_draws(spec, mc._block_rng(seed, 1), 3_000)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    def test_discrete_draws_are_inverse_cdf_images(self):
+        for seed in (0, 7):
+            got = mc._draw_summands(DISCRETE_SPEC, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
+            want = _full_block_draws(DISCRETE_SPEC, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
+            assert np.array_equal(got, want)
+        # every atom of every summand is drawn, none but them
+        for j, rv in enumerate(CORPUS_RVS):
+            assert set(got[:, j]) == {float(x) for x in rv.values}
+
+    @pytest.mark.parametrize("spec", SLAB_SPECS, ids=SLAB_IDS)
     def test_counts_match_full_block_draws(self, spec):
         # the library's slabs against whole Philox blocks summed at once
         n_samples, seed, w = mc.BLOCK_SIZE + 1_000, 21, 0.4
@@ -350,7 +389,7 @@ class TestSlabs:
             assert np.array_equal(raw, want_raw)
             assert np.array_equal(bar, want_bar)
 
-    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    @pytest.mark.parametrize("spec", SLAB_SPECS, ids=SLAB_IDS)
     @pytest.mark.parametrize(
         "slab_cells",
         [lambda n: 1, lambda n: n - 1, lambda n: 3 * n + 1, lambda n: SMALL_BLOCK * n],
@@ -375,10 +414,10 @@ class TestSlabs:
             return tails, checks
 
         want = results()
-        monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells(spec.n))
+        monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells(spec.n_summands))
         assert results() == want
 
-    @pytest.mark.parametrize("spec", IID_SPECS, ids=IID_IDS)
+    @pytest.mark.parametrize("spec", SLAB_SPECS, ids=SLAB_IDS)
     @pytest.mark.parametrize("mode", ["winsorize", "truncate"])
     def test_reused_buffers_leak_no_rows(self, spec, mode, monkeypatch):
         # three blocks, the last one partial; slabs of 3 rows leave a short
@@ -387,19 +426,29 @@ class TestSlabs:
         n_samples = 2_500
         zs = np.array(Z_GRID)
         want = mc._tail_counts(spec, zs, n_samples, 5, 0.4, mode, workers=1)
-        monkeypatch.setattr(mc, "SLAB_CELLS", 3 * spec.n)
+        monkeypatch.setattr(mc, "SLAB_CELLS", 3 * spec.n_summands)
         for workers in (1, 2):
             raw, bar = mc._tail_counts(spec, zs, n_samples, 5, 0.4, mode, workers=workers)
             assert np.array_equal(raw, want[0]) and np.array_equal(bar, want[1])
 
     @pytest.mark.parametrize(
-        "n, slab_cells, n_samples", [(256, 1 << 12, 4_096), (3_000, 1 << 10, 1_000)]
+        "family, n, slab_cells, n_samples",
+        [
+            ("standardized-two-point", 256, 1 << 12, 4_096),
+            ("standardized-two-point", 3_000, 1 << 10, 1_000),
+            ("discrete-system", 3_000, 1 << 10, 1_000),
+        ],
+        ids=["256-4096-4096", "3000-1024-1000", "discrete-system-3000-1024-1000"],
     )
-    def test_memory_stays_bounded(self, n, slab_cells, n_samples, monkeypatch):
+    def test_memory_stays_bounded(self, family, n, slab_cells, n_samples, monkeypatch):
         # tracemalloc sees numpy's buffers; one full-block matrix alone
         # would take 8 MB (n = 256) or 24 MB (n = 3,000)
         monkeypatch.setattr(mc, "SLAB_CELLS", slab_cells)
-        spec = st.SamplerSpec(family="standardized-two-point", n=n)
+        if family == "discrete-system":
+            system = st.System(CORPUS_RVS * (n // len(CORPUS_RVS)), unit_variance=False)
+            spec = st.SamplerSpec(family=family, system=system)
+        else:
+            spec = st.SamplerSpec(family=family, n=n)
         zs = np.array([0.0, 1.0])
         tracemalloc.start()
         try:
