@@ -67,20 +67,20 @@ CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
 Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
 
 
-#: query argument types that ``_q_pair`` reads as integer pairs (matched by
-#: exact type, for the reason given in :func:`_key`)
+#: argument types read as integer pairs, matched by exact type (see :func:`_key`)
 _EXACT_TYPES = (Fraction, int)
 
 
 def _key(x: object) -> object:
     """The memo key of a query argument, which hashes no ``Fraction``.
 
-    An exact value (``Fraction`` or ``int``) becomes its (numerator,
-    denominator) pair and a float is its own key, so 3 and 3.0, which
-    ``_q_pair`` reads differently, never share an entry.  The exact type
+    It keys the y of the signature memo, the w of the capped-law memo and
+    the grids and z of the sweep memo.  An exact value (``Fraction`` or
+    ``int``) becomes its (numerator, denominator) pair and a float is its
+    own key, so 3 and 3.0 never share an entry: a sweep at an exact z has
+    exact scaled y candidates, one at a float z float ones.  The exact type
     test is used because ``isinstance`` against ``Fraction``, an
-    abstract-base-class subclass, is slow for the floats that float queries
-    pass.
+    abstract-base-class subclass, is slow for the floats that queries pass.
     """
     return (x.numerator, x.denominator) if type(x) in _EXACT_TYPES else x
 
@@ -166,21 +166,21 @@ class SystemOracle:
     *signature*, the number of atoms each summand keeps
     (``bisect_right(rv.values, y)`` per summand, taken on the integer
     lattice for an exact system), so they are cached by signature, and the
-    signature of every y seen is remembered.  The max
-    tail P(max_i X_i > y) = 1 - prod_i P(X_i <= y) depends on y through the
-    same signature and is cached by it too.  The z-independent moment sums
-    ``beta_v`` and ``mu_p`` are cached per argument, and Q(z, y) and
-    Q*(z, y) together per (z, y), from one pass over the leave-one-out
-    tails.  The two caches asked for every (z, y), the signatures and the
-    (z, y) pairs, are keyed through :func:`_key`, so an exact argument is
-    hashed as a pair of integers.  A law past the atom budget is cached as
-    its error (see :meth:`_memo`).  On an exact system the z-damped moment
-    sum of :meth:`bikelis_at` and ``beta_v`` (its z = 0 case) come from one
-    moment profile of the system's atoms, built on first use.  Cached laws
-    are immutable apart from their suffix sums, built on the first query;
-    the cache dictionaries are only grown, never mutated in place, and the
-    profile and the lattice summands are assigned only once they are
-    built, which keeps concurrent readers safe.
+    signature of every y seen is remembered, keyed through :func:`_key` (an
+    exact y as a pair of integers).  The max tail
+    P(max_i X_i > y) = 1 - prod_i P(X_i <= y) depends on y through the same
+    signature and is cached by it too.  The z-independent moment sums
+    ``beta_v`` and ``mu_p`` are cached per argument.  A law past the atom
+    budget is cached as its error (see :meth:`_memo`).  Q(z, y) and
+    Q*(z, y) are computed together, uncached, by :meth:`concentration`,
+    which :meth:`q` and :meth:`qstar` read and a subclass overrides to
+    change both.  On an exact system the z-damped moment sum of
+    :meth:`bikelis_at` and ``beta_v`` (its z = 0 case) come from one moment
+    profile of the system's atoms, built on first use.  Cached laws are
+    immutable apart from their suffix sums, built on the first query; the
+    cache dictionaries are only grown, never mutated in place, and the
+    profile and the lattice summands are assigned only once they are built,
+    which keeps concurrent readers safe.
 
     ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
     holds everything a sweep reads that does not depend on the capping
@@ -200,7 +200,6 @@ class SystemOracle:
         self._signatures: dict[object, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
-        self._concentration: dict[tuple[object, object], tuple[Number, Number]] = {}
         self._max_tail: dict[tuple[int, ...], Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
@@ -418,7 +417,7 @@ class SystemOracle:
         b, db = capped.tail_pair(*ratio)
         return Fraction(a * db - b * da, da * db)
 
-    def _q_pair(self, z: Number, y: Number) -> tuple[Number, Number]:
+    def concentration(self, z: Number, y: Number) -> tuple[Number, Number]:
         """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails.
 
         On an exact system the threshold z - y is an unreduced integer pair:
@@ -455,11 +454,11 @@ class SystemOracle:
         For a single-summand system the leave-one-out sum is the empty sum, a
         unit mass at 0, so Q = 1{0 > z - y}.
         """
-        return self._memo(self._concentration, (_key(z), _key(y)), self._q_pair, z, y)[0]
+        return self.concentration(z, y)[0]
 
     def qstar(self, z: Number, y: Number) -> Number:
         """Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
-        return self._memo(self._concentration, (_key(z), _key(y)), self._q_pair, z, y)[1]
+        return self.concentration(z, y)[1]
 
 
 def bh_bound(z: Number, y: Number) -> float:
@@ -519,14 +518,14 @@ def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[lis
 
     A term is (y, max tail, Q, Q*) followed by the :func:`_parts` numerator
     and denominator of the max tail, of Q and of 2 Q*, flat.  Each y asks
-    the oracle for its max tail, Q and Q*, in that order.
+    the oracle for its max tail, then for its concentration pair.
     """
     terms: list[tuple] = []
     capped: list[Number] = []
     for y in ys:
         mt_y = oracle.max_tail_at(y)
         try:
-            q, qstar = oracle.q(z, y), oracle.qstar(z, y)
+            q, qstar = oracle.concentration(z, y)
         except ConvolutionCapError:
             capped.append(y)
             continue

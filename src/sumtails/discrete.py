@@ -251,11 +251,12 @@ class System:
             if exact:
                 if mean != 0:
                     raise ValueError(f"summand {i} has mean {mean}, expected 0")
+                var = rv.second_moment()  # the variance, as the mean is 0
             else:
-                sd = sqrt(max(float(rv.variance()), 0.0))
-                if abs(mean) > MASS_TOL * sd:
+                var = rv.variance()
+                if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
                     raise ValueError(f"summand {i} has mean {mean}, expected ~0")
-            total_var += rv.variance()
+            total_var += var
         if self.unit_variance:
             if exact:
                 if total_var != 1:

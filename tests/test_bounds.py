@@ -11,7 +11,7 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
-from sumtails.bounds import _auto_y_candidates
+from sumtails.bounds import _auto_y_candidates, scaled_y
 from sumtails.discrete import WINSOR_MODES, _as_ratio, capped_sum_rv
 
 
@@ -96,14 +96,23 @@ class TestConcentrationQuantities:
         assert got == max(st.SystemOracle(two_coins).q(-2, y), F(1))
 
     def test_against_enumeration(self, small_corpus):
-        zs = (F(-1), F(0), F(1, 2), F(3, 2))
-        ys = (F(1, 4), F(1))
+        # Fraction, int and float arguments of equal values; the floats are
+        # dyadic, so the float z - y is exact and each value is enumerated once
+        zs = (F(-1), F(0), F(1, 2), F(3, 2), -1, 0, 0.5, 1.5)
+        ys = (F(1, 4), F(1), 1, 0.25)
         for system in small_corpus[:10]:
             oracle = st.SystemOracle(system)
+            enumerated = {}
             for z in zs:
                 for y in ys:
-                    assert oracle.q(z, y) == q_by_enumeration(system, z, y)
-                    assert oracle.qstar(z, y) == qstar_by_enumeration(system, z, y)
+                    key = F(z), F(y)
+                    if key not in enumerated:
+                        enumerated[key] = (
+                            q_by_enumeration(system, *key),
+                            qstar_by_enumeration(system, *key),
+                        )
+                    pair = oracle.concentration(z, y)
+                    assert pair == (oracle.q(z, y), oracle.qstar(z, y)) == enumerated[key], (z, y)
 
 
 class TestOracleCaches:
@@ -461,11 +470,9 @@ class ScaledOracle(st.SystemOracle):
         super().__init__(system, cap=cap)
         self.factor = factor
 
-    def q(self, z, y):
-        return self.factor * super().q(z, y)
-
-    def qstar(self, z, y):
-        return self.factor * super().qstar(z, y)
+    def concentration(self, z, y):
+        q, qstar = super().concentration(z, y)
+        return self.factor * q, self.factor * qstar
 
 
 def reference_p2_p3(system, z, params, oracle):
@@ -581,6 +588,18 @@ class TestYSearch:
         floats = _auto_y_candidates(z, 2.5, F(1))
         assert floats == [float(z) / 2.25, *(float(z) * 0.5**j for j in range(1, 13))]
         assert all(type(y) is float for y in floats)
+        # at p = 6 and p = 14 the scaled choice z / (1 + p/2) is the 2nd and
+        # the 3rd halving: it comes first, and that halving is left out
+        for z in (z, num):
+            halvings = [z * F(1, 2) ** j for j in range(1, 13)]
+            got6, got14 = _auto_y_candidates(z, 6.0, F(1)), _auto_y_candidates(z, 14, F(1))
+            assert got6 == [halvings[1], halvings[0], *halvings[2:]]
+            assert got14 == [halvings[2], *halvings[:2], *halvings[3:]]
+            assert all(type(y) is F for y in got6 + got14)
+            # every integer p gives the distinct values in first-seen order
+            for p in (1, 2, 3, 6, 14, 30, 8190, 16382):
+                want = list(dict.fromkeys([scaled_y(z, p), *halvings]))
+                assert _auto_y_candidates(z, float(p), F(1)) == want, p
 
 
 class TestBikelis:

@@ -132,10 +132,10 @@ class TestVerifySweep:
         from sumtails import verify
 
         class Budget(st.SystemOracle):
-            def q(self, z, y):
+            def concentration(self, z, y):
                 if y == F(1, 2):
                     raise st.ConvolutionCapError("restriction over budget")
-                return super().q(z, y)
+                return super().concentration(z, y)
 
             def delta(self, z, w, mode):
                 if (z, w) == (1, 1):
@@ -173,11 +173,9 @@ class ScaledConcentration(st.SystemOracle):
         super().__init__(system)
         self.factor = factor
 
-    def q(self, z, y):
-        return self.factor * super().q(z, y)
-
-    def qstar(self, z, y):
-        return self.factor * super().qstar(z, y)
+    def concentration(self, z, y):
+        q, qstar = super().concentration(z, y)
+        return self.factor * q, self.factor * qstar
 
 
 def reference_violations(system, oracle, z_grid, mode):
@@ -266,7 +264,7 @@ class TestSweepVerdicts:
 
 
 class CountingOracle(st.SystemOracle):
-    """Counts the max tail, Q and Q* lookups a sweep makes."""
+    """Counts the max tail and (Q, Q*) lookups a sweep makes."""
 
     def __init__(self, system):
         super().__init__(system)
@@ -276,13 +274,9 @@ class CountingOracle(st.SystemOracle):
         self.lookups += 1
         return super().max_tail_at(t)
 
-    def q(self, z, y):
+    def concentration(self, z, y):
         self.lookups += 1
-        return super().q(z, y)
-
-    def qstar(self, z, y):
-        self.lookups += 1
-        return super().qstar(z, y)
+        return super().concentration(z, y)
 
 
 def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2)):
