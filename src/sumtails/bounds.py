@@ -91,8 +91,10 @@ class BoundParams:
 
     ``y`` may be a positive number or ``"auto"``, in which case P2/P3 are
     minimized over the candidate grid {z / (1 + p/2)} union {z 2^-j : j <=
-    12}; the structural constants for the inexplicit bounds live in
-    ``constants`` under the keys in :data:`CONSTANT_NAMES`.
+    12}.  The minimum is taken exactly over the least y of each signature
+    class of the grid (see :func:`p_bounds`).  The structural constants for
+    the inexplicit bounds live in ``constants`` under the keys in
+    :data:`CONSTANT_NAMES`.
     """
 
     v: Number = 1
@@ -198,6 +200,7 @@ class SystemOracle:
         self._law_sum: dict[None, Law] = {}
         self._law_capped: dict[tuple[object, str], Law] = {}
         self._signatures: dict[object, tuple[int, ...]] = {}
+        self._cut_signatures: dict[int, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
         self._max_tail: dict[tuple[int, ...], Number] = {}
@@ -297,10 +300,21 @@ class SystemOracle:
             if ratio is None:
                 sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
             else:
-                lattice = self._lattice_rvs()
-                cut = ratio[0] * lattice[0].scale // ratio[1]
-                sig = tuple(bisect_right(m.values, cut) for m in lattice)
+                sig = self._cut_signature(ratio[0] * self._lattice_rvs()[0].scale // ratio[1])
             self._signatures[key] = sig
+        return sig
+
+    def _cut_signature(self, cut: int) -> tuple[int, ...]:
+        """The signature of every y with ``floor(y * scale) == cut`` on an exact system.
+
+        ``scale`` is that of :meth:`_lattice_rvs`.  Memoised by ``cut``
+        beneath :meth:`signature`, so equal y values of different types, and
+        a y known only as an integer pair, share one bisection per cut.
+        """
+        sig = self._cut_signatures.get(cut)
+        if sig is None:
+            sig = tuple(bisect_right(m.values, cut) for m in self._lattice_rvs())
+            self._cut_signatures[cut] = sig
         return sig
 
     def _restrict(self, y: Number) -> tuple[list[Law], Law]:
@@ -426,6 +440,12 @@ class SystemOracle:
         rounding decides which atoms lie above it.  Each law answers with an
         integer pair, the largest is picked by cross-multiplication, and
         only Q and Q* become ``Fraction``s.
+
+        This is the one method a subclass overrides to change Q and Q*.  An
+        override must keep both nonincreasing as y falls within one
+        signature, as the true ones are (the restricted laws are fixed and
+        the threshold z - y rises): an auto-y :func:`p_bounds` asks only the
+        least y of each signature class.
         """
         loo, full = self.restricted(y)
         if self.system.exact:
@@ -506,6 +526,39 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     return list(dict.fromkeys([first, *halvings]))
 
 
+def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[list, dict]:
+    """The auto-y candidates of :func:`_auto_y_candidates` grouped by signature.
+
+    Returns ``(candidates, least)``: each candidate's (signature, y) in
+    candidate order, and the least y of each signature class, keyed by the
+    signature in order of first appearance.  For an exact system with an
+    exact z > 0 and an integer p, a candidate's y is an integer pair
+    (numerator, denominator), its signature comes from its lattice cut
+    ``num * scale // den``, and only the least y of a class becomes a
+    ``Fraction``.  The halving equal to the scaled y, 2^(j+1) = 2 + p, is
+    dropped, as ``dict.fromkeys`` drops it there.
+    """
+    exact_z = isinstance(z, (Fraction, int)) and z > 0
+    if oracle.system.exact and exact_z and float(p).is_integer():
+        zn, zd, two_p = z.numerator, z.denominator, 2 + int(p)
+        pairs = [(2 * zn, zd * two_p)]  # z / (1 + p/2)
+        pairs += [(zn, zd << j) for j in range(1, 13) if 2 << j != two_p]
+        scale = oracle._lattice_rvs()[0].scale
+        candidates = [(oracle._cut_signature(n * scale // d), (n, d)) for n, d in pairs]
+        low: dict[tuple[int, ...], tuple[int, int]] = {}
+        for sig, (n, d) in candidates:
+            other = low.get(sig)
+            if other is None or n * other[1] < other[0] * d:
+                low[sig] = n, d
+        return candidates, {sig: Fraction(n, d) for sig, (n, d) in low.items()}
+    candidates = [(oracle.signature(y), y) for y in _auto_y_candidates(z, p, w)]
+    least: dict[tuple[int, ...], Number] = {}
+    for sig, y in candidates:
+        if sig not in least or y < least[sig]:
+            least[sig] = y
+    return candidates, least
+
+
 def _parts(x: Number) -> tuple[Number, Number]:
     """``x`` as (numerator, denominator): integers when exact, (x, 1.0) for a float."""
     if isinstance(x, float):
@@ -518,7 +571,10 @@ def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[lis
 
     A term is (y, max tail, Q, Q*) followed by the :func:`_parts` numerator
     and denominator of the max tail, of Q and of 2 Q*, flat.  Each y asks
-    the oracle for its max tail, then for its concentration pair.
+    the oracle for its max tail, then for its concentration pair.  An
+    auto-y :func:`p_bounds` passes only the least y of each signature
+    class: within a class the max tail is fixed and Q, Q* can only grow
+    with y, so the other members give no smaller P2 or P3.
     """
     terms: list[tuple] = []
     capped: list[Number] = []
@@ -573,9 +629,14 @@ def p_bounds(
     """Evaluate Delta_w(z) and all five bounds at one z.
 
     P2/P3 are minimized over the y candidates when ``params.y`` is "auto".
-    P4/P5 are reported as not-applicable (None) for z <= 0, where their
-    derivation does not apply; with defaulted constants they are reported
-    and flagged but excluded from ``best``.  The exact tail difference is
+    Only the least y of each signature class (the atoms each summand keeps
+    under {X_i <= y}) is evaluated, and the minimum is still exact: within
+    a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
+    nondecreasing in y, as the threshold z - y falls (the contract of
+    :meth:`SystemOracle.concentration`).  P4/P5 are reported as
+    not-applicable (None) for z <= 0, where their derivation does not
+    apply; with defaulted constants they are reported and flagged but
+    excluded from ``best``.  The exact tail difference is
     included whenever the convolution oracle fits the atom budget.  A y
     whose restricted convolutions exceed it offers no P2 candidate, and its
     P3 candidate uses the Bennett-Hoeffding bound in place of Q* when the
@@ -596,8 +657,19 @@ def p_bounds(
         delta_w = None
         warnings.append("tail-difference oracle skipped: convolution cap exceeded")
 
-    y_candidates = _auto_y_candidates(z, params.p, w) if params.y == "auto" else [params.y]
-    terms, capped_ys = _y_terms(oracle, z, y_candidates)
+    if params.y == "auto":
+        candidates, least = _y_classes(oracle, z, params.p, w)
+        n_ys = len(candidates)
+        terms, capped_ys = _y_terms(oracle, z, least.values())
+        if capped_ys:
+            # every member of a class past the budget, in candidate order
+            capped = {oracle.signature(y) for y in capped_ys}
+            capped_ys = [
+                Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
+            ]
+    else:
+        n_ys = 1
+        terms, capped_ys = _y_terms(oracle, z, [params.y])
     exc_parts, p1_parts = _parts(sum_exc), _parts(p1)
     # the least P2 and P3 candidates so far: (numerator, denominator, term)
     least2 = least3 = None
@@ -617,7 +689,7 @@ def p_bounds(
         else:
             fallback = "P2/P3 skipped (total variance above one, no Bennett-Hoeffding bound)"
         warnings.append(
-            f"{fallback} at {len(capped_ys)} of {len(y_candidates)} y values: "
+            f"{fallback} at {len(capped_ys)} of {n_ys} y values: "
             "convolution cap exceeded"
         )
     p3 = min(p3_cands, default=None)

@@ -246,16 +246,21 @@ class System:
         if any(rv.exact != exact for rv in self.rvs):
             raise ValueError("all summands must share one arithmetic mode")
         total_var = Fraction(0) if exact else 0.0
+        # the moments of a summand object that repeats are computed once
+        variances: dict[int, Number] = {}
         for i, rv in enumerate(self.rvs):
-            mean = rv.mean()
-            if exact:
-                if mean != 0:
-                    raise ValueError(f"summand {i} has mean {mean}, expected 0")
-                var = rv.second_moment()  # the variance, as the mean is 0
-            else:
-                var = rv.variance()
-                if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
-                    raise ValueError(f"summand {i} has mean {mean}, expected ~0")
+            var = variances.get(id(rv))
+            if var is None:
+                mean = rv.mean()
+                if exact:
+                    if mean != 0:
+                        raise ValueError(f"summand {i} has mean {mean}, expected 0")
+                    var = rv.second_moment()  # the variance, as the mean is 0
+                else:
+                    var = rv.variance()
+                    if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
+                        raise ValueError(f"summand {i} has mean {mean}, expected ~0")
+                variances[id(rv)] = var
             total_var += var
         if self.unit_variance:
             if exact:
@@ -305,7 +310,18 @@ def make_system(
     """
     if not raw:
         raise ValueError("need at least one summand")
-    rvs = [DiscreteRV.from_atoms(pairs, exact=exact) for pairs in raw]
+    # a list or tuple of atoms passed more than once is read once, and its
+    # summand shared (an iterator is read once anyway)
+    parsed: dict[int, DiscreteRV] = {}
+    rvs = []
+    for pairs in raw:
+        shared = isinstance(pairs, (list, tuple))
+        rv = parsed.get(id(pairs)) if shared else None
+        if rv is None:
+            rv = DiscreteRV.from_atoms(pairs, exact=exact)
+            if shared:
+                parsed[id(pairs)] = rv
+        rvs.append(rv)
     if not standardize:
         return System(rvs=tuple(rvs), unit_variance=unit_variance)
 
@@ -606,6 +622,21 @@ def _parse_number(value: object, exact: bool, where: str) -> Number:
     raise ValueError(f"{where}: cannot parse number from {value!r}")
 
 
+def _atoms_key(atoms: list) -> tuple | None:
+    """A key under which equal JSON atoms lists parse alike; None if there is none.
+
+    Each x and p enters with its type, so ``true`` never shares an entry
+    with ``1`` (``True == 1``); an atom that is not a dict with x and p, or
+    an unhashable number, gives None and is parsed, and rejected, on its own.
+    """
+    try:
+        key = tuple((type(a["x"]), a["x"], type(a["p"]), a["p"]) for a in atoms)
+        hash(key)
+    except (TypeError, KeyError):
+        return None
+    return key
+
+
 def system_from_dict(data: object) -> System:
     """The system a parsed JSON document describes; a malformed entry is a ``ValueError``."""
     if not isinstance(data, dict):
@@ -618,16 +649,24 @@ def system_from_dict(data: object) -> System:
     if not isinstance(rvs_spec, list) or not rvs_spec:
         raise ValueError("'rvs' must be a nonempty list")
     raw = []
+    # equal atoms lists, the usual large-n input, are parsed once and share
+    # one pairs list, so make_system builds one summand for them
+    parsed: dict[tuple, list] = {}
     for k, entry in enumerate(rvs_spec):
         atoms = entry.get("atoms") if isinstance(entry, dict) else None
         if not isinstance(atoms, list) or not atoms:
             raise ValueError(f"rvs[{k}] needs a nonempty 'atoms' list")
-        pairs = []
-        for j, atom in enumerate(atoms):
-            where = f"rvs[{k}].atoms[{j}]"
-            if not isinstance(atom, dict) or not {"x", "p"} <= atom.keys():
-                raise ValueError(f"{where} must be an object with 'x' and 'p'")
-            pairs.append([_parse_number(atom[key], exact, f"{where}.{key}") for key in "xp"])
+        atoms_key = _atoms_key(atoms)
+        pairs = parsed.get(atoms_key) if atoms_key is not None else None
+        if pairs is None:
+            pairs = []
+            for j, atom in enumerate(atoms):
+                where = f"rvs[{k}].atoms[{j}]"
+                if not isinstance(atom, dict) or not {"x", "p"} <= atom.keys():
+                    raise ValueError(f"{where} must be an object with 'x' and 'p'")
+                pairs.append([_parse_number(atom[key], exact, f"{where}.{key}") for key in "xp"])
+            if atoms_key is not None:
+                parsed[atoms_key] = pairs
         raw.append(pairs)
     unit_variance = data.get("unit_variance", True)
     if not isinstance(unit_variance, bool):

@@ -116,17 +116,21 @@ class SamplerSpec:
         The first atoms, shape (n,); each atom XOR the one before it, shape
         (k - 1, n); and the cumulative masses at which a uniform passes to it,
         normalized so that the left-out last one is 1.0, and +inf past a
-        summand's own atoms.
+        summand's own atoms.  One column is built per distinct summand
+        object and spread to every summand that shares it (the system
+        loaders share one object among equal summands).
         """
-        rvs = self.system.rvs
-        k = max(len(rv.values) for rv in rvs)
-        values, thresholds = np.zeros((k, len(rvs))), np.full((k - 1, len(rvs)), np.inf)
-        for j, rv in enumerate(rvs):
+        laws = {id(rv): rv for rv in self.system.rvs}  # first-seen order
+        column = {key: j for j, key in enumerate(laws)}
+        index = np.array([column[id(rv)] for rv in self.system.rvs])
+        k = max(len(rv.values) for rv in laws.values())
+        values, thresholds = np.zeros((k, len(laws))), np.full((k - 1, len(laws)), np.inf)
+        for j, rv in enumerate(laws.values()):
             values[: len(rv.values), j] = [float(x) for x in rv.values]
             cdf = np.cumsum([float(p) for p in rv.masses])
             thresholds[: len(cdf) - 1, j] = cdf[:-1] / cdf[-1]
-        bits = values.view(np.uint64)
-        return bits[0], bits[1:] ^ bits[:-1], thresholds
+        bits = values.take(index, axis=1).view(np.uint64)
+        return bits[0], bits[1:] ^ bits[:-1], thresholds.take(index, axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Bound evaluators against enumeration oracles and frozen reference values."""
 
 import io
+import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
-from sumtails.bounds import _auto_y_candidates, scaled_y
+from sumtails.bounds import _auto_y_candidates, _y_classes, scaled_y
 from sumtails.discrete import WINSOR_MODES, _as_ratio, capped_sum_rv
 
 
@@ -476,10 +477,11 @@ class ScaledOracle(st.SystemOracle):
 
 
 def reference_p2_p3(system, z, params, oracle):
-    """P2 and P3 minimized over the y candidates in plain number arithmetic.
+    """P2 and P3 minimized over every y candidate in plain number arithmetic.
 
     For a unit-variance system, where a y past the cap offers a
-    Bennett-Hoeffding P3 candidate.
+    Bennett-Hoeffding P3 candidate.  Returns (P2, P3, k, m): k of the m
+    candidates fell back.
     """
     w = params.w
     ys = _auto_y_candidates(z, params.p, w) if params.y == "auto" else [params.y]
@@ -495,7 +497,22 @@ def reference_p2_p3(system, z, params, oracle):
             continue
         p2s.append(mt + q * sum_exc)
         p3s.append(mt + 2 * qstar * p1)
-    return min(p2s, default=None), min(p3s + fallback, default=None)
+    return min(p2s, default=None), min(p3s + fallback, default=None), len(fallback), len(ys)
+
+
+def fallback_warnings(report):
+    """The report's warnings that count y values past the atom budget."""
+    return [w for w in report.warnings if " y values: " in w]
+
+
+def expected_fallback(k, m):
+    """:func:`fallback_warnings` of a unit-variance report where k of m y values fell back."""
+    if not k:
+        return []
+    return [
+        f"Q* in P3 replaced by the Bennett-Hoeffding bound at {k} of {m} y values: "
+        "convolution cap exceeded"
+    ]
 
 
 class TestYSearch:
@@ -504,9 +521,11 @@ class TestYSearch:
     @given(
         seed=hyp.integers(min_value=0, max_value=10**6),
         exact=hyp.booleans(),
-        z=hyp.sampled_from([F(n, 4) for n in range(-2, 21)] + [0.7, 2.3]),
+        z=hyp.sampled_from([F(n, 4) for n in range(-2, 21)] + [0.7, 2.3, 3]),
         y=hyp.sampled_from(["auto", "auto", F(1, 4), F(1, 2), F(3, 2)]),
-        p=hyp.sampled_from([2.0, 2.5, 3.0]),
+        # at p = 1, 6 and 14 the scaled y lies among the halvings, so a
+        # signature class need not be contiguous in candidate order
+        p=hyp.sampled_from([1, 2.0, 2.5, 3.0, 6.0, 14.0]),
         w=hyp.sampled_from([F(1, 4), F(1, 2), F(1)]),
         factor=hyp.sampled_from([1, F(1, 4), 0]),
         cap=hyp.sampled_from([3, 20, st.CONVOLUTION_CAP]),
@@ -519,10 +538,11 @@ class TestYSearch:
             system, factor = as_float_system(system), float(factor)
         params = st.BoundParams(w=w, p=p, y=y)
         report = st.p_bounds(system, z, params, mode, oracle=ScaledOracle(system, factor, cap))
-        p2, p3 = reference_p2_p3(system, z, params, ScaledOracle(system, factor, cap))
+        p2, p3, k, m = reference_p2_p3(system, z, params, ScaledOracle(system, factor, cap))
         assert (report.p2, report.p3) == (p2, p3)
         assert (type(report.p2), type(report.p3)) == (type(p2), type(p3))
         assert report.best == min(b for b in (report.p1, p2, p3) if b is not None)
+        assert fallback_warnings(report) == expected_fallback(k, m)
 
     def test_matches_reference_on_corpus(self, small_corpus):
         # ranking the y values by P2's weight instead of P3's changes the
@@ -537,7 +557,26 @@ class TestYSearch:
                     for n in range(21):
                         report = st.p_bounds(system, F(n, 4), params, oracle=oracle)
                         ref = reference_p2_p3(system, F(n, 4), params, ref_oracle)
-                        assert (report.p2, report.p3) == ref
+                        assert (report.p2, report.p3) == ref[:2]
+
+    def test_classes_partition_the_candidates(self, small_corpus):
+        # the integer pairs of an exact system at an exact z and integer p,
+        # and the numbers of every other case, are the candidates of
+        # _auto_y_candidates, each class keyed by its signature and led by
+        # its least y
+        for system in small_corpus[:4] + [as_float_system(s) for s in small_corpus[:2]]:
+            oracle = st.SystemOracle(system)
+            for z, p in itertools.product((F(9, 4), 3, 2.3, F(-1)), (1, 2.0, 2.5, 6.0, 14.0)):
+                ys = _auto_y_candidates(z, p, F(1, 2))
+                candidates, least = _y_classes(oracle, z, p, F(1, 2))
+                assert [F(*y) if type(y) is tuple else y for _, y in candidates] == ys
+                sigs = [tuple(bisect_right(rv.values, y) for rv in system.rvs) for y in ys]
+                assert [sig for sig, _ in candidates] == sigs
+                want = {}
+                for sig, y in zip(sigs, ys):
+                    want[sig] = min(want.get(sig, y), y)
+                assert least == want
+                assert [type(y) for y in least.values()] == [type(y) for y in want.values()]
 
     def test_fallback_and_ties_covered(self, small_corpus):
         # the small cap mixes fitting y values with Bennett-Hoeffding ones, and
@@ -547,8 +586,9 @@ class TestYSearch:
         for factor, cap in ((1, 20), (0, st.CONVOLUTION_CAP)):
             for z in (F(1, 2), F(2), F(4)):
                 report = st.p_bounds(system, z, params, oracle=ScaledOracle(system, factor, cap))
-                ref = reference_p2_p3(system, z, params, ScaledOracle(system, factor, cap))
-                assert (report.p2, report.p3) == ref
+                p2, p3, k, m = reference_p2_p3(system, z, params, ScaledOracle(system, factor, cap))
+                assert (report.p2, report.p3) == (p2, p3)
+                assert fallback_warnings(report) == expected_fallback(k, m)
                 assert any("Bennett-Hoeffding" in w for w in report.warnings) == (cap == 20)
 
     def test_max_tail_once_per_signature(self, small_corpus, monkeypatch):

@@ -15,7 +15,8 @@ import sumtails as st
 from sumtails.cli import main
 
 #: outputs captured before a refactor: the CSV before the command line's CSV writers
-#: were merged, the calibrate JSON before calibration became one serial pass
+#: were merged, the calibrate JSON before calibration became one serial pass, the
+#: corpus-system tables before auto y asked one y per restriction signature
 GOLDEN = Path(__file__).parent / "golden"
 
 TWO_COINS = """\
@@ -147,6 +148,13 @@ class TestMalformedSystems:
         assert out == ""
 
 
+#: ``bounds`` flags of the two corpus systems with golden auto-y tables
+SYSTEM10 = ["--system", str(GOLDEN / "corpus_seed1_system10.json")]
+SYSTEM10 += ["--p", "3", "--w", "1/2", "--z-grid=-1:0.25:8"]
+SYSTEM14 = ["--system", str(GOLDEN / "corpus_seed1_system14.json"), "--p", "6", "--w", "1/4"]
+SYSTEM14 += ["--mode", "truncate", "--constant", "p4=2", "--constant", "p5=3"]
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "name, flags",
@@ -157,11 +165,22 @@ class TestGoldenOutputs:
                 ["--mode", "truncate", "--z-grid=-1:0.5:2", "--y", "1/3", "--w", "1/4"]
                 + ["--constant", "p4=3", "--constant", "p5=2"],
             ),
+            # auto y on two three-summand systems of the seed-1 corpus: at p = 3
+            # the scaled y lies apart from the halvings, at p = 6 it is z / 4
+            *(
+                (f"bounds_seed1_system10_p3.{fmt}", [*SYSTEM10, "--format", fmt])
+                for fmt in ("csv", "json")
+            ),
+            *(
+                (f"bounds_seed1_system14_p6.{fmt}", [*SYSTEM14, "--format", fmt])
+                for fmt in ("csv", "json")
+            ),
         ],
     )
     def test_bounds_csv(self, two_coins_path, tmp_path, capsys, name, flags):
         out = tmp_path / "bounds.csv"
-        assert main(["bounds", "--system", two_coins_path, *flags, "--out", str(out)]) == 0
+        system = [] if "--system" in flags else ["--system", two_coins_path]
+        assert main(["bounds", *system, *flags, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_extremal_csv(self, capsys):

@@ -405,6 +405,21 @@ class TestJsonInterface:
         assert data["unit_variance"] is False
         assert st.system_from_dict(data) == two_coins
 
+    def test_equal_summands_share_one_object(self):
+        coin = {"atoms": [{"x": "-1/2", "p": "1/2"}, {"x": "1/2", "p": "1/2"}]}
+        other = {"atoms": [{"x": "-1/2", "p": "1/2"}, {"x": 0.5, "p": "1/2"}]}
+        data = {"rvs": [coin, other, dict(coin), coin], "unit_variance": False}
+        system = st.system_from_dict(data)
+        assert system.rvs[0] is system.rvs[2] is system.rvs[3]
+        # the same law written another way is parsed on its own, to an equal summand
+        assert system.rvs[1] is not system.rvs[0] and system.rvs[1] == system.rvs[0]
+        assert system == st.make_system(
+            [[(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))] for _ in range(4)], unit_variance=False
+        )
+        shared = [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
+        built = st.make_system([shared] * 4)
+        assert all(rv is built.rvs[0] for rv in built.rvs)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             st.system_from_dict({"mode": "decimal", "rvs": [{"atoms": [{"x": 0, "p": 1}]}]})
@@ -419,6 +434,11 @@ class TestJsonInterface:
             ({"mode": "float", "rvs": [{"atoms": [{"x": "1e400", "p": 1}]}]}, r"\.x: cannot"),
             ({"rvs": [{"atoms": [{"x": [0], "p": 1}]}]}, r"\.x: cannot parse number from \[0\]"),
             ({"rvs": [{"atoms": [{"x": 0, "p": True}]}]}, r"\.p: cannot parse number from True"),
+            # true == 1, yet an entry equal to a valid one up to that is still rejected
+            (
+                {"rvs": [{"atoms": [{"x": 0, "p": 1}]}, {"atoms": [{"x": 0, "p": True}]}]},
+                r"rvs\[1\]\.atoms\[0\]\.p: cannot parse number from True",
+            ),
             (
                 {"unit_variance": "false", "rvs": [{"atoms": [ATOM]}]},
                 "'unit_variance' must be true or false, got 'false'",
@@ -426,7 +446,7 @@ class TestJsonInterface:
         ],
         ids=[
             "list", "rv-not-object", "atom-without-p", "p-1/0", "x-1e400", "x-list", "p-bool",
-            "unit-variance-string",
+            "p-bool-after-int", "unit-variance-string",
         ],
     )
     def test_malformed_entries_are_named(self, data, message):

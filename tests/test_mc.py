@@ -23,6 +23,11 @@ CORPUS_RVS = st.gen_corpus(st.CorpusSpec(seed=1, count=8))[7].rvs
 DISCRETE_SPEC = st.SamplerSpec(
     family="discrete-system", system=st.System(CORPUS_RVS, unit_variance=False)
 )
+#: summand objects repeated out of order, as the system loaders share equal summands
+SHARED_SPEC = st.SamplerSpec(
+    family="discrete-system",
+    system=st.System(tuple(CORPUS_RVS[i] for i in (0, 3, 0, 2, 3, 0, 0)), unit_variance=False),
+)
 #: every family, for the block loop they share
 SLAB_SPECS, SLAB_IDS = [*IID_SPECS, DISCRETE_SPEC], [*IID_IDS, "discrete-system"]
 
@@ -360,13 +365,14 @@ class TestSlabs:
             assert np.array_equal(got, want)
 
     def test_discrete_draws_are_inverse_cdf_images(self):
-        for seed in (0, 7):
-            got = mc._draw_summands(DISCRETE_SPEC, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
-            want = _full_block_draws(DISCRETE_SPEC, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
-            assert np.array_equal(got, want)
-        # every atom of every summand is drawn, none but them
-        for j, rv in enumerate(CORPUS_RVS):
-            assert set(got[:, j]) == {float(x) for x in rv.values}
+        for spec in (DISCRETE_SPEC, SHARED_SPEC):
+            for seed in (0, 7):
+                got = mc._draw_summands(spec, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
+                want = _full_block_draws(spec, mc._block_rng(seed, 1), mc.BLOCK_SIZE)
+                assert np.array_equal(got, want)
+            # every atom of every summand is drawn, none but them
+            for j, rv in enumerate(spec.system.rvs):
+                assert set(got[:, j]) == {float(x) for x in rv.values}
 
     @pytest.mark.parametrize("spec", SLAB_SPECS, ids=SLAB_IDS)
     def test_counts_match_full_block_draws(self, spec):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
+from sumtails.bounds import _auto_y_candidates
 
 
 class TestGenCorpus:
@@ -264,11 +266,12 @@ class TestSweepVerdicts:
 
 
 class CountingOracle(st.SystemOracle):
-    """Counts the max tail and (Q, Q*) lookups a sweep makes."""
+    """Counts the max tail and (Q, Q*) lookups a sweep makes, and the (Q, Q*) ones alone."""
 
     def __init__(self, system):
         super().__init__(system)
         self.lookups = 0
+        self.concentrations = 0
 
     def max_tail_at(self, t):
         self.lookups += 1
@@ -276,6 +279,7 @@ class CountingOracle(st.SystemOracle):
 
     def concentration(self, z, y):
         self.lookups += 1
+        self.concentrations += 1
         return super().concentration(z, y)
 
 
@@ -331,6 +335,23 @@ class TestSweepMemo:
             oracle.lookups = 0
             st.verify_osipov(system, mode="truncate", oracle=oracle)
             assert oracle.lookups == 0
+
+
+class TestAutoYClasses:
+    def test_one_concentration_per_signature_class(self, small_corpus):
+        # the least y of a class gives its least Q and Q*, so an auto-y
+        # p_bounds asks (Q, Q*) once per class, not once per candidate
+        classes = candidates = 0
+        for system in small_corpus[:8]:
+            oracle = CountingOracle(system)
+            for z, p in itertools.product((F(1, 2), F(9, 4), 3, 0.7), (1, 2.0, 2.5, 6.0)):
+                ys = _auto_y_candidates(z, p, F(1))
+                sigs = {tuple(bisect_right(rv.values, y) for rv in system.rvs) for y in ys}
+                oracle.concentrations = 0
+                st.p_bounds(system, z, st.BoundParams(p=p), oracle=oracle)
+                assert oracle.concentrations == len(sigs)
+                classes, candidates = classes + len(sigs), candidates + len(ys)
+        assert 2 * classes < candidates
 
 
 class ShiftedDelta(st.SystemOracle):
