@@ -444,8 +444,10 @@ class SystemOracle:
         This is the one method a subclass overrides to change Q and Q*.  An
         override must keep both nonincreasing as y falls within one
         signature, as the true ones are (the restricted laws are fixed and
-        the threshold z - y rises): an auto-y :func:`p_bounds` asks only the
-        least y of each signature class.
+        the threshold z - y rises), and may raise ``ConvolutionCapError``
+        only as a function of ``signature(y)``, as :meth:`restricted` does:
+        an auto-y :func:`p_bounds` asks only the least y of each signature
+        class, and a cap there sends the whole class to the fallback.
         """
         loo, full = self.restricted(y)
         if self.system.exact:
@@ -499,14 +501,35 @@ def bh_bound(z: Number, y: Number) -> float:
     return 1.0 if log_val >= 0.0 else math.exp(log_val)
 
 
+def _scaled_pair(z: Number, p: Number) -> tuple[int, int] | None:
+    """z / (1 + p/2) as an integer pair (num, den) for an exact z and an integer p, else None."""
+    if isinstance(z, (Fraction, int)) and float(p).is_integer():
+        return 2 * z.numerator, z.denominator * (2 + int(p))
+    return None
+
+
 def scaled_y(z: Number, p: Number) -> Number:
     """The scaled choice y = z / (1 + p/2) of P2..P4.
 
     Exact for an exact ``z`` and an integer ``p``, float otherwise.
     """
-    if isinstance(z, (Fraction, int)) and float(p).is_integer():
-        return Fraction(2 * z.numerator, z.denominator * (2 + int(p)))  # z / (1 + p/2)
-    return float(z) / (1.0 + float(p) / 2.0)
+    pair = _scaled_pair(z, p)
+    if pair is None:
+        return float(z) / (1.0 + float(p) / 2.0)
+    return Fraction(*pair)
+
+
+def _exact_y_pairs(z: Number, p: Number) -> list[tuple[int, int]] | None:
+    """The y grid of an exact z > 0 and an integer p as integer pairs (num, den); else None.
+
+    The scaled choice first, then the halvings z 2^-j for j = 1..12 but the
+    one equal to it, where 2^(j+1) = 2 + p.
+    """
+    first = _scaled_pair(z, p)
+    if first is None or not z > 0:
+        return None
+    zn, zd, two_p = z.numerator, z.denominator, 2 + int(p)
+    return [first, *((zn, zd << j) for j in range(1, 13) if 2 << j != two_p)]
 
 
 def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
@@ -517,13 +540,11 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     """
     if not z > 0:
         return [w]
-    first = scaled_y(z, p)
-    if isinstance(first, float):
-        z = float(z)
-        halvings = [z * 0.5**j for j in range(1, 13)]
-    else:
-        halvings = [Fraction(z.numerator, z.denominator << j) for j in range(1, 13)]
-    return list(dict.fromkeys([first, *halvings]))
+    pairs = _exact_y_pairs(z, p)
+    if pairs is not None:
+        return [Fraction(n, d) for n, d in pairs]
+    first, z = scaled_y(z, p), float(z)
+    return list(dict.fromkeys([first, *(z * 0.5**j for j in range(1, 13))]))
 
 
 def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[list, dict]:
@@ -531,32 +552,28 @@ def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[li
 
     Returns ``(candidates, least)``: each candidate's (signature, y) in
     candidate order, and the least y of each signature class, keyed by the
-    signature in order of first appearance.  For an exact system with an
-    exact z > 0 and an integer p, a candidate's y is an integer pair
-    (numerator, denominator), its signature comes from its lattice cut
+    signature in order of first appearance.  On an exact system, where
+    :func:`_exact_y_pairs` gives the grid, a candidate's y stays an integer
+    pair (num, den), its signature comes from its lattice cut
     ``num * scale // den``, and only the least y of a class becomes a
-    ``Fraction``.  The halving equal to the scaled y, 2^(j+1) = 2 + p, is
-    dropped, as ``dict.fromkeys`` drops it there.
+    ``Fraction``.
     """
-    exact_z = isinstance(z, (Fraction, int)) and z > 0
-    if oracle.system.exact and exact_z and float(p).is_integer():
-        zn, zd, two_p = z.numerator, z.denominator, 2 + int(p)
-        pairs = [(2 * zn, zd * two_p)]  # z / (1 + p/2)
-        pairs += [(zn, zd << j) for j in range(1, 13) if 2 << j != two_p]
-        scale = oracle._lattice_rvs()[0].scale
-        candidates = [(oracle._cut_signature(n * scale // d), (n, d)) for n, d in pairs]
-        low: dict[tuple[int, ...], tuple[int, int]] = {}
-        for sig, (n, d) in candidates:
-            other = low.get(sig)
-            if other is None or n * other[1] < other[0] * d:
-                low[sig] = n, d
-        return candidates, {sig: Fraction(n, d) for sig, (n, d) in low.items()}
-    candidates = [(oracle.signature(y), y) for y in _auto_y_candidates(z, p, w)]
-    least: dict[tuple[int, ...], Number] = {}
-    for sig, y in candidates:
-        if sig not in least or y < least[sig]:
-            least[sig] = y
-    return candidates, least
+    pairs = _exact_y_pairs(z, p) if oracle.system.exact else None
+    if pairs is None:
+        candidates = [(oracle.signature(y), y) for y in _auto_y_candidates(z, p, w)]
+        least: dict[tuple[int, ...], Number] = {}
+        for sig, y in candidates:
+            if sig not in least or y < least[sig]:
+                least[sig] = y
+        return candidates, least
+    scale = oracle._lattice_rvs()[0].scale
+    candidates = [(oracle._cut_signature(n * scale // d), (n, d)) for n, d in pairs]
+    low: dict[tuple[int, ...], tuple[int, int]] = {}
+    for sig, (n, d) in candidates:
+        other = low.get(sig)
+        if other is None or n * other[1] < other[0] * d:
+            low[sig] = n, d
+    return candidates, {sig: Fraction(n, d) for sig, (n, d) in low.items()}
 
 
 def _parts(x: Number) -> tuple[Number, Number]:

@@ -245,29 +245,45 @@ class System:
         exact = self.rvs[0].exact
         if any(rv.exact != exact for rv in self.rvs):
             raise ValueError("all summands must share one arithmetic mode")
+        laws, index = self.distinct_rvs()
+        variances = []
+        for j, rv in enumerate(laws):
+            mean = rv.mean()
+            if exact:
+                if mean != 0:
+                    raise ValueError(f"summand {index.index(j)} has mean {mean}, expected 0")
+                var = rv.second_moment()  # the variance, as the mean is 0
+            else:
+                var = rv.variance()
+                if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
+                    raise ValueError(f"summand {index.index(j)} has mean {mean}, expected ~0")
+            variances.append(var)
         total_var = Fraction(0) if exact else 0.0
-        # the moments of a summand object that repeats are computed once
-        variances: dict[int, Number] = {}
-        for i, rv in enumerate(self.rvs):
-            var = variances.get(id(rv))
-            if var is None:
-                mean = rv.mean()
-                if exact:
-                    if mean != 0:
-                        raise ValueError(f"summand {i} has mean {mean}, expected 0")
-                    var = rv.second_moment()  # the variance, as the mean is 0
-                else:
-                    var = rv.variance()
-                    if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
-                        raise ValueError(f"summand {i} has mean {mean}, expected ~0")
-                variances[id(rv)] = var
-            total_var += var
+        for j in index:
+            total_var += variances[j]
         if self.unit_variance:
             if exact:
                 if total_var != 1:
                     raise ValueError(f"variances must sum to 1 exactly, got {total_var}")
             elif abs(total_var - 1.0) > MASS_TOL:
                 raise ValueError(f"variances must sum to 1 within {MASS_TOL}, got {total_var}")
+
+    def distinct_rvs(self) -> tuple[list[DiscreteRV], list[int]]:
+        """The distinct summand objects in first-seen order, and each summand's position among them.
+
+        Summands are told apart by identity: :func:`system_from_dict` gives
+        equal summands one shared object, so work done per law, such as the
+        moment checks here, runs once for all of them.
+        """
+        position: dict[int, int] = {}
+        laws: list[DiscreteRV] = []
+        index = []
+        for rv in self.rvs:
+            j = position.setdefault(id(rv), len(laws))
+            if j == len(laws):
+                laws.append(rv)
+            index.append(j)
+        return laws, index
 
     def total_variance(self) -> Number:
         zero = Fraction(0) if self.exact else 0.0
@@ -310,18 +326,7 @@ def make_system(
     """
     if not raw:
         raise ValueError("need at least one summand")
-    # a list or tuple of atoms passed more than once is read once, and its
-    # summand shared (an iterator is read once anyway)
-    parsed: dict[int, DiscreteRV] = {}
-    rvs = []
-    for pairs in raw:
-        shared = isinstance(pairs, (list, tuple))
-        rv = parsed.get(id(pairs)) if shared else None
-        if rv is None:
-            rv = DiscreteRV.from_atoms(pairs, exact=exact)
-            if shared:
-                parsed[id(pairs)] = rv
-        rvs.append(rv)
+    rvs = [DiscreteRV.from_atoms(pairs, exact=exact) for pairs in raw]
     if not standardize:
         return System(rvs=tuple(rvs), unit_variance=unit_variance)
 
@@ -648,30 +653,36 @@ def system_from_dict(data: object) -> System:
     rvs_spec = data.get("rvs")
     if not isinstance(rvs_spec, list) or not rvs_spec:
         raise ValueError("'rvs' must be a nonempty list")
-    raw = []
     # equal atoms lists, the usual large-n input, are parsed once and share
-    # one pairs list, so make_system builds one summand for them
-    parsed: dict[tuple, list] = {}
+    # one summand object: distinct[index[k]] holds the pairs of rvs[k]
+    slots: dict[tuple, int] = {}
+    distinct: list[list] = []
+    index = []
     for k, entry in enumerate(rvs_spec):
         atoms = entry.get("atoms") if isinstance(entry, dict) else None
         if not isinstance(atoms, list) or not atoms:
             raise ValueError(f"rvs[{k}] needs a nonempty 'atoms' list")
         atoms_key = _atoms_key(atoms)
-        pairs = parsed.get(atoms_key) if atoms_key is not None else None
-        if pairs is None:
+        slot = slots.get(atoms_key) if atoms_key is not None else None
+        if slot is None:
             pairs = []
             for j, atom in enumerate(atoms):
                 where = f"rvs[{k}].atoms[{j}]"
                 if not isinstance(atom, dict) or not {"x", "p"} <= atom.keys():
                     raise ValueError(f"{where} must be an object with 'x' and 'p'")
                 pairs.append([_parse_number(atom[key], exact, f"{where}.{key}") for key in "xp"])
+            slot = len(distinct)
+            distinct.append(pairs)
             if atoms_key is not None:
-                parsed[atoms_key] = pairs
-        raw.append(pairs)
+                slots[atoms_key] = slot
+        index.append(slot)
     unit_variance = data.get("unit_variance", True)
     if not isinstance(unit_variance, bool):
         raise ValueError(f"'unit_variance' must be true or false, got {unit_variance!r}")
-    return make_system(raw, standardize=False, exact=exact, unit_variance=unit_variance)
+    # summands are built after every entry parses, in first-seen order, so
+    # the first malformed entry is the one reported
+    laws = [DiscreteRV.from_atoms(pairs, exact=exact) for pairs in distinct]
+    return System(rvs=tuple(laws[j] for j in index), unit_variance=unit_variance)
 
 
 def system_to_dict(system: System) -> dict:

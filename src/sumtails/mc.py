@@ -117,15 +117,13 @@ class SamplerSpec:
         (k - 1, n); and the cumulative masses at which a uniform passes to it,
         normalized so that the left-out last one is 1.0, and +inf past a
         summand's own atoms.  One column is built per distinct summand
-        object and spread to every summand that shares it (the system
-        loaders share one object among equal summands).
+        object (:meth:`System.distinct_rvs`) and spread to every summand
+        that shares it.
         """
-        laws = {id(rv): rv for rv in self.system.rvs}  # first-seen order
-        column = {key: j for j, key in enumerate(laws)}
-        index = np.array([column[id(rv)] for rv in self.system.rvs])
-        k = max(len(rv.values) for rv in laws.values())
+        laws, index = self.system.distinct_rvs()
+        k = max(len(rv.values) for rv in laws)
         values, thresholds = np.zeros((k, len(laws))), np.full((k - 1, len(laws)), np.inf)
-        for j, rv in enumerate(laws.values()):
+        for j, rv in enumerate(laws):
             values[: len(rv.values), j] = [float(x) for x in rv.values]
             cdf = np.cumsum([float(p) for p in rv.masses])
             thresholds[: len(cdf) - 1, j] = cdf[:-1] / cdf[-1]

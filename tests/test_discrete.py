@@ -413,12 +413,21 @@ class TestJsonInterface:
         assert system.rvs[0] is system.rvs[2] is system.rvs[3]
         # the same law written another way is parsed on its own, to an equal summand
         assert system.rvs[1] is not system.rvs[0] and system.rvs[1] == system.rvs[0]
+        assert system.distinct_rvs() == ([system.rvs[0], system.rvs[1]], [0, 1, 0, 0])
         assert system == st.make_system(
             [[(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))] for _ in range(4)], unit_variance=False
         )
-        shared = [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
-        built = st.make_system([shared] * 4)
-        assert all(rv is built.rvs[0] for rv in built.rvs)
+        # make_system builds one summand per row, even from a generator of
+        # fresh lists whose freed ids are reused
+        rows = ([(F(-k, 2), F(1, 2)), (F(k, 2), F(1, 2))] for k in (1, 2, 1, 2))
+        built = st.make_system(rows, unit_variance=False)
+        assert [rv.values[1] for rv in built.rvs] == [F(1, 2), 1, F(1, 2), 1]
+
+    def test_shared_summand_checked_once_named_first(self):
+        coin = st.DiscreteRV.from_atoms([(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))])
+        skewed = st.DiscreteRV.from_atoms([(0, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(ValueError, match="summand 1 has mean 1/2"):
+            st.System((coin, skewed, coin, skewed), unit_variance=False)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
