@@ -61,7 +61,7 @@ from .gauss import norm_cdf
 from .scalars import beta_v, mu_p
 
 #: names of the caller-supplied constants (each defaults to 1)
-CONSTANT_NAMES = ("theorem", "p4", "p5", "bikelis")
+CONSTANT_NAMES = ("theorem", "p4", "p5")
 
 #: a law the oracle caches: integer-lattice for exact systems, float otherwise
 Law = Union[LatticeMeasure, SubMeasure, DiscreteRV]
@@ -92,9 +92,10 @@ class BoundParams:
     ``y`` may be a positive number or ``"auto"``, in which case P2/P3 are
     minimized over the candidate grid {z / (1 + p/2)} union {z 2^-j : j <=
     12}.  The minimum is taken exactly over the least y of each signature
-    class of the grid (see :func:`p_bounds`).  The structural constants for
-    the inexplicit bounds live in ``constants`` under the keys in
-    :data:`CONSTANT_NAMES`.
+    class of the grid (see :func:`p_bounds`).  The structural constants of
+    the inexplicit bounds (theorem, P4 and P5) live in ``constants`` under
+    the keys in :data:`CONSTANT_NAMES`.  Every number must be finite and
+    positive.
     """
 
     v: Number = 1
@@ -107,15 +108,17 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         for name in ("v", "w", "lam", "p", "c"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"parameter {name} must be positive, got {getattr(self, name)}")
-        if self.y != "auto" and not self.y > 0:
-            raise ValueError(f"parameter y must be positive or 'auto', got {self.y}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"parameter {name} must be finite and positive, got {getattr(self, name)}"
+                )
+        if self.y != "auto" and not 0 < self.y < math.inf:
+            raise ValueError(f"parameter y must be finite and positive or 'auto', got {self.y}")
         for name, value in self.constants.items():
             if name not in CONSTANT_NAMES:
                 raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
-            if not value > 0:
-                raise ValueError(f"constant {name!r} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"constant {name!r} must be finite and positive, got {value}")
 
     def check_float_range(self) -> None:
         """Raise ``ValueError`` if v or w is too large to be read as a float."""

@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 from io import StringIO
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,10 +81,11 @@ def _parse_constant(spec: str) -> tuple[str, float]:
 
 
 def _bound_params(args: argparse.Namespace) -> BoundParams:
-    constants = dict(args.constant or [])
-    return BoundParams(
-        v=args.v, w=args.w, lam=args.lam, p=args.p, c=args.c, y=args.y, constants=constants
-    )
+    """``BoundParams`` from the bound flags present; an absent one takes the field default."""
+    given = {name: getattr(args, name, None) for name in _BOUND_FLAGS}
+    if given["constants"] is not None:
+        given["constants"] = dict(given["constants"])
+    return BoundParams(**{name: value for name, value in given.items() if value is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,24 +102,38 @@ def _y_value(text: str) -> Fraction | str:
     return Fraction(text)
 
 
-def _add_bound_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--v", type=Fraction, default=Fraction(1), help="moment scale v > 0")
-    parser.add_argument("--w", type=Fraction, default=Fraction(1), help="cap level w > 0")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, default=0.5, help="exponential rate lambda > 0"
-    )
-    parser.add_argument("--p", type=float, default=2.0, help="moment exponent p > 0")
-    parser.add_argument("--c", type=float, default=1.0, help="shift c > 0 in (c+z)^p")
-    parser.add_argument(
-        "--y", type=_y_value, default="auto", help="y for P2/P3, or 'auto' to minimize"
-    )
-    parser.add_argument(
+#: the flag and its ``add_argument`` settings for each ``BoundParams`` field
+_BOUND_FLAGS = {
+    "v": ("--v", dict(type=Fraction, default=Fraction(1), help="moment scale v > 0")),
+    "w": ("--w", dict(type=Fraction, default=Fraction(1), help="cap level w > 0")),
+    "lam": (
+        "--lambda",
+        dict(dest="lam", type=float, default=0.5, help="exponential rate lambda > 0"),
+    ),
+    "p": ("--p", dict(type=float, default=2.0, help="moment exponent p > 0")),
+    "c": ("--c", dict(type=float, default=1.0, help="shift c > 0 in (c+z)^p")),
+    "y": (
+        "--y",
+        dict(type=_y_value, default="auto", help="y for P2/P3, or 'auto' to minimize"),
+    ),
+    "constants": (
         "--constant",
-        action="append",
-        type=_parse_constant,
-        metavar="NAME=VALUE",
-        help=f"caller-supplied constant, one of {', '.join(CONSTANT_NAMES)} (repeatable)",
-    )
+        dict(
+            dest="constants",
+            action="append",
+            type=_parse_constant,
+            metavar="NAME=VALUE",
+            help=f"caller-supplied constant, one of {', '.join(CONSTANT_NAMES)} (repeatable)",
+        ),
+    ),
+}
+
+
+def _add_bound_param_flags(parser: argparse.ArgumentParser, names: Iterable[str]) -> None:
+    """Register the flags of the named ``BoundParams`` fields, the ones the command reads."""
+    for name in names:
+        flag, settings = _BOUND_FLAGS[name]
+        parser.add_argument(flag, **settings)
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,8 +157,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
     params = _bound_params(args)
+    system = load_system(args.system)
     oracle = SystemOracle(system)
     reports = [p_bounds(system, z, params, args.mode, oracle=oracle) for z in args.z_grid]
     if args.format == "csv":
@@ -208,8 +223,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    corpus = _corpus(args)
     params = _bound_params(args)
+    corpus = _corpus(args)
     result = calibrate(corpus, args.bound, params=params, z_grid=args.z_grid, mode=args.mode)
     _emit(result.to_json() + "\n", args.out)
     print(f"{args.bound}: a_min = {result.a_min!r} over {result.n_cells} cells")
@@ -238,23 +253,24 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 def _check_mc_flags(args: argparse.Namespace) -> None:
     """Reject an ``mc`` flag that the chosen run would silently ignore.
 
-    ``--mode`` defaults to None, so that a given ``raw`` can be told from
-    the default: None means ``raw`` for tails and ``winsorize`` for the check.
+    ``--mode`` and ``--w`` default to None, so that a given value can be
+    told from the default: a None mode means ``raw`` for tails and
+    ``winsorize`` for the check, and a None w means no cap for tails and 1
+    for the check.
     """
     if args.check_bounds:
-        if args.mc_w is not None:
-            raise ValueError("--mc-w does not apply with --check-bounds, which caps at --w")
         if args.mode == "raw":
             raise ValueError("--mode raw does not apply with --check-bounds, which caps at --w")
-    else:
-        if args.bound_scale is not None:
-            raise ValueError("--bound-scale applies only with --check-bounds")
-        if args.mc_w is not None and args.mode in (None, "raw"):
-            raise ValueError("--mc-w applies only with --mode winsorize or truncate")
+    elif args.bound_scale is not None:
+        raise ValueError("--bound-scale applies only with --check-bounds")
+    elif args.w is not None and args.mode in (None, "raw"):
+        raise ValueError("--w applies only with --check-bounds or --mode winsorize or truncate")
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     _check_mc_flags(args)
+    params = _bound_params(args)
+    params.check_float_range()
     if args.family == "discrete-system":
         if not args.system:
             print("error: --system is required for family 'discrete-system'", file=sys.stderr)
@@ -263,7 +279,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     else:
         spec = SamplerSpec(family=args.family, n=args.n, q=args.q, alpha=args.alpha)
     z_grid = [float(z) for z in args.z_grid]
-    params = _bound_params(args)
 
     if args.check_bounds:
         report = mc_check_bounds(
@@ -283,8 +298,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     estimates = mc_tails(
-        spec, z_grid, args.samples, args.seed, mode=args.mode or "raw", w=args.mc_w,
-        workers=args.workers,
+        spec, z_grid, args.samples, args.seed, mode=args.mode or "raw",
+        w=None if args.w is None else float(params.w), workers=args.workers,
     )
     header = "z,p_hat,ci_lo,ci_hi,n_samples,seed".split(",")
     _emit(_csv_text(header, [[getattr(e, k) for k in header] for e in estimates]), args.out)
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds_cmd.add_argument("--system", required=True, help="system JSON path")
     p_bounds_cmd.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    _add_bound_param_flags(p_bounds_cmd)
+    _add_bound_param_flags(p_bounds_cmd, _BOUND_FLAGS)
     p_bounds_cmd.add_argument("--out", help="output path (default stdout)")
     p_bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds_cmd.set_defaults(func=_cmd_bounds)
@@ -368,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
     p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_cal.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    _add_bound_param_flags(p_cal)
+    _add_bound_param_flags(p_cal, ("v", "w", "lam", "p", "c"))
     p_cal.add_argument("--out", help="JSON output path (default stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
 
@@ -401,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-bounds, which accepts only winsorize or truncate)",
     )
     p_mc.add_argument(
-        "--mc-w", type=float, default=None, help="cap level for winsorize/truncate modes"
+        "--w",
+        type=Fraction,
+        default=None,
+        help="cap level w > 0 of the sampled sums: needed by the winsorize and truncate "
+        "tails, 1 by default with --check-bounds, not accepted with raw tails",
     )
     p_mc.add_argument("--workers", type=int, default=1)
     p_mc.add_argument(
@@ -414,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiply bounds by this finite positive factor (negative-control self-test; "
         "default 1)",
     )
-    _add_bound_param_flags(p_mc)
+    # the check reads only P1-P3, so only the flags they read
+    _add_bound_param_flags(p_mc, ("p", "y"))
     p_mc.add_argument("--out", help="CSV output path (default stdout)")
     p_mc.set_defaults(func=_cmd_mc)
 

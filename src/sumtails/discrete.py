@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -246,7 +247,8 @@ class System:
         if any(rv.exact != exact for rv in self.rvs):
             raise ValueError("all summands must share one arithmetic mode")
         laws, index = self.distinct_rvs()
-        variances = []
+        counts = Counter(index)
+        total_var = Fraction(0) if exact else 0.0
         for j, rv in enumerate(laws):
             mean = rv.mean()
             if exact:
@@ -257,10 +259,7 @@ class System:
                 var = rv.variance()
                 if abs(mean) > MASS_TOL * sqrt(max(float(var), 0.0)):
                     raise ValueError(f"summand {index.index(j)} has mean {mean}, expected ~0")
-            variances.append(var)
-        total_var = Fraction(0) if exact else 0.0
-        for j in index:
-            total_var += variances[j]
+            total_var += counts[j] * var
         if self.unit_variance:
             if exact:
                 if total_var != 1:

@@ -48,6 +48,8 @@ DEFAULT_A_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 2) for i in range(-4, 9
 DEFAULT_GAPS: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2))
 #: most summands :func:`extremal_system` builds; larger n needs :func:`extremal_report`
 MAX_MATERIALIZE = 100_000
+#: largest denominator of the random rationals :func:`gen_corpus` draws
+MAX_DENOMINATOR = 8
 
 # ---------------------------------------------------------------------------
 # Corpus generation
@@ -69,7 +71,6 @@ class CorpusSpec:
     count: int = 200
     n_max: int = 4
     atoms_max: int = 4
-    max_denominator: int = 8
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -78,45 +79,41 @@ class CorpusSpec:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.atoms_max < 2:
             raise ValueError(f"atoms_max must be >= 2, got {self.atoms_max}")
-        if self.max_denominator < 2:
-            raise ValueError(f"max_denominator must be >= 2, got {self.max_denominator}")
 
 
-def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction, max_den: int) -> Fraction:
-    den = rng.randint(1, max_den)
+def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    den = rng.randint(1, MAX_DENOMINATOR)
     lo_n = math.ceil(lo * den)
     hi_n = math.floor(hi * den)
     if lo_n > hi_n:
-        den = max_den
+        den = MAX_DENOMINATOR
         lo_n = math.ceil(lo * den)
         hi_n = math.floor(hi * den)
     return Fraction(rng.randint(lo_n, hi_n), den)
 
 
-def _centered_block(
-    rng: random.Random, variance: Fraction, max_den: int
-) -> list[tuple[Fraction, Fraction]]:
+def _centered_block(rng: random.Random, variance: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Two-point zero-mean block {(-b, a/(a+b)), (a, b/(a+b))} with a*b = variance."""
-    b = _rand_fraction(rng, Fraction(1, 4), Fraction(2), max_den)
+    b = _rand_fraction(rng, Fraction(1, 4), Fraction(2))
     a = variance / b
     s = a + b
     return [(-b, a / s), (a, b / s)]
 
 
-def _random_rv(rng: random.Random, variance: Fraction, atoms: int, max_den: int) -> DiscreteRV:
+def _random_rv(rng: random.Random, variance: Fraction, atoms: int) -> DiscreteRV:
     if atoms <= 2:
-        pairs = _centered_block(rng, variance, max_den)
+        pairs = _centered_block(rng, variance)
     elif atoms == 3:
-        w0 = _rand_fraction(rng, Fraction(1, 8), Fraction(3, 4), max_den)
-        block = _centered_block(rng, variance / (1 - w0), max_den)
+        w0 = _rand_fraction(rng, Fraction(1, 8), Fraction(3, 4))
+        block = _centered_block(rng, variance / (1 - w0))
         pairs = [(x, p * (1 - w0)) for x, p in block] + [(Fraction(0), w0)]
     else:
         # mixture of two centered blocks; retry a few times for distinct values
         for _ in range(8):
-            w1 = _rand_fraction(rng, Fraction(1, 8), Fraction(7, 8), max_den)
-            theta = _rand_fraction(rng, Fraction(1, 8), Fraction(7, 8), max_den)
-            block1 = _centered_block(rng, variance * theta / w1, max_den)
-            block2 = _centered_block(rng, variance * (1 - theta) / (1 - w1), max_den)
+            w1 = _rand_fraction(rng, Fraction(1, 8), Fraction(7, 8))
+            theta = _rand_fraction(rng, Fraction(1, 8), Fraction(7, 8))
+            block1 = _centered_block(rng, variance * theta / w1)
+            block2 = _centered_block(rng, variance * (1 - theta) / (1 - w1))
             if len({x for x, _ in block1} | {x for x, _ in block2}) == 4:
                 break
         pairs = [(x, p * w1) for x, p in block1] + [(x, p * (1 - w1)) for x, p in block2]
@@ -129,14 +126,12 @@ def gen_corpus(spec: CorpusSpec) -> list[System]:
     systems = []
     for _ in range(spec.count):
         n = rng.randint(1, spec.n_max)
-        weights = [
-            _rand_fraction(rng, Fraction(1), Fraction(8), spec.max_denominator) for _ in range(n)
-        ]
+        weights = [_rand_fraction(rng, Fraction(1), Fraction(8)) for _ in range(n)]
         total = sum(weights)
         rvs = []
         for c in weights:
             atoms = rng.randint(2, spec.atoms_max)
-            rvs.append(_random_rv(rng, c / total, atoms, spec.max_denominator))
+            rvs.append(_random_rv(rng, c / total, atoms))
         systems.append(System(rvs=tuple(rvs)))
     return systems
 

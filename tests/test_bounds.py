@@ -759,10 +759,18 @@ class TestBoundParams:
             st.BoundParams(lam=-1)
         with pytest.raises(ValueError):
             st.BoundParams(y=0)
+        for name in ("v", "w", "lam", "p", "c", "y"):
+            with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+                st.BoundParams(**{name: math.inf})
+        with pytest.raises(ValueError, match="constant 'p5' must be finite"):
+            st.BoundParams(constants={"p5": math.inf})
 
     def test_unknown_constant_rejected(self):
         with pytest.raises(ValueError, match="unknown constant"):
             st.BoundParams(constants={"p6": 1.0})
+        # the z-damped moment sum has no constant; no bound reads one
+        with pytest.raises(ValueError, match="unknown constant 'bikelis'"):
+            st.BoundParams(constants={"bikelis": 1.0})
 
     def test_constant_lookup(self):
         params = st.BoundParams(constants={"theorem": 2.5})

@@ -192,7 +192,7 @@ class TestGoldenOutputs:
 
     def test_mc_tails_csv(self, capsys):
         flags = ["--n", "4", "--samples", "20000", "--seed", "3", "--mode", "winsorize"]
-        code = main(["mc", "--family", "standardized-exponential", *flags, "--mc-w", "0.5"])
+        code = main(["mc", "--family", "standardized-exponential", *flags, "--w", "0.5"])
         assert code == 0
         spec = st.SamplerSpec("standardized-exponential", n=4)
         zs = [n / 2 for n in range(9)]
@@ -289,8 +289,13 @@ class TestParamsBeyondFloat:
                 + ["--samples", "2000", "--seed", "1", "--check-bounds", "--w=1e400"],
                 "w",
             ),
+            (
+                ["mc", "--family", "standardized-exponential", "--n", "4"]
+                + ["--samples", "2000", "--seed", "1", "--mode", "winsorize", "--w=1e400"],
+                "w",
+            ),
         ],
-        ids=["calibrate-v", "calibrate-w", "mc-check-bounds-w"],
+        ids=["calibrate-v", "calibrate-w", "mc-check-bounds-w", "mc-tails-w"],
     )
     def test_usage_error_before_any_work(self, capsys, monkeypatch, argv, name):
         from sumtails import mc, verify
@@ -305,11 +310,88 @@ class TestParamsBeyondFloat:
         assert err == f"error: parameter {name} must be at most {sys.float_info.max!r}\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            pytest.param(command, f"--{name}=inf", message, id=f"{command}-{name}")
+            for command in ("bounds", "calibrate")
+            for name, message in [
+                ("lambda", "parameter lam must be finite and positive, got inf"),
+                ("p", "parameter p must be finite and positive, got inf"),
+                ("c", "parameter c must be finite and positive, got inf"),
+                ("constant=theorem", "constant 'theorem' must be finite and positive"),
+            ]
+            # calibrate takes no constants (see TestUnreadFlags)
+            if not (command == "calibrate" and name.startswith("constant"))
+        ],
+    )
+    def test_not_finite_is_a_usage_error(
+        self, two_coins_path, capsys, monkeypatch, command, flag, message
+    ):
+        from sumtails import cli
+
+        def no_work(*_args):
+            raise AssertionError("parameters are checked before any work")
+
+        monkeypatch.setattr(cli, "load_system", no_work)
+        monkeypatch.setattr(cli, "gen_corpus", no_work)
+        argv = {
+            "bounds": ["bounds", "--system", two_coins_path],
+            "calibrate": ["calibrate", "--seed", "1", "--count", "1", "--bound", "theorem"],
+        }[command]
+        assert main([*argv, flag]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert out == ""
+
     def test_bounds_still_reads_them_exactly(self, two_coins_path, capsys):
         argv = ["bounds", "--system", two_coins_path, "--v=1e400", "--w=1e400"]
         assert main([*argv, "--z-grid", "0:1:2"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4
+
+
+class TestUnreadFlags:
+    """A flag that changes no output of its command is not accepted."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("calibrate", ["--y", "1/3"], "unrecognized arguments: --y 1/3"),
+            ("calibrate", ["--constant", "theorem=5"], "unrecognized arguments: --constant"),
+            ("mc-check", ["--v", "2"], "unrecognized arguments: --v 2"),
+            ("mc-check", ["--lambda", "3"], "unrecognized arguments: --lambda 3"),
+            # argparse reads --c as the abbreviation of --check-bounds
+            ("mc-check", ["--c", "5"], "unrecognized arguments: 5"),
+            ("mc-check", ["--constant", "p4=9"], "unrecognized arguments: --constant p4=9"),
+            ("mc", ["--mode", "winsorize", "--mc-w", "0.5"], "unrecognized arguments: --mc-w"),
+            ("bounds", ["--constant", "bikelis=1"], "unknown constant 'bikelis'"),
+        ],
+        ids=[
+            "calibrate-y",
+            "calibrate-constant",
+            "mc-check-v",
+            "mc-check-lambda",
+            "mc-check-c",
+            "mc-check-constant",
+            "mc-mc-w",
+            "bounds-bikelis",
+        ],
+    )
+    def test_is_a_usage_error(self, two_coins_path, capsys, command, flags, message):
+        argv = {
+            "bounds": ["bounds", "--system", two_coins_path],
+            "calibrate": ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5"],
+            "mc": ["mc", "--family", "standardized-exponential", "--n", "4"]
+            + ["--samples", "2000", "--seed", "1"],
+        }
+        argv["mc-check"] = [*argv["mc"], "--check-bounds"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv[command], *flags])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
 
 
 class TestExtremalCommand:
@@ -437,17 +519,12 @@ class TestMcCommand:
             (["--bound-scale", "0.5"], "--bound-scale applies only with --check-bounds"),
             (["--bound-scale", "nan"], "--bound-scale applies only with --check-bounds"),
             (
-                ["--check-bounds", "--mc-w", "0.25"],
-                "--mc-w does not apply with --check-bounds, which caps at --w",
+                ["--w", "0.25"],
+                "--w applies only with --check-bounds or --mode winsorize or truncate",
             ),
             (
-                ["--check-bounds", "--mode", "truncate", "--mc-w", "0.25"],
-                "--mc-w does not apply with --check-bounds, which caps at --w",
-            ),
-            (["--mc-w", "0.25"], "--mc-w applies only with --mode winsorize or truncate"),
-            (
-                ["--mode", "raw", "--mc-w", "0.25"],
-                "--mc-w applies only with --mode winsorize or truncate",
+                ["--mode", "raw", "--w", "0.25"],
+                "--w applies only with --check-bounds or --mode winsorize or truncate",
             ),
             (
                 ["--check-bounds", "--mode", "raw"],
@@ -457,10 +534,8 @@ class TestMcCommand:
         ids=[
             "bound-scale-alone",
             "nan-bound-scale-alone",
-            "mc-w-with-check",
-            "mc-w-with-truncate-check",
-            "mc-w-default-raw",
-            "mc-w-raw",
+            "w-default-raw",
+            "w-raw",
             "raw-with-check",
         ],
     )
