@@ -121,10 +121,17 @@ class BoundParams:
                 raise ValueError(f"constant {name!r} must be finite and positive, got {value}")
 
     def check_float_range(self) -> None:
-        """Raise ``ValueError`` if v or w is too large to be read as a float."""
+        """Raise ``ValueError`` if v or w is too large or too small to be read as a float.
+
+        Too small is positive but read as 0.0, below half the least
+        subnormal float.
+        """
         for name in ("v", "w"):
-            if getattr(self, name) > sys.float_info.max:
+            value = getattr(self, name)
+            if value > sys.float_info.max:
                 raise ValueError(f"parameter {name} must be at most {sys.float_info.max!r}")
+            if float(value) == 0.0:
+                raise ValueError(f"parameter {name} is positive but rounds to 0.0 as a float")
 
     def constant(self, name: str) -> tuple[float, bool]:
         """Return (value, defaulted) for a named constant."""
@@ -167,6 +174,17 @@ class SystemOracle:
     ``Fraction`` per returned value.  Float systems are convolved as float
     sub-measures.
 
+    The exact restricted and capped summands are built from the lattice
+    summands in integers (:meth:`LatticeMeasure.restrict_at_most`,
+    :meth:`LatticeMeasure.capped`), once per summand per build through
+    :func:`~sumtails.discrete.restrict_at_most` and
+    :func:`~sumtails.discrete.capped_sum_rv`, and keep each summand's mass
+    denominator.  Equal summands share one lattice measure.  A winsorizing
+    w off the lattice moves the capped chain to the finer scale
+    ``lcm(scale, w.denominator)``.  A cap that moves no atom of any summand
+    leaves every summand as it is, and :meth:`law_capped` returns
+    :meth:`law_sum` itself.
+
     The laws restricted to {X_i <= y} depend on y only through its
     *signature*, the number of atoms each summand keeps
     (``bisect_right(rv.values, y)`` per summand, taken on the integer
@@ -205,7 +223,7 @@ class SystemOracle:
         self._signatures: dict[object, tuple[int, ...]] = {}
         self._cut_signatures: dict[int, tuple[int, ...]] = {}
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
-        self._loo_capped: dict[tuple[Number, str], list[Law]] = {}
+        self._loo_capped: dict[tuple[object, str], list[Law]] = {}
         self._max_tail: dict[tuple[int, ...], Number] = {}
         self._sum_exceedance: dict[Number, Number] = {}
         self._beta_v: dict[Number, Number] = {}
@@ -235,10 +253,6 @@ class SystemOracle:
             raise ConvolutionCapError(*entry.args)
         return entry
 
-    def _laws(self, measures: Sequence[DiscreteRV | SubMeasure]) -> list[Law]:
-        """The inputs in the form the convolution kernel takes."""
-        return to_lattice(measures) if self.system.exact else list(measures)
-
     def _chain(self, laws: Sequence[Law]) -> Law:
         current = laws[0]
         for nxt in laws[1:]:
@@ -262,26 +276,51 @@ class SystemOracle:
         middle = [self._chain([prefix[i - 1], suffix[i]]) for i in range(1, n - 1)]
         return [suffix[0], *middle, prefix[-1]]
 
-    def _capped(self, combine, w: Number, mode: str):
-        """``combine`` applied to the summands capped at level w."""
-        return combine(self._laws([capped_sum_rv(rv, w, mode) for rv in self.system.rvs]))
+    def _summands(self) -> Sequence[Law]:
+        """The summands in the form the convolution kernel takes."""
+        return self._lattice_rvs() if self.system.exact else self.system.rvs
+
+    def _capped_parts(self, w: Number, mode: str) -> list[Law]:
+        """The summands capped at level w, on one lattice for an exact system."""
+        parts = [capped_sum_rv(m, w, mode) for m in self._summands()]
+        if self.system.exact:
+            # a winsorized summand whose atoms moved to a w off the lattice
+            # is on a finer scale than one whose atoms all lie at or below w
+            scale = max(m.scale for m in parts)
+            parts = [m.at_scale(scale) for m in parts]
+        return parts
+
+    def _capped_sum(self, w: Number, mode: str) -> Law:
+        parts = self._capped_parts(w, mode)
+        if all(m is rv for m, rv in zip(parts, self._summands())):
+            return self.law_sum()  # the cap moves no atom
+        return self._chain(parts)
 
     def _raw_sum(self) -> Law:
-        return self._chain(self._laws(self.system.rvs))
+        return self._chain(self._summands())
 
     def law_sum(self) -> Law:
         """Exact law of the raw sum S."""
         return self._memo(self._law_sum, None, self._raw_sum)
 
     def law_capped(self, w: Number, mode: str) -> Law:
-        """Exact law of the capped sum S_bar at level w, cached by ``(_key(w), mode)``."""
-        return self._memo(self._law_capped, (_key(w), mode), self._capped, self._chain, w, mode)
+        """Exact law of the capped sum S_bar at level w, cached by ``(_key(w), mode)``.
+
+        A cap that moves no atom of any summand gives :meth:`law_sum` itself.
+        """
+        return self._memo(self._law_capped, (_key(w), mode), self._capped_sum, w, mode)
 
     def _lattice_rvs(self) -> list[LatticeMeasure]:
-        """The exact system's summands on their common integer lattice, built once."""
+        """The exact system's summands on their common integer lattice, built once.
+
+        Each distinct summand (see :meth:`System.distinct_rvs`) is converted
+        once, and equal summands share its ``LatticeMeasure``.
+        """
         lattice = self._lattice
         if lattice is None:
-            lattice = self._lattice = to_lattice(self.system.rvs)
+            laws, index = self.system.distinct_rvs()
+            converted = to_lattice(laws)
+            lattice = self._lattice = [converted[j] for j in index]
         return lattice
 
     def signature(self, y: Number) -> tuple[int, ...]:
@@ -321,7 +360,7 @@ class SystemOracle:
         return sig
 
     def _restrict(self, y: Number) -> tuple[list[Law], Law]:
-        parts = self._laws([restrict_at_most(rv, y) for rv in self.system.rvs])
+        parts = [restrict_at_most(m, y) for m in self._summands()]
         loo = self._leave_one_out(parts)
         full = self._chain([loo[-1], parts[-1]]) if len(parts) > 1 else parts[0]
         return loo, full
@@ -332,7 +371,10 @@ class SystemOracle:
 
     def loo_capped(self, w: Number, mode: str) -> list[Law]:
         """Laws of S_bar - X_bar_i (leave-one-out capped sums)."""
-        return self._memo(self._loo_capped, (w, mode), self._capped, self._leave_one_out, w, mode)
+        return self._memo(self._loo_capped, (_key(w), mode), self._capped_loo, w, mode)
+
+    def _capped_loo(self, w: Number, mode: str) -> list[Law]:
+        return self._leave_one_out(self._capped_parts(w, mode))
 
     # -- scalar queries -----------------------------------------------------
 

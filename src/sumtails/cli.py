@@ -9,6 +9,7 @@ and no statistically significant Monte Carlo flag was found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -224,6 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     params = _bound_params(args)
+    params.check_float_range()
     corpus = _corpus(args)
     result = calibrate(corpus, args.bound, params=params, z_grid=args.z_grid, mode=args.mode)
     _emit(result.to_json() + "\n", args.out)
@@ -357,11 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sumtails",
         description="Tail bounds for sums of independent random variables: "
         "exact verification, calibration, Monte Carlo.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag must be given in full: a prefix such as --c for --check-bounds
+    # would otherwise silently stand for the one flag it begins
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_bounds_cmd = sub.add_parser("bounds", help="bound table over a z grid for one system")
+    p_bounds_cmd = command("bounds", help="bound table over a z grid for one system")
     p_bounds_cmd.add_argument("--system", required=True, help="system JSON path")
     p_bounds_cmd.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
     p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
@@ -370,15 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds_cmd.set_defaults(func=_cmd_bounds)
 
-    p_verify = sub.add_parser(
-        "verify", help="exact verification suite over a seeded corpus"
-    )
+    p_verify = command("verify", help="exact verification suite over a seeded corpus")
     _add_corpus_flags(p_verify)
     p_verify.add_argument("--mode", choices=(*WINSOR_MODES, "both"), default="both")
     p_verify.add_argument("--out", help="JSON report path")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_cal = sub.add_parser("calibrate", help="empirical minimal constant for one bound")
+    p_cal = command("calibrate", help="empirical minimal constant for one bound")
     _add_corpus_flags(p_cal)
     p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
     p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", help="JSON output path (default stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
 
-    p_ext = sub.add_parser("extremal", help="sharpness report for the two-scale family")
+    p_ext = command("extremal", help="sharpness report for the two-scale family")
     p_ext.add_argument(
         "--n-list",
         type=lambda s: [int(x) for x in s.split(",") if x],
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--format", choices=("csv", "json"), default="json")
     p_ext.set_defaults(func=_cmd_extremal)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo tail estimates and bound flags")
+    p_mc = command("mc", help="Monte Carlo tail estimates and bound flags")
     p_mc.add_argument("--family", choices=FAMILIES, required=True)
     p_mc.add_argument("--system", help="system JSON path (discrete-system family)")
     p_mc.add_argument("--n", type=int, default=1, help="number of summands (iid families)")
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--out", help="CSV output path (default stdout)")
     p_mc.set_defaults(func=_cmd_mc)
 
-    p_young = sub.add_parser("young", help="Delta(k, u) grid scan and boundary study")
+    p_young = command("young", help="Delta(k, u) grid scan and boundary study")
     p_young.add_argument("--k", type=float, default=None, help="scan one k (default: full grid)")
     p_young.add_argument("--u-min", type=float, default=0.0)
     p_young.add_argument("--u-max", type=float, default=10.0)

@@ -182,6 +182,18 @@ class _AtomicMeasure:
         """The law of the independent sum, from the atoms `_convolve_two` returned."""
         return SubMeasure(values=values, masses=masses, exact=self.exact)
 
+    def restrict_at_most(self, y: Number) -> "SubMeasure":
+        """Sub-measure of the atoms with value <= y (mass may drop below 1)."""
+        return SubMeasure.from_atoms(
+            ((x, p) for x, p in zip(self.values, self.masses) if x <= y),
+            exact=self.exact,
+        )
+
+    def capped(self, w: Number, mode: str) -> "DiscreteRV":
+        """The variable under the capping transform ``mode`` at level ``w``."""
+        check_mode(mode)
+        return TRANSFORMS[mode](self, w)
+
     def abs_moment(self, p: Number) -> Number:
         """E |X|^p restricted to this measure (no normalization by mass).
 
@@ -384,10 +396,15 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {WINSOR_MODES}")
 
 
-def capped_sum_rv(rv: DiscreteRV, w: Number, mode: str) -> DiscreteRV:
-    """Apply the named capping transform (one of :data:`WINSOR_MODES`)."""
-    check_mode(mode)
-    return TRANSFORMS[mode](rv, w)
+def capped_sum_rv(
+    rv: DiscreteRV | LatticeMeasure, w: Number, mode: str
+) -> DiscreteRV | LatticeMeasure:
+    """Apply the named capping transform (one of :data:`WINSOR_MODES`).
+
+    A :class:`LatticeMeasure` is capped on its integer lattice (see
+    :meth:`LatticeMeasure.capped`).
+    """
+    return rv.capped(w, mode)
 
 
 def degenerate(x: Number = 0, exact: bool = True) -> SubMeasure:
@@ -396,12 +413,15 @@ def degenerate(x: Number = 0, exact: bool = True) -> SubMeasure:
     return SubMeasure.from_atoms([(x, one)], exact=exact)
 
 
-def restrict_at_most(rv: DiscreteRV | SubMeasure, y: Number) -> SubMeasure:
-    """Sub-measure of the atoms with value <= y (mass may drop below 1)."""
-    return SubMeasure.from_atoms(
-        ((x, p) for x, p in zip(rv.values, rv.masses) if x <= y),
-        exact=rv.exact,
-    )
+def restrict_at_most(
+    rv: DiscreteRV | SubMeasure | LatticeMeasure, y: Number
+) -> SubMeasure | LatticeMeasure:
+    """Sub-measure of the atoms with value <= y (mass may drop below 1).
+
+    A :class:`LatticeMeasure` is restricted on its integer lattice (see
+    :meth:`LatticeMeasure.restrict_at_most`).
+    """
+    return rv.restrict_at_most(y)
 
 
 def _as_ratio(t: Number) -> tuple[int, int] | None:
@@ -423,6 +443,8 @@ class LatticeMeasure:
     ``floor(t * scale)``, computed exactly for int, Fraction and float ``t``;
     at a NaN threshold :meth:`tail`, :meth:`mass_at_least` and
     :meth:`interval_mass` count no atom, as no comparison with NaN holds.
+    :meth:`restrict_at_most` and :meth:`capped` build the restricted and
+    capped laws from these integers too, keeping ``den``.
     The suffix sums behind the queries are built on the first query.
     :meth:`tail_pair` answers with an unreduced integer pair, so callers
     that combine several answers compare integers and build a ``Fraction``
@@ -503,6 +525,57 @@ class LatticeMeasure:
     ) -> "LatticeMeasure":
         """The law of the independent sum, from the atoms `_convolve_two` returned."""
         return LatticeMeasure(values, masses, self.den * other.den, self.scale)
+
+    def at_scale(self, scale: int) -> "LatticeMeasure":
+        """The same measure on the grid (1/scale) Z, a multiple of this one's scale."""
+        if scale == self.scale:
+            return self
+        factor = scale // self.scale
+        return LatticeMeasure(tuple(v * factor for v in self.values), self.masses, self.den, scale)
+
+    def restrict_at_most(self, y: Number) -> "LatticeMeasure":
+        """The atoms with value <= y, on the same grid with the same ``den``.
+
+        A restriction that keeps every atom is this measure itself.  At a
+        NaN y no atom is kept, as no comparison with NaN holds.
+        """
+        k = 0 if y != y else self._cut(y, True)
+        if k == len(self.values):
+            return self
+        return LatticeMeasure(self.values[:k], self.masses[:k], self.den, self.scale)
+
+    def capped(self, w: Number, mode: str) -> "LatticeMeasure":
+        """The law under the capping transform ``mode`` at level w, in integers.
+
+        The atoms up to w are kept and the mass above w moves to 0
+        (truncate) or to w (winsorize), merged into an atom already there.
+        A w off this grid moves the winsorized measure to the finer scale
+        ``lcm(scale, w.denominator)``, so a chain of summands capped at one
+        w holds two scales at most, and :meth:`at_scale` brings them to one.
+        A cap that moves no atom returns this measure itself; ``den`` never
+        changes.
+        """
+        check_mode(mode)
+        if not w > 0:
+            raise ValueError(f"threshold w must be positive, got {w}")
+        w = _coerce(w, True)
+        k = bisect_right(self.values, w.numerator * self.scale // w.denominator)
+        if k == len(self.values):
+            return self
+        if mode == "truncate":
+            kept, target = self, 0
+        else:
+            kept = self.at_scale(lcm(self.scale, w.denominator))
+            target = w.numerator * (kept.scale // w.denominator)
+        values, masses = list(kept.values[:k]), list(kept.masses[:k])
+        moved = sum(self.masses[k:])
+        at = bisect_left(values, target)
+        if at < k and values[at] == target:
+            masses[at] += moved
+        else:
+            values.insert(at, target)
+            masses.insert(at, moved)
+        return LatticeMeasure(tuple(values), tuple(masses), self.den, kept.scale)
 
     def to_submeasure(self) -> SubMeasure:
         """The same measure with :class:`~fractions.Fraction` values and masses."""

@@ -301,6 +301,89 @@ class TestIntegerReads:
                 assert type(q) is F and type(qstar) is F
 
 
+def _tails(law, outcomes):
+    """Each law tail on a grid through the atoms, against the enumerated outcomes."""
+    for t in [F(n, 12) for n in range(-48, 49, 5)] + [0.3, -0.7]:
+        assert law.tail(t) == _mass_where(outcomes, lambda s: s > t), t
+    assert law.mass == sum((p for p, _ in outcomes), F(0))
+
+
+class TestLatticeCapLaws:
+    """Restricted, capped and leave-one-out laws built on the lattice, against enumeration."""
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        y=hyp.one_of(
+            hyp.builds(F, hyp.integers(-16, 16), hyp.sampled_from([1, 2, 4, 7])),
+            hyp.floats(min_value=-3, max_value=3, allow_subnormal=False),
+        ),
+        w=hyp.one_of(
+            hyp.builds(F, hyp.integers(1, 16), hyp.sampled_from([1, 2, 4, 7, 11])),
+            hyp.sampled_from([0.3, F(5)]),
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_laws_match_enumeration(self, seed, y, w):
+        (system,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=3, atoms_max=3))
+        oracle = st.SystemOracle(system)
+        rvs = system.rvs
+        restricted = [st.restrict_at_most(rv, y) for rv in rvs]
+        loo, full = oracle.restricted(y)
+        _tails(full, list(enumerate_outcomes(restricted)))
+        for i, law in enumerate(loo):
+            _tails(law, list(enumerate_outcomes(restricted[:i] + restricted[i + 1 :])))
+        for mode in WINSOR_MODES:
+            capped = [capped_sum_rv(rv, w, mode) for rv in rvs]
+            _tails(oracle.law_capped(w, mode), list(enumerate_outcomes(capped)))
+            for i, law in enumerate(oracle.loo_capped(w, mode)):
+                _tails(law, list(enumerate_outcomes(capped[:i] + capped[i + 1 :])))
+            moves_none = all(rv.values[-1] <= w for rv in rvs)
+            assert (oracle.law_capped(w, mode) is oracle.law_sum()) == moves_none
+
+    @pytest.mark.parametrize("mode", WINSOR_MODES)
+    def test_cap_above_every_atom_reuses_the_raw_law(self, four_coins, mode, monkeypatch):
+        from sumtails import bounds
+
+        oracle = st.SystemOracle(four_coins)
+        raw = oracle.law_sum()
+
+        def no_convolution(*_args):
+            raise AssertionError("a cap that moves no atom convolves nothing")
+
+        monkeypatch.setattr(bounds, "_convolve_two", no_convolution)
+        # the coins' largest atom is 1/2: a cap there or above moves no atom
+        for w in (F(1, 2), 0.5, 1, F(7, 3)):
+            assert oracle.law_capped(w, mode) is raw
+
+    def test_cap_off_the_lattice_for_some_summands(self):
+        # w = 1/3 moves the atom at 1 of the first summand and no atom of the second
+        system = st.make_system(
+            [[(-1, F(1, 2)), (1, F(1, 2))], [(F(-1, 4), F(1, 2)), (F(1, 4), F(1, 2))]],
+            unit_variance=False,
+        )
+        oracle = st.SystemOracle(system)
+        law = oracle.law_capped(F(1, 3), "winsorize")
+        assert law.scale == 12
+        capped = [st.winsorize(rv, F(1, 3)) for rv in system.rvs]
+        _tails(law, list(enumerate_outcomes(capped)))
+        for i, loo in enumerate(oracle.loo_capped(F(1, 3), "winsorize")):
+            _tails(loo, list(enumerate_outcomes(capped[:i] + capped[i + 1 :])))
+
+    def test_equal_summands_share_one_lattice_measure(self):
+        coin = {"atoms": [{"x": "-1/2", "p": "1/2"}, {"x": "1/2", "p": "1/2"}]}
+        three = {"atoms": [{"x": -1, "p": "1/4"}, {"x": 0, "p": "1/2"}, {"x": 1, "p": "1/4"}]}
+        system = st.system_from_dict({"rvs": [coin, three, coin], "unit_variance": False})
+        lattice = st.SystemOracle(system)._lattice_rvs()
+        assert lattice[0] is lattice[2] and lattice[0] is not lattice[1]
+        assert [m.to_submeasure().values for m in lattice] == [rv.values for rv in system.rvs]
+
+    def test_loo_capped_memo_keys_hash_no_fraction(self, four_coins):
+        oracle = st.SystemOracle(four_coins)
+        first = oracle.loo_capped(F(1, 4), "truncate")
+        assert oracle.loo_capped(F(1, 4), "truncate") is first
+        assert list(oracle._loo_capped) == [((1, 4), "truncate")]
+
+
 class TestCapFallback:
     def test_small_cap_does_not_raise(self, small_corpus):
         system = next(s for s in small_corpus if s.n >= 3)
@@ -764,6 +847,14 @@ class TestBoundParams:
                 st.BoundParams(**{name: math.inf})
         with pytest.raises(ValueError, match="constant 'p5' must be finite"):
             st.BoundParams(constants={"p5": math.inf})
+
+    def test_float_range(self):
+        st.BoundParams(v=F(1, 10**300), w=5e-324).check_float_range()
+        for name in ("v", "w"):
+            with pytest.raises(ValueError, match=f"parameter {name} must be at most"):
+                st.BoundParams(**{name: F(10**400)}).check_float_range()
+            with pytest.raises(ValueError, match=f"parameter {name} is positive but rounds to 0.0"):
+                st.BoundParams(**{name: F(1, 10**400)}).check_float_range()
 
     def test_unknown_constant_rejected(self):
         with pytest.raises(ValueError, match="unknown constant"):

@@ -276,38 +276,42 @@ class TestCalibrateCommand:
             assert path.read_bytes() == golden.read_bytes(), bound
 
 
+CALIBRATE_ARGV = ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5"]
+MC_ARGV = ["mc", "--family", "standardized-exponential", "--n", "4"]
+MC_ARGV += ["--samples", "2000", "--seed", "1"]
+
+
 class TestParamsBeyondFloat:
     """--v and --w are exact, so a value past the float range parses; readers of floats reject it."""
 
     @pytest.mark.parametrize(
-        "argv, name",
+        "argv, name, value, message",
         [
-            (["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--v=1e400"], "v"),
-            (["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--w=1e400"], "w"),
-            (
-                ["mc", "--family", "standardized-exponential", "--n", "4"]
-                + ["--samples", "2000", "--seed", "1", "--check-bounds", "--w=1e400"],
-                "w",
-            ),
-            (
-                ["mc", "--family", "standardized-exponential", "--n", "4"]
-                + ["--samples", "2000", "--seed", "1", "--mode", "winsorize", "--w=1e400"],
-                "w",
-            ),
+            pytest.param(argv, name, value, message, id=case + suffix)
+            for case, argv, name in [
+                ("calibrate-v", CALIBRATE_ARGV, "v"),
+                ("calibrate-w", CALIBRATE_ARGV, "w"),
+                ("mc-check-bounds-w", [*MC_ARGV, "--check-bounds"], "w"),
+                ("mc-tails-w", [*MC_ARGV, "--mode", "winsorize"], "w"),
+            ]
+            for suffix, value, message in [
+                ("", "1e400", f"must be at most {sys.float_info.max!r}"),
+                ("-rounds-to-zero", "1e-400", "is positive but rounds to 0.0 as a float"),
+            ]
         ],
-        ids=["calibrate-v", "calibrate-w", "mc-check-bounds-w", "mc-tails-w"],
     )
-    def test_usage_error_before_any_work(self, capsys, monkeypatch, argv, name):
-        from sumtails import mc, verify
+    def test_usage_error_before_any_work(self, capsys, monkeypatch, argv, name, value, message):
+        from sumtails import cli, mc, verify
 
         def no_work(*_args):
             raise AssertionError("v and w are checked before any work")
 
+        monkeypatch.setattr(cli, "gen_corpus", no_work)
         monkeypatch.setattr(verify, "SystemOracle", no_work)
         monkeypatch.setattr(mc, "_tail_counts", no_work)
-        assert main(argv) == 2
+        assert main([*argv, f"--{name}={value}"]) == 2
         out, err = capsys.readouterr()
-        assert err == f"error: parameter {name} must be at most {sys.float_info.max!r}\n"
+        assert err == f"error: parameter {name} {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -344,6 +348,11 @@ class TestParamsBeyondFloat:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert out == ""
 
+    def test_least_subnormal_is_read(self, capsys):
+        # the least subnormal float, 5e-324, is positive as a float
+        assert main([*MC_ARGV, "--z-grid", "0:1:1", "--check-bounds", "--w=5e-324"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+
     def test_bounds_still_reads_them_exactly(self, two_coins_path, capsys):
         argv = ["bounds", "--system", two_coins_path, "--v=1e400", "--w=1e400"]
         assert main([*argv, "--z-grid", "0:1:2"]) == 0
@@ -361,8 +370,8 @@ class TestUnreadFlags:
             ("calibrate", ["--constant", "theorem=5"], "unrecognized arguments: --constant"),
             ("mc-check", ["--v", "2"], "unrecognized arguments: --v 2"),
             ("mc-check", ["--lambda", "3"], "unrecognized arguments: --lambda 3"),
-            # argparse reads --c as the abbreviation of --check-bounds
-            ("mc-check", ["--c", "5"], "unrecognized arguments: 5"),
+            # no flag is read as an abbreviation: --c is not --check-bounds
+            ("mc-check", ["--c", "5"], "unrecognized arguments: --c 5"),
             ("mc-check", ["--constant", "p4=9"], "unrecognized arguments: --constant p4=9"),
             ("mc", ["--mode", "winsorize", "--mc-w", "0.5"], "unrecognized arguments: --mc-w"),
             ("bounds", ["--constant", "bikelis=1"], "unknown constant 'bikelis'"),
@@ -391,6 +400,45 @@ class TestUnreadFlags:
         assert info.value.code == 2
         out, err = capsys.readouterr()
         assert message in err
+        assert out == ""
+
+
+class TestAbbreviatedFlags:
+    """A unique prefix of a flag is not read as the flag, on any command."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--vers", "young", "--k", "0.5"], "--vers"),
+            (["bounds", "--system", "{system}", "--cons", "p5=1"], "--cons"),
+            (["verify", "--seed", "1", "--co", "1"], "--co"),
+            (
+                ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--mo", "truncate"],
+                "--mo",
+            ),
+            (["extremal", "--n-l", "2"], "--n-l"),
+            (
+                ["mc", "--family", "standardized-exponential", "--n", "4"]
+                + ["--samples", "2000", "--seed", "1", "--z-grid", "0:1:1", "--c"],
+                "--c",
+            ),
+            (["young", "--k", "0.5", "--u-ma", "1"], "--u-ma"),
+        ],
+        ids=["top-level", "bounds", "verify", "calibrate", "extremal", "mc-check", "young"],
+    )
+    def test_is_a_usage_error(self, two_coins_path, capsys, monkeypatch, argv, flag):
+        from sumtails import cli
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("an abbreviated flag is rejected before any work")
+
+        for name in ("load_system", "gen_corpus", "mc_check_bounds", "young_delta"):
+            monkeypatch.setattr(cli, name, no_work)
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(system=two_coins_path) for arg in argv])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in err
         assert out == ""
 
 

@@ -1,5 +1,6 @@
 """Exact measure arithmetic: construction, capping, convolution, tails."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import HALF_COIN, enumerate_outcomes
-from sumtails.discrete import _convolve_two, to_lattice
+from sumtails.discrete import WINSOR_MODES, _convolve_two, capped_sum_rv, to_lattice
 
 #: a valid atom, a unit mass at 0, for the malformed-system cases
 ATOM = {"x": 0, "p": 1}
@@ -307,6 +308,87 @@ class TestLatticeKernel:
             lattice_chain([rv] * 3, cap=19_899)
         with pytest.raises(st.ConvolutionCapError, match=r"needs 10000 intermediate atoms \(cap 9999\)"):
             st.convolve([rv] * 3, cap=9_999)
+
+
+def _atoms(measure):
+    return measure.values, measure.masses
+
+
+class TestLatticeCaps:
+    """Restriction and capping on the integer lattice against the ``Fraction`` path."""
+
+    @given(
+        rvs=hyp.lists(lattice_rvs(), min_size=1, max_size=3),
+        data=hyp.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_fraction_path(self, rvs, data):
+        atoms = sorted({x for rv in rvs for x in rv.values})
+        threshold = hyp.one_of(
+            hyp.sampled_from(atoms),  # on an atom
+            lattice_values,
+            hyp.builds(F, hyp.integers(-40, 40), hyp.sampled_from([7, 11])),  # off the lattice
+            hyp.floats(min_value=-13, max_value=13, allow_subnormal=False),
+            hyp.just(F(13)),  # above every atom
+        )
+        y = data.draw(hyp.one_of(threshold, hyp.just(float("nan"))), label="y")
+        w = data.draw(threshold.filter(lambda t: t > 0), label="w")
+        lattice = to_lattice(rvs)
+        for rv, m in zip(rvs, lattice):
+            restricted = st.restrict_at_most(m, y)
+            assert restricted.to_submeasure() == st.restrict_at_most(rv, y)
+            assert (restricted.den, restricted.scale) == (m.den, m.scale)
+            for mode in WINSOR_MODES:
+                capped = capped_sum_rv(m, w, mode)
+                assert _atoms(capped.to_submeasure()) == _atoms(capped_sum_rv(rv, w, mode))
+                assert capped.den == m.den
+                if mode == "winsorize" and capped is not m:
+                    assert capped.scale == math.lcm(m.scale, F(w).denominator)
+                else:
+                    assert capped.scale == m.scale
+                assert (capped is m) == (rv.values[-1] <= w), mode
+
+    def test_truncation_with_and_without_an_atom_at_zero(self):
+        with_zero = st.DiscreteRV.from_atoms([(-1, F(1, 4)), (0, F(1, 4)), (1, F(1, 2))])
+        without = st.DiscreteRV.from_atoms([(-1, F(1, 2)), (F(1, 3), F(1, 4)), (F(5, 3), F(1, 4))])
+        for rv, expected in [
+            (with_zero, ((F(-1), F(0)), (F(1, 4), F(3, 4)))),
+            (without, ((F(-1), F(0), F(1, 3)), (F(1, 2), F(1, 4), F(1, 4)))),
+        ]:
+            (m,) = to_lattice([rv])
+            truncated = capped_sum_rv(m, F(1, 2), "truncate")
+            assert _atoms(truncated.to_submeasure()) == expected
+            assert len(truncated.values) == len(rv.values) - (rv is with_zero)
+
+    def test_winsorize_on_an_atom_and_off_the_lattice(self):
+        rv = st.DiscreteRV.from_atoms([(-1, F(1, 2)), (F(1, 2), F(1, 4)), (F(3, 2), F(1, 4))])
+        (m,) = to_lattice([rv])
+        on_atom = capped_sum_rv(m, F(1, 2), "winsorize")
+        assert _atoms(on_atom.to_submeasure()) == ((F(-1), F(1, 2)), (F(1, 2), F(1, 2)))
+        assert on_atom.scale == m.scale == 2
+        off = capped_sum_rv(m, F(2, 3), "winsorize")
+        assert off.scale == 6
+        assert _atoms(off.to_submeasure()) == ((F(-1), F(1, 2), F(2, 3)), (F(1, 2), F(1, 4), F(1, 4)))
+        assert off.at_scale(12).to_submeasure() == off.to_submeasure()
+
+    def test_nan_empty_and_full_restrictions(self, coin):
+        (m,) = to_lattice([coin])
+        nan = st.restrict_at_most(m, float("nan"))
+        assert nan.values == () and nan.mass == 0
+        assert st.restrict_at_most(coin, float("nan")).values == ()
+        assert st.restrict_at_most(m, F(-1)).values == ()
+        assert st.restrict_at_most(m, F(1, 2)) is m
+        assert st.restrict_at_most(m, float("inf")) is m
+        assert st.restrict_at_most(m, float("-inf")).values == ()
+
+    @pytest.mark.parametrize("w", [0, -1, float("nan")])
+    def test_cap_needs_a_positive_w(self, coin, w):
+        (m,) = to_lattice([coin])
+        for measure in (coin, m):
+            with pytest.raises(ValueError, match="threshold w must be positive"):
+                capped_sum_rv(measure, w, "winsorize")
+            with pytest.raises(ValueError, match="unknown mode 'clip'"):
+                capped_sum_rv(measure, 1, "clip")
 
 
 class TestTailQueries:
