@@ -171,48 +171,23 @@ class SystemOracle:
     masses of each law are integers over that law's own denominator, and a
     tail query compares integers.  Delta, Q and Q* combine the laws' tails
     as integer pairs (:meth:`LatticeMeasure.tail_pair`) and build one
-    ``Fraction`` per returned value.  Float systems are convolved as float
-    sub-measures.
-
-    The exact restricted and capped summands are built from the lattice
-    summands in integers (:meth:`LatticeMeasure.restrict_at_most`,
-    :meth:`LatticeMeasure.capped`), once per summand per build through
-    :func:`~sumtails.discrete.restrict_at_most` and
-    :func:`~sumtails.discrete.capped_sum_rv`, and keep each summand's mass
-    denominator.  Equal summands share one lattice measure.  A winsorizing
-    w off the lattice moves the capped chain to the finer scale
-    ``lcm(scale, w.denominator)``.  A cap that moves no atom of any summand
-    leaves every summand as it is, and :meth:`law_capped` returns
-    :meth:`law_sum` itself.
+    ``Fraction`` per returned value.  The restricted and capped summands are
+    built from the lattice summands in integers, once per summand per build
+    through :func:`~sumtails.discrete.restrict_at_most` and
+    :func:`~sumtails.discrete.capped_sum_rv`.  Float systems are convolved
+    as float sub-measures.
 
     The laws restricted to {X_i <= y} depend on y only through its
-    *signature*, the number of atoms each summand keeps
-    (``bisect_right(rv.values, y)`` per summand, taken on the integer
-    lattice for an exact system), so they are cached by signature, and the
-    signature of every y seen is remembered, keyed through :func:`_key` (an
-    exact y as a pair of integers).  The max tail
-    P(max_i X_i > y) = 1 - prod_i P(X_i <= y) depends on y through the same
-    signature and is cached by it too.  The z-independent moment sums
-    ``beta_v`` and ``mu_p`` are cached per argument.  A law past the atom
-    budget is cached as its error (see :meth:`_memo`).  Q(z, y) and
-    Q*(z, y) are computed together, uncached, by :meth:`concentration`,
-    which :meth:`q` and :meth:`qstar` read and a subclass overrides to
-    change both.  On an exact system the z-damped moment sum of
-    :meth:`bikelis_at` and ``beta_v`` (its z = 0 case) come from one moment
-    profile of the system's atoms, built on first use.  Cached laws are
-    immutable apart from their suffix sums, built on the first query; the
-    cache dictionaries are only grown, never mutated in place, and the
-    profile and the lattice summands are assigned only once they are built,
-    which keeps concurrent readers safe.
+    *signature*, the number of atoms each summand keeps, so they are cached
+    by signature; so is the max tail P(max_i X_i > y) = 1 - prod_i
+    P(X_i <= y).  Every memo keyed by a query argument keys it through
+    :func:`_key`, so an exact argument hashes as a pair of integers.  Cached
+    laws are immutable apart from their suffix sums, built on the first
+    query; the cache dictionaries are only grown, never mutated in place,
+    and the moment profile and the lattice summands are assigned only once
+    they are built, which keeps concurrent readers safe.
 
-    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
-    holds everything a sweep reads that does not depend on the capping
-    mode, so the second mode of a sweep on one oracle asks no max tail, Q
-    or Q* again.  It is keyed by the ``_key`` tuples of the sweep's y grid,
-    p and w grid; an entry holds the per-w P1 and sum_i P(X_i > w) and a
-    dictionary keyed by ``_key(z)`` whose values are the :func:`_y_terms`
-    y values past the atom budget and, per w, the :func:`_p23_pairs` of
-    each term next to the term.  :func:`p_bounds` does not use it.
+    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which owns its layout.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -225,9 +200,9 @@ class SystemOracle:
         self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[object, str], list[Law]] = {}
         self._max_tail: dict[tuple[int, ...], Number] = {}
-        self._sum_exceedance: dict[Number, Number] = {}
-        self._beta_v: dict[Number, Number] = {}
-        self._mu_p: dict[Number, Number] = {}
+        self._sum_exceedance: dict[object, Number] = {}
+        self._beta_v: dict[object, Number] = {}
+        self._mu_p: dict[object, Number] = {}
         self._sweeps: dict[tuple, tuple[list, dict]] = {}
         self._profile: tuple | None = None
         self._lattice: list[LatticeMeasure] | None = None
@@ -387,31 +362,32 @@ class SystemOracle:
         return value
 
     def sum_exceedance(self, w: Number) -> Number:
-        """sum_i P(X_i > w)."""
-        value = self._sum_exceedance.get(w)
+        """sum_i P(X_i > w), cached by ``_key(w)``."""
+        key = _key(w)
+        value = self._sum_exceedance.get(key)
         if value is None:
             zero = Fraction(0) if self.system.exact else 0.0
             value = sum((rv.tail(w) for rv in self.system.rvs), zero)
-            self._sum_exceedance[w] = value
+            self._sum_exceedance[key] = value
         return value
 
     def beta_v_at(self, v: Number) -> Number:
-        """beta_v of the system at scale v (independent of z, so computed once per v).
+        """beta_v of the system at scale v, ``bikelis_at(0, v)``, cached by ``_key(v)``.
 
-        An exact system reads it from the moment profile as
-        ``bikelis_at(0, v)``; a float system sums :func:`beta_v`.
+        It does not depend on z, so a sweep computes it once per v.
         """
-        value = self._beta_v.get(v)
+        key = _key(v)
+        value = self._beta_v.get(key)
         if value is None:
-            exact = self.system.exact
-            value = self._beta_v[v] = self.bikelis_at(0, v) if exact else beta_v(self.system, v)
+            value = self._beta_v[key] = self.bikelis_at(0, v)
         return value
 
     def mu_p_at(self, p: Number) -> Number:
-        """mu_p = sum_i E |X_i|^p (independent of z, so computed once per p)."""
-        value = self._mu_p.get(p)
+        """mu_p = sum_i E |X_i|^p, cached by ``_key(p)`` (it does not depend on z)."""
+        key = _key(p)
+        value = self._mu_p.get(key)
         if value is None:
-            value = self._mu_p[p] = mu_p(self.system, p)
+            value = self._mu_p[key] = mu_p(self.system, p)
         return value
 
     def _moment_profile(self) -> tuple:
@@ -631,9 +607,9 @@ def _parts(x: Number) -> tuple[Number, Number]:
 def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[list, list]:
     """The y terms of P2 and P3 at z, and the y values past the atom budget.
 
-    A term is (y, max tail, Q, Q*) followed by the :func:`_parts` numerator
-    and denominator of the max tail, of Q and of 2 Q*, flat.  Each y asks
-    the oracle for its max tail, then for its concentration pair.  An
+    A term is y followed by the :func:`_parts` numerator and denominator of
+    the max tail P(max_i X_i > y), of Q(z, y) and of 2 Q*(z, y), flat.  Each
+    y asks the oracle for its max tail, then for its concentration pair.  An
     auto-y :func:`p_bounds` passes only the least y of each signature
     class: within a class the max tail is fixed and Q, Q* can only grow
     with y, so the other members give no smaller P2 or P3.
@@ -648,7 +624,7 @@ def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[lis
             capped.append(y)
             continue
         qstar_n, qstar_d = _parts(qstar)
-        terms.append((y, mt_y, q, qstar, *_parts(mt_y), *_parts(q), 2 * qstar_n, qstar_d))
+        terms.append((y, *_parts(mt_y), *_parts(q), 2 * qstar_n, qstar_d))
     return terms, capped
 
 
@@ -656,11 +632,13 @@ def _p23_pairs(term: tuple, exc: tuple, p1: tuple) -> tuple[Number, Number, Numb
     """P2 and P3 of a :func:`_y_terms` term as unreduced fractions: (n2, d2, n3, d3).
 
     ``exc`` and ``p1`` are the :func:`_parts` pairs of sum_i P(X_i > w) and
-    of P1.  Exact values give integers, with no gcd; a float numerator is
-    the float expression of :func:`_p23_values`, over 1.0.  Denominators are
-    positive, so cross-multiplying two fractions keeps their order.
+    of P1.  Exact values give integers, with no gcd.  Float values give the
+    float P(max_i X_i > y) + Q sum_i P(X_i > w) and
+    P(max_i X_i > y) + (2 Q*) P1 over 1.0.  Denominators are positive, so
+    cross-multiplying two fractions keeps their order, and
+    :func:`_pair_value` reads the reported number from the pair.
     """
-    _, _, _, _, mn, md, qn, qd, sn, sd = term
+    _, mn, md, qn, qd, sn, sd = term
     (en, ed), (pn, pd) = exc, p1
     return (
         mn * qd * ed + qn * en * md, md * qd * ed,  # P2
@@ -668,15 +646,15 @@ def _p23_pairs(term: tuple, exc: tuple, p1: tuple) -> tuple[Number, Number, Numb
     )
 
 
-def _p23_values(t2: tuple, t3: tuple, sum_exc: Number, p1: Number) -> tuple[Number, Number]:
-    """P2 at the y of term ``t2`` and P3 at the y of term ``t3``, as numbers."""
-    return t2[1] + t2[2] * sum_exc, t3[1] + 2 * t3[3] * p1
+def _pair_value(n: Number, d: Number) -> Number:
+    """n / d of a :func:`_p23_pairs` pair: a ``Fraction`` for integers, else a float."""
+    return Fraction(n, d) if type(d) is int else n / d
 
 
-def _least(least: tuple | None, n: Number, d: Number, term: tuple) -> tuple:
-    """``(n, d, term)`` if n / d is below ``least``'s fraction; a tie keeps ``least``."""
+def _least(least: tuple | None, n: Number, d: Number) -> tuple:
+    """``(n, d)`` if n / d is below ``least``'s fraction; a tie keeps ``least``."""
     if least is None or n * least[1] < least[0] * d:
-        return n, d, term
+        return n, d
     return least
 
 
@@ -733,15 +711,14 @@ def p_bounds(
         n_ys = 1
         terms, capped_ys = _y_terms(oracle, z, [params.y])
     exc_parts, p1_parts = _parts(sum_exc), _parts(p1)
-    # the least P2 and P3 candidates so far: (numerator, denominator, term)
+    # the least P2 and P3 candidates so far, as (numerator, denominator)
     least2 = least3 = None
     for term in terms:
         n2, d2, n3, d3 = _p23_pairs(term, exc_parts, p1_parts)
-        least2 = _least(least2, n2, d2, term)
-        least3 = _least(least3, n3, d3, term)
-    # each bound is built once, from the term it was ranked by
-    p2, p3 = _p23_values(least2[2], least3[2], sum_exc, p1) if terms else (None, None)
-    p3_cands: list[Number] = [] if p3 is None else [p3]
+        least2 = _least(least2, n2, d2)
+        least3 = _least(least3, n3, d3)
+    p2 = None if least2 is None else _pair_value(*least2)
+    p3_cands: list[Number] = [] if least3 is None else [_pair_value(*least3)]
     if capped_ys:
         # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
         # Q* only for total variance at most one
@@ -824,7 +801,8 @@ def theorem_bound(
     system's ``oracle`` to reuse its cached beta_v across z.
     """
     a, _ = params.constant("theorem")
-    beta = float(oracle.beta_v_at(params.v) if oracle is not None else beta_v(system, params.v))
+    oracle = oracle if oracle is not None else SystemOracle(system)
+    beta = float(oracle.beta_v_at(params.v))
     return a * beta * math.exp(-params.lam * float(z))
 
 
@@ -837,19 +815,21 @@ def normal_tail(z: Number) -> float:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "z",
-    "delta_w",
-    "p1",
-    "p2",
-    "p3",
-    "p4",
-    "p5",
-    "best",
-    "theorem",
-    "corollary",
-    "bikelis",
+#: the report columns, in CSV order, each with the ``BoundReport`` field it prints
+_COLUMN_FIELDS = (
+    ("z", "z"),
+    ("delta_w", "delta_w"),
+    ("p1", "p1"),
+    ("p2", "p2"),
+    ("p3", "p3"),
+    ("p4", "p4"),
+    ("p5", "p5"),
+    ("best", "best"),
+    ("theorem", "theorem_bound"),
+    ("corollary", "corollary_bound"),
+    ("bikelis", "bikelis_sum"),
 )
+_CSV_COLUMNS = tuple(column for column, _ in _COLUMN_FIELDS)
 
 
 def _fmt(value: object) -> str:
@@ -863,19 +843,7 @@ def _fmt(value: object) -> str:
 
 
 def _report_values(report: BoundReport) -> tuple:
-    return (
-        report.z,
-        report.delta_w,
-        report.p1,
-        report.p2,
-        report.p3,
-        report.p4,
-        report.p5,
-        report.best,
-        report.theorem_bound,
-        report.corollary_bound,
-        report.bikelis_sum,
-    )
+    return tuple(getattr(report, name) for _, name in _COLUMN_FIELDS)
 
 
 def write_csv(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -229,7 +229,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     corpus = _corpus(args)
     result = calibrate(corpus, args.bound, params=params, z_grid=args.z_grid, mode=args.mode)
     _emit(result.to_json() + "\n", args.out)
-    print(f"{args.bound}: a_min = {result.a_min!r} over {result.n_cells} cells")
+    skipped = result.grid.get("skipped")
+    past_budget = f" ({skipped} skipped past the atom budget)" if skipped else ""
+    print(f"{args.bound}: a_min = {result.a_min!r} over {result.n_cells} cells{past_budget}")
     return 0
 
 
@@ -324,8 +326,8 @@ def _cmd_young(args: argparse.Namespace) -> int:
     if args.k is not None and not math.isfinite(args.k):
         raise ValueError(f"--k must be finite, got {args.k!r}")
     _check_u_grid(args.u_min, args.u_max, args.u_step)
+    us = np.arange(args.u_min, args.u_max + args.u_step / 2, args.u_step)
     if args.k is not None:
-        us = np.arange(args.u_min, args.u_max + args.u_step / 2, args.u_step)
         deltas = np.array([young_delta(args.k, float(u)).delta for u in us])
         i_min = int(np.argmin(deltas))
         report = {
@@ -342,10 +344,10 @@ def _cmd_young(args: argparse.Namespace) -> int:
         # a negative minimum for k > 8/9 documents the boundary, not a failure
         violated = args.k <= 8.0 / 9.0 and report["negative"]
         return 1 if violated else 0
-    violations, gap = young_grid_scan()
+    violations, gap = young_grid_scan(u_values=us)
     report = {
         "k_grid": "0.01..8/9 step 0.001 plus the endpoint 8/9",
-        "u_grid": "0..10 step 0.001",
+        "u_grid": f"{args.u_min:g}..{args.u_max:g} step {args.u_step:g}",
         "violations": [{"point": v.point, "delta": v.lhs} for v in violations],
         "closed_form_max_gap": gap,
     }

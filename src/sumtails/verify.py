@@ -27,7 +27,7 @@ from .bounds import (
     SystemOracle,
     _key,
     _p23_pairs,
-    _p23_values,
+    _pair_value,
     _parts,
     _y_terms,
     normal_tail,
@@ -187,13 +187,15 @@ def verify_osipov(
     oracle = oracle if oracle is not None else SystemOracle(system)
     skip_log = skip_log if skip_log is not None else []
     violations: list[OsipovViolation] = []
+    # an entry holds the per-w P1 and its pairs, and per _key(z) the y values
+    # past the atom budget and, per w, the P2/P3 pairs of each y term
     grid = (tuple(map(_key, y_grid)), _key(p), tuple(map(_key, w_grid)))
     sweep = oracle._sweeps.get(grid)
     if sweep is None:
         per_w = []
         for w in w_grid:
             p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
-            per_w.append((w, float(w), p1, sum_exc, _parts(p1), _parts(sum_exc)))
+            per_w.append((w, float(w), p1, _parts(p1), _parts(sum_exc)))
         sweep = oracle._sweeps[grid] = (per_w, {})
     per_w, at_z = sweep
 
@@ -209,7 +211,7 @@ def verify_osipov(
             entry = at_z[zkey] = (capped, rows)
         capped, rows = entry
         skip_log.extend({"z": zf, "y": float(y), "stage": "restricted"} for y in capped)
-        for (w, wf, p1, sum_exc, (p1n, p1d), _), row in zip(per_w, rows):
+        for (w, wf, p1, (p1n, p1d), _), row in zip(per_w, rows):
             try:
                 delta = oracle.delta(z, w, mode)
             except ConvolutionCapError:
@@ -223,7 +225,7 @@ def verify_osipov(
             for n2, d2, n3, d3, term in row:
                 over2, over3 = dn * d2 > dd * n2, dn * d3 > dd * n3
                 if over2 or over3:
-                    values = _p23_values(term, term, sum_exc, p1)
+                    values = _pair_value(n2, d2), _pair_value(n3, d3)
                     violations += [
                         OsipovViolation(zf, wf, float(term[0]), name, delta, value)
                         for name, value, bad in zip(("p2", "p3"), values, (over2, over3))
@@ -302,8 +304,8 @@ class CalibrationResult:
     """Minimal empirical constant for one structural bound over one grid.
 
     ``a_min`` is the supremum over evaluated cells of exact-LHS over
-    structural-RHS; ``witness`` pins the cell attaining it and reproduces
-    ``a_min`` when re-evaluated.
+    structural-RHS, and ``n_cells`` counts those cells; ``witness`` pins the
+    cell attaining it and reproduces ``a_min`` when re-evaluated.
     """
 
     bound_name: str
@@ -414,7 +416,10 @@ def calibrate(
 
     Deterministic given (corpus, grids, params): one pass walks the systems
     and their cells in a fixed order, and each per-cell ratio is a pure
-    float computation.  Ties keep the earliest cell as witness.
+    float computation.  Ties keep the earliest cell as witness.  A cell
+    whose laws exceed the atom budget is skipped; ``grid["skipped"]``
+    counts the skipped cells when there are any, and a grid with no
+    evaluated cell is a ``ValueError``.
     """
     ratio = _ratio(bound_name)
     if not corpus:
@@ -436,7 +441,7 @@ def calibrate(
 
     a_min = -math.inf
     witness: dict = {}
-    n_cells = 0
+    n_cells = skipped = 0
     for idx, system in enumerate(corpus):
         ratio_at = ratio(SystemOracle(system), params, mode)
         if concentration:
@@ -448,10 +453,16 @@ def calibrate(
         else:
             cells = ({"system": idx, "z": z} for z in zs)
         for cell in cells:
+            try:
+                value = ratio_at(cell)
+            except ConvolutionCapError:
+                skipped += 1
+                continue
             n_cells += 1
-            value = ratio_at(cell)
             if value > a_min:
                 a_min, witness = value, cell
+    if not n_cells:
+        raise ValueError(f"no calibration cell fits the atom budget ({skipped} skipped)")
     grid_desc = {
         "mode": mode,
         "v": float(params.v),
@@ -463,6 +474,8 @@ def calibrate(
         "intervals": len(intervals) if concentration else None,
         "systems": len(corpus),
     }
+    if skipped:
+        grid_desc["skipped"] = skipped
     return CalibrationResult(
         bound_name=bound_name, a_min=a_min, witness=witness, grid=grid_desc, n_cells=n_cells
     )

@@ -382,6 +382,16 @@ class TestLatticeCapLaws:
         first = oracle.loo_capped(F(1, 4), "truncate")
         assert oracle.loo_capped(F(1, 4), "truncate") is first
         assert list(oracle._loo_capped) == [((1, 4), "truncate")]
+        # the scalar memos key an exact argument the same way, a float as itself
+        for query, memo in (
+            (oracle.sum_exceedance, oracle._sum_exceedance),
+            (oracle.beta_v_at, oracle._beta_v),
+            (oracle.mu_p_at, oracle._mu_p),
+        ):
+            first = query(F(1, 4))
+            assert query(F(1, 4)) is first
+            assert query(0.25) == first
+            assert list(memo) == [(1, 4), 0.25]
 
 
 class TestCapFallback:
@@ -822,6 +832,18 @@ class TestSerialization:
         rows = json.loads(st.bound_reports_to_json([report]))
         assert rows[0]["p4"] == ""  # not applicable at z = 0
         assert rows[0]["winsor_mode"] == "winsorize"
+
+    def test_column_table_names_each_report_field_once(self):
+        import dataclasses
+
+        from sumtails.bounds import _COLUMN_FIELDS, _CSV_COLUMNS
+
+        names = [name for _, name in _COLUMN_FIELDS]
+        others = {"winsor_mode", "warnings"}
+        assert sorted(names) == sorted(
+            f.name for f in dataclasses.fields(st.BoundReport) if f.name not in others
+        )
+        assert _CSV_COLUMNS == tuple(column for column, _ in _COLUMN_FIELDS)
 
     def test_byte_determinism(self, two_coins):
         params = st.BoundParams(w=F(3, 10))

@@ -275,6 +275,28 @@ class TestCalibrateCommand:
             golden = GOLDEN / f"calibrate_seed1_count20_{bound}.json"
             assert path.read_bytes() == golden.read_bytes(), bound
 
+    def test_cells_past_the_atom_budget(self, monkeypatch, tmp_path, capsys):
+        # at a budget of 3 pairs only the one-summand systems need no convolution
+        import functools
+
+        from sumtails import verify
+
+        monkeypatch.setattr(verify, "SystemOracle", functools.partial(st.SystemOracle, cap=3))
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--seed", "1", "--count", "20", "--bound", "p5"]
+        assert main([*argv, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        skipped = result["grid"]["skipped"]
+        assert skipped > 0 and skipped + result["n_cells"] == 20 * 32
+        assert capsys.readouterr().out == (
+            f"p5: a_min = {result['a_min']!r} over {result['n_cells']} cells "
+            f"({skipped} skipped past the atom budget)\n"
+        )
+        # the first system has more than one summand: no cell is evaluated
+        assert main([*argv[:4], "1", *argv[5:]]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: no calibration cell fits the atom budget (32 skipped)\n")
+
 
 CALIBRATE_ARGV = ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5"]
 MC_ARGV = ["mc", "--family", "standardized-exponential", "--n", "4"]
@@ -760,6 +782,22 @@ class TestYoungCommand:
         report = json.loads(out.read_text())
         assert report["violations"] == []
         assert report["closed_form_max_gap"] < 1e-6
+        assert report["u_grid"] == "0..10 step 0.001"
+
+    def test_full_grid_scan_reads_the_u_grid(self, monkeypatch, capsys):
+        from sumtails import cli
+
+        scanned = []
+
+        def scan(u_values):
+            scanned.append(list(u_values))
+            return [], 0.0
+
+        monkeypatch.setattr(cli, "young_grid_scan", scan)
+        assert main(["young", "--u-min", "0.5", "--u-max", "3", "--u-step", "0.5"]) == 0
+        assert scanned == [[0.5, 1.0, 1.5, 2.0, 2.5, 3.0]]
+        out = capsys.readouterr().out
+        assert json.loads(out[: out.rindex("}") + 1])["u_grid"] == "0.5..3 step 0.5"
 
 
 

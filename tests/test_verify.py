@@ -484,6 +484,24 @@ class TestCalibrate:
             ratio = st.calibration_ratio(small_corpus, bound, cell, params)
             assert ratio == pytest.approx(value, rel=1e-12), bound
 
+    @pytest.mark.parametrize("bound", ["theorem", "p4", "p5"])
+    def test_cells_past_the_atom_budget_are_skipped(self, small_corpus, monkeypatch, bound):
+        # at a budget of 3 pairs only the one-summand systems need no convolution
+        from sumtails import verify
+
+        z_grid = [F(1, 2), F(2)]
+        singles = [s for s in small_corpus if s.n == 1]
+        assert 0 < len(singles) < len(small_corpus)
+        want = st.calibrate(singles, bound, z_grid=z_grid)
+        monkeypatch.setattr(verify, "SystemOracle", functools.partial(st.SystemOracle, cap=3))
+        result = st.calibrate(small_corpus, bound, z_grid=z_grid)
+        assert (result.a_min, result.n_cells) == (want.a_min, want.n_cells)
+        assert result.grid["skipped"] == 2 * (len(small_corpus) - len(singles))
+        assert "skipped" not in want.grid
+        assert small_corpus[result.witness["system"]].n == 1
+        with pytest.raises(ValueError, match=r"no calibration cell fits the atom budget \(6 skipped\)"):
+            st.calibrate([s for s in small_corpus if s.n > 1][:3], bound, z_grid=z_grid)
+
     def test_unknown_bound_message_is_shared(self, small_corpus):
         with pytest.raises(ValueError) as by_calibrate:
             st.calibrate(small_corpus, "p6")
