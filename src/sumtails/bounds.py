@@ -169,11 +169,17 @@ class SystemOracle:
     (:class:`~sumtails.discrete.LatticeMeasure`): the values of one chain
     are integers over the lcm of the value denominators of its inputs, the
     masses of each law are integers over that law's own denominator, and a
-    tail query compares integers.  Delta, Q and Q* combine the laws' tails
-    as integer pairs (:meth:`LatticeMeasure.tail_pair`) and build one
-    ``Fraction`` per returned value.  The restricted and capped summands are
-    built from the lattice summands in integers, once per summand per build
-    through :func:`~sumtails.discrete.restrict_at_most` and
+    tail query compares integers.  Delta, Q and Q* are answered a row of z
+    values at a time (:meth:`delta_row`, :meth:`concentration_row`): a row
+    reads its laws' integer suffix sums once, combines the tails as integer
+    pairs, as :meth:`LatticeMeasure.tail_pair` would give them, and builds
+    at most one ``Fraction`` per returned value.  :meth:`delta`,
+    :meth:`concentration`, :meth:`q` and :meth:`qstar` are rows of one, so
+    a subclass overrides :meth:`delta_row` to change Delta and
+    :meth:`concentration_row` to change Q and Q*.  The restricted and
+    capped summands are built from the lattice summands in integers, once
+    per summand per build through
+    :func:`~sumtails.discrete.restrict_at_most` and
     :func:`~sumtails.discrete.capped_sum_rv`.  Float systems are convolved
     as float sub-measures.
 
@@ -354,11 +360,26 @@ class SystemOracle:
     # -- scalar queries -----------------------------------------------------
 
     def max_tail_at(self, t: Number) -> Number:
-        """P(max_i X_i > t), cached by the signature of t."""
+        """P(max_i X_i > t), cached by the signature of t.
+
+        On an exact system it is read from the lattice summands at the
+        signature's kept atom counts k_i: P(max_i X_i <= t) is the product
+        of (den_i - suffix_i[k_i]) over the product of den_i, so a new
+        signature builds one ``Fraction``.  A float system multiplies the
+        summands' own reads through :func:`~sumtails.discrete.max_tail`.
+        """
         sig = self.signature(t)
         value = self._max_tail.get(sig)
         if value is None:
-            value = self._max_tail[sig] = max_tail(self.system, t)
+            if self.system.exact:
+                kept = total = 1
+                for m, k in zip(self._lattice_rvs(), sig):
+                    kept *= m.den - m._suffix_sums()[k]
+                    total *= m.den
+                value = Fraction(total - kept, total)
+            else:
+                value = max_tail(self.system, t)
+            self._max_tail[sig] = value
         return value
 
     def sum_exceedance(self, w: Number) -> Number:
@@ -437,59 +458,107 @@ class SystemOracle:
             squares[k] * xden * sn * sd * sd + cubes[k] * sd**3, pden * xden**3 * sn**3
         )
 
-    def delta(self, z: Number, w: Number, mode: str) -> Number:
-        """Delta_w(z) = P(S > z) - P(S_bar > z), exact in exact mode.
+    def delta_row(self, zs: Iterable[Number], w: Number, mode: str) -> list[Number]:
+        """Delta_w(z) = P(S > z) - P(S_bar > z) at each z of ``zs``, exact in exact mode.
 
-        On an exact system a finite z is read exactly as an integer pair,
-        and the two tails are subtracted as integer pairs into one
-        ``Fraction``.
+        The suffix sums, values, scale and denominator of the raw and the
+        capped law are read once per call, and each z bisects each law
+        once.  On an exact system a finite z is read exactly as an integer
+        pair, and the two tails are subtracted as integers: capping keeps
+        each summand's mass denominator, so the capped law has the raw law's
+        ``den``, and the difference becomes a ``Fraction`` through
+        :meth:`LatticeMeasure.fraction`, once per numerator.  An infinite
+        or NaN z asks the laws' own tail queries, as every z of a float
+        system does.
+
+        This is the one method a subclass overrides to change Delta:
+        :meth:`delta` is its row of one.  An override may raise
+        ``ConvolutionCapError`` only as a function of (w, mode), as
+        :meth:`law_capped` does, so a sweep that asks one row per (w, mode)
+        skips the same cells as one that asks cell by cell.
         """
         raw, capped = self.law_sum(), self.law_capped(w, mode)
-        ratio = _as_ratio(z) if self.system.exact else None
-        if ratio is None:
-            return raw.tail(z) - capped.tail(z)
-        a, da = raw.tail_pair(*ratio)
-        b, db = capped.tail_pair(*ratio)
-        return Fraction(a * db - b * da, da * db)
+        if not self.system.exact:
+            return [raw.tail(z) - capped.tail(z) for z in zs]
+        r_values, r_suffix, r_scale = raw.values, raw._suffix_sums(), raw.scale
+        c_values, c_suffix, c_scale = capped.values, capped._suffix_sums(), capped.scale
+        out = []
+        for z in zs:
+            if type(z) in _EXACT_TYPES:
+                zn, zd = z.numerator, z.denominator
+            else:
+                ratio = _as_ratio(z)
+                if ratio is None:
+                    out.append(raw.tail(z) - capped.tail(z))
+                    continue
+                zn, zd = ratio
+            a = r_suffix[bisect_right(r_values, zn * r_scale // zd)]
+            b = c_suffix[bisect_right(c_values, zn * c_scale // zd)]
+            out.append(raw.fraction(a - b))
+        return out
 
-    def concentration(self, z: Number, y: Number) -> tuple[Number, Number]:
-        """(Q(z, y), Q*(z, y)) from one pass over the leave-one-out tails.
+    def delta(self, z: Number, w: Number, mode: str) -> Number:
+        """Delta_w(z) = P(S > z) - P(S_bar > z), the row of one of :meth:`delta_row`."""
+        return self.delta_row((z,), w, mode)[0]
 
-        On an exact system the threshold z - y is an unreduced integer pair:
-        computed from the pairs of z and y when both are exact (``Fraction``
-        or ``int``), and read exactly from the float z - y otherwise, whose
-        rounding decides which atoms lie above it.  Each law answers with an
-        integer pair, the largest is picked by cross-multiplication, and
-        only Q and Q* become ``Fraction``s.
+    def concentration_row(self, zs: Iterable[Number], y: Number) -> list[tuple[Number, Number]]:
+        """(Q(z, y), Q*(z, y)) at each z of ``zs``, from one pass over the leave-one-out tails.
 
-        This is the one method a subclass overrides to change Q and Q*.  An
-        override must keep both nonincreasing as y falls within one
-        signature, as the true ones are (the restricted laws are fixed and
-        the threshold z - y rises), and may raise ``ConvolutionCapError``
-        only as a function of ``signature(y)``, as :meth:`restricted` does:
-        an auto-y :func:`p_bounds` asks only the least y of each signature
-        class, and a cap there sends the whole class to the fallback.
+        The restricted laws of y are looked up, and their suffix sums,
+        values, scales and denominators read, once per call.  On an exact
+        system the threshold z - y is an unreduced integer pair: computed
+        from the pairs of z and y when both are exact (``Fraction`` or
+        ``int``), and read exactly from the float z - y otherwise, whose
+        rounding decides which atoms lie above it.  Each law answers with
+        an integer pair, the largest is picked by cross-multiplication, and
+        only Q and Q* become ``Fraction``s.  A threshold no integer pair
+        reads (an infinite or NaN float) asks the laws' own tail queries,
+        as every z of a float system does.
+
+        This is the one method a subclass overrides to change Q and Q*:
+        :meth:`concentration`, :meth:`q` and :meth:`qstar` read its row of
+        one.  An override must keep both nonincreasing as y falls within
+        one signature, as the true ones are (the restricted laws are fixed
+        and the threshold z - y rises), and may raise
+        ``ConvolutionCapError`` only as a function of ``signature(y)``, as
+        :meth:`restricted` does: an auto-y :func:`p_bounds` asks only the
+        least y of each signature class, and a cap there sends the whole
+        class to the fallback; a sweep that asks one row per y skips the
+        same cells as one that asks cell by cell.
         """
         loo, full = self.restricted(y)
-        if self.system.exact:
-            if type(z) in _EXACT_TYPES and type(y) in _EXACT_TYPES:
-                zn, zd, yn, yd = z.numerator, z.denominator, y.numerator, y.denominator
-                threshold, at_z = (zn * yd - yn * zd, zd * yd), (zn, zd)
+        if not self.system.exact:
+            return [_tail_concentration(loo, full, z, y) for z in zs]
+        laws = [(m.values, m._suffix_sums(), m.scale, m.den, m) for m in loo]
+        f_values, f_suffix, f_scale, f_den = full.values, full._suffix_sums(), full.scale, full.den
+        exact_y = type(y) in _EXACT_TYPES
+        if exact_y:
+            yn, yd = y.numerator, y.denominator
+        out = []
+        for z in zs:
+            if exact_y and type(z) in _EXACT_TYPES:
+                zn, zd = z.numerator, z.denominator
+                tn, td = zn * yd - yn * zd, zd * yd
             else:
                 threshold, at_z = _as_ratio(z - y), _as_ratio(z)
-            if threshold is not None and at_z is not None:
-                # the first largest tail wins, as in max(); masses are >= 0
-                top, qn, qd = None, -1, 1
-                for m in loo:
-                    n, d = m.tail_pair(*threshold)
-                    if n * qd > qn * d:
-                        top, qn, qd = m, n, d
-                q = top.fraction(qn)
-                fn, fd = full.tail_pair(*at_z)
-                return q, (full.fraction(fn) if fn * qd > qn * fd else q)
-        t = z - y
-        q = max(m.tail(t) for m in loo)
-        return q, max(q, full.tail(z))
+                if threshold is None or at_z is None:
+                    out.append(_tail_concentration(loo, full, z, y))
+                    continue
+                (tn, td), (zn, zd) = threshold, at_z
+            # the first largest tail wins, as in max(); masses are >= 0
+            top, qn, qd = None, -1, 1
+            for values, suffix, scale, den, m in laws:
+                n = suffix[bisect_right(values, tn * scale // td)]
+                if n * qd > qn * den:
+                    top, qn, qd = m, n, den
+            q = top.fraction(qn)
+            fn = f_suffix[bisect_right(f_values, zn * f_scale // zd)]
+            out.append((q, full.fraction(fn) if fn * qd > qn * f_den else q))
+        return out
+
+    def concentration(self, z: Number, y: Number) -> tuple[Number, Number]:
+        """(Q(z, y), Q*(z, y)), the row of one of :meth:`concentration_row`."""
+        return self.concentration_row((z,), y)[0]
 
     def q(self, z: Number, y: Number) -> Number:
         """Q(z, y) = max_i P(S - X_i > z - y, max_{j != i} X_j <= y).
@@ -502,6 +571,12 @@ class SystemOracle:
     def qstar(self, z: Number, y: Number) -> Number:
         """Q*(z, y) = max(Q(z, y), P(S > z, max_j X_j <= y))."""
         return self.concentration(z, y)[1]
+
+
+def _tail_concentration(loo: Sequence[Law], full: Law, z: Number, y: Number) -> tuple:
+    """(Q(z, y), Q*(z, y)) from the laws' own tail queries."""
+    q = max(m.tail(z - y) for m in loo)
+    return q, max(q, full.tail(z))
 
 
 def bh_bound(z: Number, y: Number) -> float:
@@ -623,9 +698,14 @@ def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[lis
         except ConvolutionCapError:
             capped.append(y)
             continue
-        qstar_n, qstar_d = _parts(qstar)
-        terms.append((y, *_parts(mt_y), *_parts(q), 2 * qstar_n, qstar_d))
+        terms.append(_y_term(y, _parts(mt_y), q, qstar))
     return terms, capped
+
+
+def _y_term(y: Number, max_tail_parts: tuple, q: Number, qstar: Number) -> tuple:
+    """The :func:`_y_terms` term of y from the :func:`_parts` pair of its max tail and its Q, Q*."""
+    qstar_n, qstar_d = _parts(qstar)
+    return (y, *max_tail_parts, *_parts(q), 2 * qstar_n, qstar_d)
 
 
 def _p23_pairs(term: tuple, exc: tuple, p1: tuple) -> tuple[Number, Number, Number, Number]:

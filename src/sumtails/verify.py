@@ -29,7 +29,7 @@ from .bounds import (
     _p23_pairs,
     _pair_value,
     _parts,
-    _y_terms,
+    _y_term,
     normal_tail,
     scaled_y,
 )
@@ -154,8 +154,68 @@ class OsipovViolation:
 
 
 def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
-    """The distinct y values the sweep evaluates at z: the grid plus z / (1 + p/2)."""
-    return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
+    """The distinct y values the sweep evaluates at z: the grid plus z / (1 + p/2).
+
+    Values are told apart by :func:`~sumtails.bounds._key`, as the oracle's
+    memos tell them apart, so an exact y and an equal float are two values.
+    """
+    ys: dict[object, Number] = {}
+    for y in (*y_grid, scaled_y(z, p)):
+        ys.setdefault(_key(y), y)
+    return list(ys.values())
+
+
+def _sweep_terms(
+    oracle: SystemOracle,
+    z_grid: Sequence[Number],
+    w_grid: Sequence[Number],
+    y_grid: Sequence[Number],
+    p: Number,
+) -> tuple[list, list]:
+    """What :func:`verify_osipov` reads that does not depend on the mode.
+
+    Returns ``(per_w, at_z)``: per w its value, float, P1 and the
+    :func:`~sumtails.bounds._parts` pairs of P1 and of sum_i P(X_i > w);
+    per z of the grid the y values past the atom budget and, per w, the
+    P2/P3 pairs of each y term with the term.  Each distinct y asks the
+    oracle for its max tail and for one (Q, Q*) row over the z values it
+    is swept at; a row past the atom budget skips that y at all of them.
+    """
+    per_w = []
+    for w in w_grid:
+        p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
+        per_w.append((w, float(w), p1, _parts(p1), _parts(sum_exc)))
+    ys_at = [[(_key(y), y) for y in _sweep_ys(z, y_grid, p)] for z in z_grid]
+    # each distinct y with the positions of the z values it is swept at
+    positions: dict[object, tuple[Number, list[int]]] = {}
+    for i, ys in enumerate(ys_at):
+        for key, y in ys:
+            positions.setdefault(key, (y, []))[1].append(i)
+    # per y: its max-tail pair and its (Q, Q*) by z position, None past the budget
+    by_y: dict[object, tuple | None] = {}
+    for key, (y, at) in positions.items():
+        mt_parts = _parts(oracle.max_tail_at(y))
+        try:
+            row = oracle.concentration_row([z_grid[i] for i in at], y)
+        except ConvolutionCapError:
+            by_y[key] = None
+            continue
+        by_y[key] = mt_parts, dict(zip(at, row))
+    at_z = []
+    for i, ys in enumerate(ys_at):
+        capped, terms = [], []
+        for key, y in ys:
+            entry = by_y[key]
+            if entry is None:
+                capped.append(y)
+            else:
+                terms.append(_y_term(y, entry[0], *entry[1][i]))
+        rows = [
+            [(*_p23_pairs(term, exc_parts, p1_parts), term) for term in terms]
+            for *_, p1_parts, exc_parts in per_w
+        ]
+        at_z.append((capped, rows))
+    return per_w, at_z
 
 
 def verify_osipov(
@@ -175,48 +235,41 @@ def verify_osipov(
     choice z / (1 + p/2).  Every verdict cross-multiplies (numerator,
     denominator) pairs: integers for exact values, ``(x, 1.0)`` for floats.
     P2 and P3 are the pairs of :func:`~sumtails.bounds._p23_pairs` and are
-    built as numbers only for a violation.  What does not depend on
+    built as numbers only for a violation.  The oracle is asked by rows:
+    one Delta row per w over the whole z grid, and one (Q, Q*) row per
+    distinct y (see :func:`_sweep_terms`).  What does not depend on
     ``mode`` (P1, the y terms and the P2/P3 pairs) is kept in the oracle's
-    ``_sweeps`` memo, so a sweep of the other mode on the same oracle reads
-    it instead of asking the oracle again.  Cells whose convolutions exceed
-    the atom budget are appended to ``skip_log`` instead of failing the
-    sweep.  The expected result is an empty list: these inequalities are
-    theorems.
+    ``_sweeps`` memo, keyed by the grids, so a sweep of the other mode on
+    the same oracle reads it instead of asking the oracle again.  Cells
+    whose convolutions exceed the atom budget are appended to ``skip_log``
+    instead of failing the sweep, in the order z, then w, then y.  The
+    expected result is an empty list: these inequalities are theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
     skip_log = skip_log if skip_log is not None else []
     violations: list[OsipovViolation] = []
-    # an entry holds the per-w P1 and its pairs, and per _key(z) the y values
-    # past the atom budget and, per w, the P2/P3 pairs of each y term
-    grid = (tuple(map(_key, y_grid)), _key(p), tuple(map(_key, w_grid)))
+    grid = tuple(tuple(map(_key, values)) for values in (z_grid, y_grid, (p,), w_grid))
     sweep = oracle._sweeps.get(grid)
     if sweep is None:
-        per_w = []
-        for w in w_grid:
-            p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
-            per_w.append((w, float(w), p1, _parts(p1), _parts(sum_exc)))
-        sweep = oracle._sweeps[grid] = (per_w, {})
+        sweep = oracle._sweeps[grid] = _sweep_terms(oracle, z_grid, w_grid, y_grid, p)
     per_w, at_z = sweep
+    # Delta at every z per w; None where the capped sum is past the atom budget
+    deltas: list[list[Number] | None] = []
+    for w, *_ in per_w:
+        try:
+            deltas.append(oracle.delta_row(z_grid, w, mode))
+        except ConvolutionCapError:
+            deltas.append(None)
 
-    for z in z_grid:
-        zf, zkey = float(z), _key(z)
-        entry = at_z.get(zkey)
-        if entry is None:
-            terms, capped = _y_terms(oracle, z, _sweep_ys(z, y_grid, p))
-            rows = [
-                [(*_p23_pairs(term, exc_parts, p1_parts), term) for term in terms]
-                for *_, p1_parts, exc_parts in per_w
-            ]
-            entry = at_z[zkey] = (capped, rows)
-        capped, rows = entry
+    for i, (z, (capped, rows)) in enumerate(zip(z_grid, at_z)):
+        zf = float(z)
         skip_log.extend({"z": zf, "y": float(y), "stage": "restricted"} for y in capped)
-        for (w, wf, p1, (p1n, p1d), _), row in zip(per_w, rows):
-            try:
-                delta = oracle.delta(z, w, mode)
-            except ConvolutionCapError:
+        for (_, wf, p1, (p1n, p1d), _), row, row_deltas in zip(per_w, rows, deltas):
+            if row_deltas is None:
                 skip_log.append({"z": zf, "w": wf, "stage": "capped-sum"})
                 continue
+            delta = row_deltas[i]
             dn, dd = _parts(delta)
             if dn < 0:
                 violations.append(OsipovViolation(zf, wf, None, "nonneg", delta, 0))

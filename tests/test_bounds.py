@@ -301,6 +301,80 @@ class TestIntegerReads:
                 assert type(q) is F and type(qstar) is F
 
 
+class TestRows:
+    """Delta and (Q, Q*) rows, z by z, against the scalar forms and brute-force enumeration."""
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        k=hyp.integers(min_value=-3, max_value=4),
+        num=hyp.integers(min_value=-52, max_value=52),
+        x=hyp.floats(min_value=-4, max_value=4, allow_subnormal=False),
+        w=hyp.sampled_from([F(1, 4), F(1, 2), F(1), F(3, 10)]),
+        y=hyp.sampled_from([F(1, 4), F(1, 2), F(1), F(2, 3), 0.6]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exact_rows(self, seed, k, num, x, w, y):
+        (system,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=3, atoms_max=3))
+        oracle = st.SystemOracle(system)
+        # an int, a Fraction off every corpus lattice (value denominators are
+        # at most 8, so the lattice scale has no factor 13), a negative
+        # value, a float and both infinities
+        zs = [k, F(num, 13), -F(abs(num) + 1, 13), x, math.inf, -math.inf]
+        raw = list(enumerate_outcomes(system))
+        for mode in WINSOR_MODES:
+            capped = list(enumerate_outcomes([capped_sum_rv(rv, w, mode) for rv in system.rvs]))
+            row = oracle.delta_row(zs, w, mode)
+            assert row == [oracle.delta(z, w, mode) for z in zs]
+            for z, got in zip(zs, row):
+                above = _mass_where(raw, lambda s: s > z) - _mass_where(capped, lambda s: s > z)
+                assert got == above and type(got) is F, (mode, z)
+        row = oracle.concentration_row(zs, y)
+        assert row == [oracle.concentration(z, y) for z in zs]
+        assert row == [(oracle.q(z, y), oracle.qstar(z, y)) for z in zs]
+        for z, (q, qstar) in zip(zs, row):
+            assert q == q_by_enumeration(system, z, y), (z, y)
+            assert qstar == qstar_by_enumeration(system, z, y), (z, y)
+            assert type(q) is F and type(qstar) is F
+
+    def test_float_rows(self, small_corpus):
+        exact = next(s for s in small_corpus if s.n == 3)
+        system = as_float_system(exact)
+        oracle = st.SystemOracle(system)
+        zs = [2, F(3, 13), -0.7541, 0.3017, math.inf, -math.inf]
+        # the float system's outcomes are those of its exact twin, whose sums
+        # lie off every z and threshold here
+        raw = list(enumerate_outcomes(exact))
+        for mode in WINSOR_MODES:
+            exact_capped = [capped_sum_rv(rv, F(1, 2), mode) for rv in exact.rvs]
+            capped = list(enumerate_outcomes(exact_capped))
+            row = oracle.delta_row(zs, 0.5, mode)
+            assert row == [oracle.delta(z, 0.5, mode) for z in zs]
+            for z, got in zip(zs, row):
+                above = _mass_where(raw, lambda s: s > z) - _mass_where(capped, lambda s: s > z)
+                assert type(got) is float
+                assert got == pytest.approx(float(above), abs=1e-12), (mode, z)
+        for y in (0.5, 0.2713):
+            row = oracle.concentration_row(zs, y)
+            assert row == [oracle.concentration(z, y) for z in zs]
+            for z, (q, qstar) in zip(zs, row):
+                assert type(q) is float and type(qstar) is float
+                assert q == pytest.approx(float(q_by_enumeration(exact, z, y)), abs=1e-12)
+                assert qstar == pytest.approx(float(qstar_by_enumeration(exact, z, y)), abs=1e-12)
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        ys=hyp.lists(query_args.filter(lambda y: y == y), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_max_tail(self, seed, ys):
+        # the exact oracle reads the max tail from its lattice summands
+        (system,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=4))
+        oracle = st.SystemOracle(system)
+        for y in ys + ys:
+            got = oracle.max_tail_at(y)
+            assert got == st.max_tail(system, y) and type(got) is F, y
+
+
 def _tails(law, outcomes):
     """Each law tail on a grid through the atoms, against the enumerated outcomes."""
     for t in [F(n, 12) for n in range(-48, 49, 5)] + [0.3, -0.7]:
@@ -564,9 +638,9 @@ class ScaledOracle(st.SystemOracle):
         super().__init__(system, cap=cap)
         self.factor = factor
 
-    def concentration(self, z, y):
-        q, qstar = super().concentration(z, y)
-        return self.factor * q, self.factor * qstar
+    def concentration_row(self, zs, y):
+        row = super().concentration_row(zs, y)
+        return [(self.factor * q, self.factor * qstar) for q, qstar in row]
 
 
 def reference_p2_p3(system, z, params, oracle):
@@ -695,7 +769,9 @@ class TestYSearch:
 
         monkeypatch.setattr(bounds, "max_tail", counting)
         ys_seen = 0
-        for system in [s for s in small_corpus if s.n >= 3][:3]:
+        # an exact oracle reads the max tail from its lattice summands, so
+        # only a float system calls max_tail
+        for system in [as_float_system(s) for s in small_corpus if s.n >= 3][:3]:
             oracle = st.SystemOracle(system)
             params = st.BoundParams(w=F(1, 2))
             for mode in WINSOR_MODES:

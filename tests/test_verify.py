@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import json
 import math
 from bisect import bisect_right
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,25 +131,28 @@ class TestVerifySweep:
         assert result.skipped == expected
 
     def test_skipped_rows_overlap_once(self, small_corpus, monkeypatch):
-        # restriction at y = 1/2 skips 3 z x 3 w cells, the capped sum at
-        # (z, w) = (1, 1) skips the 3 y at z = 1, and the two share one cell
+        # a real oracle fails a restriction by the signature of y and a
+        # capped sum by (w, mode), so the budget fails whole rows: on
+        # z in {0, 1, 2} the restriction at y = 1/2 skips 3 z x 3 w = 9
+        # cells, the capped sum at w = 1 skips the 4 + 3 + 3 = 10 y cells
+        # of its row, and the two share the 3 cells (z, 1, 1/2)
         from sumtails import verify
 
         class Budget(st.SystemOracle):
-            def concentration(self, z, y):
+            def concentration_row(self, zs, y):
                 if y == F(1, 2):
                     raise st.ConvolutionCapError("restriction over budget")
-                return super().concentration(z, y)
+                return super().concentration_row(zs, y)
 
-            def delta(self, z, w, mode):
-                if (z, w) == (1, 1):
+            def delta_row(self, zs, w, mode):
+                if w == 1:
                     raise st.ConvolutionCapError("capped sum over budget")
-                return super().delta(z, w, mode)
+                return super().delta_row(zs, w, mode)
 
         monkeypatch.setattr(verify, "SystemOracle", Budget)
         z_grid = [F(0), F(1), F(2)]
         result = st.verify_corpus(small_corpus[:1], z_grid=z_grid, modes=("winsorize",))
-        assert (result.cells, result.skipped) == (30 - 11, 11)
+        assert (result.cells, result.skipped) == (30 - 16, 9 + 10 - 3)
 
     def test_delta_matches_enumeration(self, small_corpus):
         for system in small_corpus[:6]:
@@ -175,9 +180,9 @@ class ScaledConcentration(st.SystemOracle):
         super().__init__(system)
         self.factor = factor
 
-    def concentration(self, z, y):
-        q, qstar = super().concentration(z, y)
-        return self.factor * q, self.factor * qstar
+    def concentration_row(self, zs, y):
+        row = super().concentration_row(zs, y)
+        return [(self.factor * q, self.factor * qstar) for q, qstar in row]
 
 
 def reference_violations(system, oracle, z_grid, mode):
@@ -277,10 +282,10 @@ class CountingOracle(st.SystemOracle):
         self.lookups += 1
         return super().max_tail_at(t)
 
-    def concentration(self, z, y):
+    def concentration_row(self, zs, y):
         self.lookups += 1
         self.concentrations += 1
-        return super().concentration(z, y)
+        return super().concentration_row(zs, y)
 
 
 def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2)):
@@ -290,6 +295,40 @@ def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2)):
         log = []
         found = st.verify_osipov(system, z_grid, mode=mode, p=p, oracle=oracle, skip_log=log)
         out.append((found, log))
+    return out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def json_text(rows):
+    """A JSON list with one row per line."""
+    return "[\n" + ",\n".join(map(json.dumps, rows)) + "\n]\n"
+
+
+def capped_sweep_logs():
+    """The skip-log entries of both modes on one oracle at a budget of 40 pairs.
+
+    On the two four-summand systems of the seed-1 corpus, each row tagged
+    with its system and mode.
+    """
+    systems = [s for s in st.gen_corpus(st.CorpusSpec(seed=1, count=40)) if s.n == 4][:2]
+    out = []
+    for idx, system in enumerate(systems):
+        oracle = st.SystemOracle(system, cap=40)
+        for mode, (_, log) in zip(MODES, sweeps(system, [oracle, oracle], [F(0), F(1), F(2)])):
+            out += [{"system": idx, "mode": mode, **entry} for entry in log]
+    return out
+
+
+def scaled_violations(corpus):
+    """Every violation of the default sweep with Q = Q* = 0, in the order the sweep reports them."""
+    out = []
+    for idx, system in enumerate(corpus[:6]):
+        oracle = ScaledConcentration(system, F(0))
+        for mode in MODES:
+            for v in st.verify_osipov(system, mode=mode, oracle=oracle):
+                out.append([idx, mode, v.z, v.w, v.y, v.bound, str(v.delta), str(v.bound_value)])
     return out
 
 
@@ -319,6 +358,14 @@ class TestSweepMemo:
             logs += [log for _, log in got]
         stages = [entry["stage"] for log in logs for entry in log]
         assert (stages.count("restricted"), stages.count("capped-sum")) == (30, 36)
+
+    def test_skip_log_order_matches_golden(self):
+        # the stage counts above say nothing of the order of the entries
+        assert json_text(capped_sweep_logs()) == (GOLDEN / "sweep_skip_log_cap40.json").read_text()
+
+    def test_forced_violations_order_matches_golden(self, small_corpus):
+        golden = GOLDEN / "sweep_violations_scaled0.json"
+        assert json_text(scaled_violations(small_corpus)) == golden.read_text()
 
     def test_other_grid_is_not_reused(self, small_corpus):
         # p = 4 moves the scaled y, so the second sweep must not read the first's terms
@@ -361,9 +408,13 @@ class ShiftedDelta(st.SystemOracle):
     violation; these four cases hit both verdicts and their boundaries.
     """
 
-    def delta(self, z, w, mode):
-        delta = super().delta(z, w, mode)
+    def delta_row(self, zs, w, mode):
         p1 = self.max_tail_at(w)
+        row = super().delta_row(zs, w, mode)
+        return [self.shifted(z, delta, p1) for z, delta in zip(zs, row)]
+
+    @staticmethod
+    def shifted(z, delta, p1):
         case = int(4 * z) % 5
         if case == 1:
             return p1
