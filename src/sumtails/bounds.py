@@ -171,9 +171,9 @@ class SystemOracle:
     masses of each law are integers over that law's own denominator, and a
     tail query compares integers.  Delta, Q and Q* are answered a row of z
     values at a time (:meth:`delta_row`, :meth:`concentration_row`): a row
-    reads its laws' integer suffix sums once, combines the tails as integer
-    pairs, as :meth:`LatticeMeasure.tail_pair` would give them, and builds
-    at most one ``Fraction`` per returned value.  :meth:`delta`,
+    looks its laws up once, reads each tail as a mass numerator
+    (:meth:`LatticeMeasure.tail_numerator`), combines them as integers, and
+    builds at most one ``Fraction`` per returned value.  :meth:`delta`,
     :meth:`concentration`, :meth:`q` and :meth:`qstar` are rows of one, so
     a subclass overrides :meth:`delta_row` to change Delta and
     :meth:`concentration_row` to change Q and Q*.  The restricted and
@@ -209,7 +209,7 @@ class SystemOracle:
         self._sum_exceedance: dict[object, Number] = {}
         self._beta_v: dict[object, Number] = {}
         self._mu_p: dict[object, Number] = {}
-        self._sweeps: dict[tuple, tuple[list, dict]] = {}
+        self._sweeps: dict[tuple, tuple[list, list]] = {}
         self._profile: tuple | None = None
         self._lattice: list[LatticeMeasure] | None = None
 
@@ -362,23 +362,24 @@ class SystemOracle:
     def max_tail_at(self, t: Number) -> Number:
         """P(max_i X_i > t), cached by the signature of t.
 
-        On an exact system it is read from the lattice summands at the
-        signature's kept atom counts k_i: P(max_i X_i <= t) is the product
-        of (den_i - suffix_i[k_i]) over the product of den_i, so a new
-        signature builds one ``Fraction``.  A float system multiplies the
-        summands' own reads through :func:`~sumtails.discrete.max_tail`.
+        On an exact system a finite t is read from the lattice summands:
+        P(max_i X_i <= t) is the product of (den_i - a_i) over the product
+        of den_i, with a_i the numerator of P(X_i > t), so a new signature
+        builds one ``Fraction``.  A float system, or an infinite t, multiplies
+        the summands' own reads through :func:`~sumtails.discrete.max_tail`.
         """
         sig = self.signature(t)
         value = self._max_tail.get(sig)
         if value is None:
-            if self.system.exact:
+            ratio = _as_ratio(t) if self.system.exact else None
+            if ratio is None:
+                value = max_tail(self.system, t)
+            else:
                 kept = total = 1
-                for m, k in zip(self._lattice_rvs(), sig):
-                    kept *= m.den - m._suffix_sums()[k]
+                for m in self._lattice_rvs():
+                    kept *= m.den - m.tail_numerator(*ratio)
                     total *= m.den
                 value = Fraction(total - kept, total)
-            else:
-                value = max_tail(self.system, t)
             self._max_tail[sig] = value
         return value
 
@@ -458,18 +459,17 @@ class SystemOracle:
             squares[k] * xden * sn * sd * sd + cubes[k] * sd**3, pden * xden**3 * sn**3
         )
 
-    def delta_row(self, zs: Iterable[Number], w: Number, mode: str) -> list[Number]:
+    def delta_row(self, zs: Sequence[Number], w: Number, mode: str) -> list[Number]:
         """Delta_w(z) = P(S > z) - P(S_bar > z) at each z of ``zs``, exact in exact mode.
 
-        The suffix sums, values, scale and denominator of the raw and the
-        capped law are read once per call, and each z bisects each law
-        once.  On an exact system a finite z is read exactly as an integer
-        pair, and the two tails are subtracted as integers: capping keeps
-        each summand's mass denominator, so the capped law has the raw law's
+        The raw and the capped law are looked up once per call.  On an
+        exact system a finite z is read exactly as an integer pair, and the
+        two tails are subtracted as mass numerators: capping keeps each
+        summand's mass denominator, so the capped law has the raw law's
         ``den``, and the difference becomes a ``Fraction`` through
-        :meth:`LatticeMeasure.fraction`, once per numerator.  An infinite
-        or NaN z asks the laws' own tail queries, as every z of a float
-        system does.
+        :meth:`LatticeMeasure.fraction`, once per numerator.  An infinite or
+        NaN z asks the laws' own tail queries, as every z of a float system
+        does.
 
         This is the one method a subclass overrides to change Delta:
         :meth:`delta` is its row of one.  An override may raise
@@ -480,8 +480,6 @@ class SystemOracle:
         raw, capped = self.law_sum(), self.law_capped(w, mode)
         if not self.system.exact:
             return [raw.tail(z) - capped.tail(z) for z in zs]
-        r_values, r_suffix, r_scale = raw.values, raw._suffix_sums(), raw.scale
-        c_values, c_suffix, c_scale = capped.values, capped._suffix_sums(), capped.scale
         out = []
         for z in zs:
             if type(z) in _EXACT_TYPES:
@@ -492,28 +490,25 @@ class SystemOracle:
                     out.append(raw.tail(z) - capped.tail(z))
                     continue
                 zn, zd = ratio
-            a = r_suffix[bisect_right(r_values, zn * r_scale // zd)]
-            b = c_suffix[bisect_right(c_values, zn * c_scale // zd)]
-            out.append(raw.fraction(a - b))
+            out.append(raw.fraction(raw.tail_numerator(zn, zd) - capped.tail_numerator(zn, zd)))
         return out
 
     def delta(self, z: Number, w: Number, mode: str) -> Number:
         """Delta_w(z) = P(S > z) - P(S_bar > z), the row of one of :meth:`delta_row`."""
         return self.delta_row((z,), w, mode)[0]
 
-    def concentration_row(self, zs: Iterable[Number], y: Number) -> list[tuple[Number, Number]]:
+    def concentration_row(self, zs: Sequence[Number], y: Number) -> list[tuple[Number, Number]]:
         """(Q(z, y), Q*(z, y)) at each z of ``zs``, from one pass over the leave-one-out tails.
 
-        The restricted laws of y are looked up, and their suffix sums,
-        values, scales and denominators read, once per call.  On an exact
+        The restricted laws of y are looked up once per call.  On an exact
         system the threshold z - y is an unreduced integer pair: computed
         from the pairs of z and y when both are exact (``Fraction`` or
         ``int``), and read exactly from the float z - y otherwise, whose
-        rounding decides which atoms lie above it.  Each law answers with
-        an integer pair, the largest is picked by cross-multiplication, and
-        only Q and Q* become ``Fraction``s.  A threshold no integer pair
-        reads (an infinite or NaN float) asks the laws' own tail queries,
-        as every z of a float system does.
+        rounding decides which atoms lie above it.  Each law answers with a
+        mass numerator, the largest tail is picked by cross-multiplication,
+        and only Q and Q* become ``Fraction``s.  A threshold no integer pair
+        reads (an infinite or NaN float) asks the laws' own tail queries, as
+        every z of a float system does.
 
         This is the one method a subclass overrides to change Q and Q*:
         :meth:`concentration`, :meth:`q` and :meth:`qstar` read its row of
@@ -529,11 +524,10 @@ class SystemOracle:
         loo, full = self.restricted(y)
         if not self.system.exact:
             return [_tail_concentration(loo, full, z, y) for z in zs]
-        laws = [(m.values, m._suffix_sums(), m.scale, m.den, m) for m in loo]
-        f_values, f_suffix, f_scale, f_den = full.values, full._suffix_sums(), full.scale, full.den
         exact_y = type(y) in _EXACT_TYPES
         if exact_y:
             yn, yd = y.numerator, y.denominator
+        f_den = full.den
         out = []
         for z in zs:
             if exact_y and type(z) in _EXACT_TYPES:
@@ -547,12 +541,12 @@ class SystemOracle:
                 (tn, td), (zn, zd) = threshold, at_z
             # the first largest tail wins, as in max(); masses are >= 0
             top, qn, qd = None, -1, 1
-            for values, suffix, scale, den, m in laws:
-                n = suffix[bisect_right(values, tn * scale // td)]
-                if n * qd > qn * den:
-                    top, qn, qd = m, n, den
+            for m in loo:
+                n = m.tail_numerator(tn, td)
+                if n * qd > qn * m.den:
+                    top, qn, qd = m, n, m.den
             q = top.fraction(qn)
-            fn = f_suffix[bisect_right(f_values, zn * f_scale // zd)]
+            fn = full.tail_numerator(zn, zd)
             out.append((q, full.fraction(fn) if fn * qd > qn * f_den else q))
         return out
 

@@ -455,16 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reads, built once per process.
-
-    Parsing leaves the parser as it was: every call gets a fresh namespace,
-    a grid default is parsed anew, and ``--constant`` appends to a new list.
-    """
-    return build_parser()
-
-
 def _join_grid_values(argv: Sequence[str]) -> list[str]:
     """``--z-grid VALUE`` as ``--z-grid=VALUE``.
 
@@ -483,7 +473,8 @@ def _join_grid_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

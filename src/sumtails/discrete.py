@@ -446,10 +446,11 @@ class LatticeMeasure:
     :meth:`restrict_at_most` and :meth:`capped` build the restricted and
     capped laws from these integers too, keeping ``den``.
     The suffix sums behind the queries are built on the first query.
-    :meth:`tail_pair` answers with an unreduced integer pair, so callers
-    that combine several answers compare integers and build a ``Fraction``
-    only for the answer they return, through :meth:`fraction`; the
-    ``Fraction`` queries build theirs from the same reads.  Instances are
+    :meth:`tail_numerator` answers an integer-pair threshold with a mass
+    numerator over ``den``, so callers that combine several answers compare
+    integers and build a ``Fraction`` only for the answer they return,
+    through :meth:`fraction`; the ``Fraction`` queries build theirs from the
+    same reads.  Instances are
     never mutated apart from the suffix sums, which are assigned whole once
     built, and the memo of :meth:`fraction`, whose entries are
     deterministic, so sharing them between threads is safe.
@@ -496,14 +497,14 @@ class LatticeMeasure:
         """Total mass of the measure."""
         return self.fraction(self._suffix_sums()[0])
 
-    def tail_pair(self, num: int, den: int) -> tuple[int, int]:
-        """Mass strictly above ``num / den`` as an unreduced pair ``(mass numerator, self.den)``.
+    def tail_numerator(self, num: int, den: int) -> int:
+        """Mass strictly above ``num / den``, as its numerator over ``self.den``.
 
         ``num`` and ``den > 0`` are integers and need not be reduced: the
         threshold is ``floor(num * scale / den)`` on this measure's own grid,
         so no ``Fraction`` is built, neither for the threshold nor for the mass.
         """
-        return self._suffix_sums()[bisect_right(self.values, num * self.scale // den)], self.den
+        return self._suffix_sums()[bisect_right(self.values, num * self.scale // den)]
 
     def tail(self, z: Number) -> Fraction:
         """Mass strictly above ``z``."""

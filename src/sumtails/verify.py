@@ -154,15 +154,8 @@ class OsipovViolation:
 
 
 def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
-    """The distinct y values the sweep evaluates at z: the grid plus z / (1 + p/2).
-
-    Values are told apart by :func:`~sumtails.bounds._key`, as the oracle's
-    memos tell them apart, so an exact y and an equal float are two values.
-    """
-    ys: dict[object, Number] = {}
-    for y in (*y_grid, scaled_y(z, p)):
-        ys.setdefault(_key(y), y)
-    return list(ys.values())
+    """The distinct y values the sweep evaluates at z: the grid plus z / (1 + p/2)."""
+    return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
 
 
 def _sweep_terms(

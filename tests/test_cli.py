@@ -382,40 +382,6 @@ class TestParamsBeyondFloat:
         assert len(out.splitlines()) == 4
 
 
-class TestParserReuse:
-    def test_one_parser_per_process(self, two_coins_path, monkeypatch, capsys):
-        from sumtails import cli
-
-        runs = [
-            ["bounds", "--system", two_coins_path, "--z-grid", "0:1:2", "--constant", "p4=2"],
-            ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5", "--constant", "p5=2"],
-            ["bounds", "--system", two_coins_path, "--format", "json", "--constant", "p5=3"],
-        ]
-
-        def run(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # a usage error
-                code = exc.code
-            return code, capsys.readouterr()
-
-        alone = []
-        for argv in runs:
-            cli._parser.cache_clear()
-            alone.append(run(argv))
-        builds, build_parser = [], cli.build_parser
-
-        def counting():
-            builds.append(1)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
-        assert [run(argv) for argv in runs] == alone
-        assert [code for code, _ in alone] == [0, 2, 0]
-        assert len(builds) == 1
-
-
 class TestUnreadFlags:
     """A flag that changes no output of its command is not accepted."""
 

@@ -285,7 +285,7 @@ class TestLatticeKernel:
             expected = law.to_submeasure().tail(F(num, den))
             assert law.tail(F(num, den)) == expected
             for pair in ((num, den), (num * factor, den * factor)):
-                got = law.fraction(law.tail_pair(*pair)[0])
+                got = law.fraction(law.tail_numerator(*pair))
                 assert got == expected and type(got) is F, pair
 
     def test_non_finite_float_thresholds(self, coin):

@@ -233,6 +233,15 @@ class TestSweepVerdicts:
             assert found
             assert all(type(v.bound_value) is float for v in found)
 
+    def test_equal_y_of_two_types_is_swept_once(self, small_corpus):
+        # at z = 1 and p = 2 the scaled y is Fraction(1, 2), equal to the grid's 0.5
+        system = small_corpus[37]
+        found = [
+            st.verify_osipov(system, [F(1)], y_grid=[y], oracle=ScaledConcentration(system, F(0)))
+            for y in (0.5, F(1, 2))
+        ]
+        assert len(found[0]) == 2 and found[0] == found[1]
+
     def test_nonneg_and_p1_verdicts_exact(self, small_corpus):
         found = []
         for system in small_corpus[:6]:
