@@ -450,10 +450,10 @@ class LatticeMeasure:
     numerator over ``den``, so callers that combine several answers compare
     integers and build a ``Fraction`` only for the answer they return,
     through :meth:`fraction`; the ``Fraction`` queries build theirs from the
-    same reads.  Instances are
-    never mutated apart from the suffix sums, which are assigned whole once
-    built, and the memo of :meth:`fraction`, whose entries are
-    deterministic, so sharing them between threads is safe.
+    same reads.  Instances are never mutated apart from the suffix sums,
+    which are assigned whole once built, and the memo of :meth:`fraction`,
+    whose entries are deterministic, so sharing them between threads is
+    safe.
     """
 
     __slots__ = ("values", "masses", "den", "scale", "_suffix", "_fractions")
