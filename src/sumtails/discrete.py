@@ -446,11 +446,12 @@ class LatticeMeasure:
     :meth:`restrict_at_most` and :meth:`capped` build the restricted and
     capped laws from these integers too, keeping ``den``.
     The suffix sums behind the queries are built on the first query.
-    :meth:`tail_numerator` answers an integer-pair threshold with a mass
-    numerator over ``den``, so callers that combine several answers compare
-    integers and build a ``Fraction`` only for the answer they return,
-    through :meth:`fraction`; the ``Fraction`` queries build theirs from the
-    same reads.  Instances are never mutated apart from the suffix sums,
+    :meth:`tail_numerator` and :meth:`at_least_numerator` answer an
+    integer-pair threshold with a mass numerator over ``den``, so callers
+    that combine several answers compare integers and build a ``Fraction``
+    only for the answer they return, through :meth:`fraction` (or a float,
+    as ``numerator / den``); the ``Fraction`` queries build theirs from the
+    same two reads.  Instances are never mutated apart from the suffix sums,
     which are assigned whole once built, and the memo of :meth:`fraction`,
     whose entries are deterministic, so sharing them between threads is
     safe.
@@ -482,15 +483,16 @@ class LatticeMeasure:
             suffix = self._suffix = list(accumulate(reversed(self.masses), initial=0))[::-1]
         return suffix
 
-    def _cut(self, t: Number, strict: bool) -> int:
-        """Index of the first atom above ``t`` (``strict``) or at least ``t``."""
+    def _read(self, t: Number, read) -> int:
+        """``read(num, den)`` at the integer pair of ``t``, a mass numerator over ``den``.
+
+        A threshold no integer pair reads counts every atom at -inf and
+        none at +inf or NaN.
+        """
         ratio = _as_ratio(t)
-        if ratio is None:  # every atom is above -inf; none is above +inf or NaN
-            return 0 if t < 0 else len(self.values)
-        num, den = ratio
-        if strict:
-            return bisect_right(self.values, num * self.scale // den)
-        return bisect_left(self.values, -(-num * self.scale // den))
+        if ratio is None:
+            return self._suffix_sums()[0 if t < 0 else len(self.values)]
+        return read(*ratio)
 
     @property
     def mass(self) -> Fraction:
@@ -506,20 +508,28 @@ class LatticeMeasure:
         """
         return self._suffix_sums()[bisect_right(self.values, num * self.scale // den)]
 
+    def at_least_numerator(self, num: int, den: int) -> int:
+        """Mass at or above ``num / den``, as its numerator over ``self.den``.
+
+        Read as :meth:`tail_numerator` reads, at ``ceil(num * scale / den)``.
+        """
+        return self._suffix_sums()[bisect_left(self.values, -(-num * self.scale // den))]
+
     def tail(self, z: Number) -> Fraction:
         """Mass strictly above ``z``."""
-        return self.fraction(self._suffix_sums()[self._cut(z, True)])
+        return self.fraction(self._read(z, self.tail_numerator))
 
     def mass_at_least(self, t: Number) -> Fraction:
         """Mass of the event {value >= t}."""
-        return self.fraction(self._suffix_sums()[self._cut(t, False)])
+        return self.fraction(self._read(t, self.at_least_numerator))
 
     def interval_mass(self, a: Number, b: Number) -> Fraction:
-        """Mass of the closed interval [a, b], from one difference of suffix sums."""
+        """Mass of the closed interval [a, b], from one difference of the two reads."""
         if not a <= b:  # empty, or a NaN endpoint
             return Fraction(0)
-        suffix = self._suffix_sums()
-        return self.fraction(suffix[self._cut(a, False)] - suffix[self._cut(b, True)])
+        return self.fraction(
+            self._read(a, self.at_least_numerator) - self._read(b, self.tail_numerator)
+        )
 
     def product(
         self, other: "LatticeMeasure", values: tuple[int, ...], masses: tuple[int, ...]
@@ -540,7 +550,11 @@ class LatticeMeasure:
         A restriction that keeps every atom is this measure itself.  At a
         NaN y no atom is kept, as no comparison with NaN holds.
         """
-        k = 0 if y != y else self._cut(y, True)
+        ratio = _as_ratio(y)
+        if ratio is None:  # every atom is at most +inf; none is at most -inf or NaN
+            k = len(self.values) if y > 0 else 0
+        else:
+            k = bisect_right(self.values, ratio[0] * self.scale // ratio[1])
         if k == len(self.values):
             return self
         return LatticeMeasure(self.values[:k], self.masses[:k], self.den, self.scale)

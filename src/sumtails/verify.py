@@ -364,66 +364,78 @@ class CalibrationResult:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _ratio_theorem(oracle: SystemOracle, params: BoundParams, mode: str):
+def _ratio_theorem(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
     beta = float(oracle.beta_v_at(params.v))
-
-    def at(cell: dict) -> float:
-        z = cell["z"]
-        lhs = abs(float(oracle.law_capped(params.w, mode).tail(z)) - normal_tail(z))
+    law = oracle.law_capped(params.w, mode)
+    if oracle.system.exact:
+        # the numerator over den rounds correctly, as float(law.tail(z)) does
+        tails = [law.tail_numerator(*z.as_integer_ratio()) / law.den for z in zs]
+    else:
+        tails = [float(law.tail(z)) for z in zs]
+    out = []
+    for z, tail in zip(zs, tails):
+        lhs = abs(tail - normal_tail(z))
         if beta == 0.0:
-            return math.inf if lhs > 0.0 else 0.0
-        return lhs * math.exp(params.lam * z) / beta
+            out.append(math.inf if lhs > 0.0 else 0.0)
+        else:
+            out.append(lhs * math.exp(params.lam * z) / beta)
+    return out
 
-    return at
 
-
-def _ratio_concentration(oracle: SystemOracle, params: BoundParams, mode: str):
+def _ratio_concentration(
+    oracle: SystemOracle, params: BoundParams, mode: str, intervals: Sequence[tuple]
+):
     beta = float(oracle.beta_v_at(params.v))
+    rhs = [(b - a + beta) * math.exp(-params.lam * a) for a, b in intervals]
+    # each distinct endpoint as an integer pair, read once per lattice law
+    a_pairs = {a: a.as_integer_ratio() for a, _ in intervals}
+    b_pairs = {b: b.as_integer_ratio() for _, b in intervals}
+    out = []
+    for law in oracle.loo_capped(params.w, mode):
+        if oracle.system.exact:
+            at_least = {a: law.at_least_numerator(n, d) for a, (n, d) in a_pairs.items()}
+            above = {b: law.tail_numerator(n, d) for b, (n, d) in b_pairs.items()}
+            # rounds as the float of the Fraction law.interval_mass(a, b)
+            masses = [(at_least[a] - above[b]) / law.den if a <= b else 0.0 for a, b in intervals]
+        else:
+            masses = [float(law.interval_mass(a, b)) for a, b in intervals]
+        out += [lhs / r for lhs, r in zip(masses, rhs)]
+    return out
 
-    def at(cell: dict) -> float:
-        a, b = cell["a"], cell["b"]
-        law = oracle.loo_capped(params.w, mode)[cell["i"]]
-        lhs = float(law.interval_mass(a, b))
-        rhs = (b - a + beta) * math.exp(-params.lam * a)
-        return lhs / rhs
 
-    return at
-
-
-def _ratio_p4(oracle: SystemOracle, params: BoundParams, mode: str):
-    def at(cell: dict) -> float:
-        z = cell["z"]
-        delta = float(oracle.delta(z, params.w, mode))
-        lead = float(oracle.max_tail_at(scaled_y(z, params.p)))
-        lhs = delta - lead
+def _ratio_p4(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
+    deltas = oracle.delta_row(zs, params.w, mode)
+    p1 = float(oracle.max_tail_at(params.w))
+    out = []
+    for z, delta in zip(zs, deltas):
+        lhs = float(delta) - float(oracle.max_tail_at(scaled_y(z, params.p)))
         if lhs <= 0.0:
-            return 0.0
-        structure = float(oracle.max_tail_at(params.w)) / (params.c + z) ** params.p
-        if structure == 0.0:
-            return math.inf
-        return lhs / structure
-
-    return at
+            out.append(0.0)
+            continue
+        structure = p1 / (params.c + z) ** params.p
+        out.append(math.inf if structure == 0.0 else lhs / structure)
+    return out
 
 
-def _ratio_p5(oracle: SystemOracle, params: BoundParams, mode: str):
+def _ratio_p5(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
     mu = float(oracle.mu_p_at(params.p))
-
-    def at(cell: dict) -> float:
-        z = cell["z"]
-        delta = float(oracle.delta(z, params.w, mode))
+    out = []
+    for z, delta in zip(zs, oracle.delta_row(zs, params.w, mode)):
+        delta = float(delta)
         structure = mu / (params.c + z) ** params.p
         if structure == 0.0:
-            return math.inf if delta > 0.0 else 0.0
-        return delta / structure
+            out.append(math.inf if delta > 0.0 else 0.0)
+        else:
+            out.append(delta / structure)
+    return out
 
-    return at
 
-
-#: the ratio of each calibrated bound: ``_RATIOS[name](oracle, params, mode)``
-#: converts the system's cell-independent scalars to floats once and returns
-#: the ratio at one cell; a ``concentration`` cell is {"system", "i", "a",
-#: "b"}, every other cell is {"system", "z"}
+#: the ratios of each calibrated bound along one system's row of cells:
+#: ``_RATIOS[name](oracle, params, mode, row)`` reads the system's laws once
+#: and returns one float per cell.  A ``concentration`` row is a list of
+#: intervals (a, b) and its cells {"system", "i", "a", "b"} come summand by
+#: summand, each over the whole list; any other row is a list of z values
+#: with one cell {"system", "z"} each
 _RATIOS = dict(
     theorem=_ratio_theorem, concentration=_ratio_concentration, p4=_ratio_p4, p5=_ratio_p5
 )
@@ -431,10 +443,17 @@ CALIBRATION_BOUNDS = tuple(_RATIOS)
 
 
 def _ratio(bound_name: str):
-    """The ratio function of ``bound_name``; an unknown name is a ``ValueError``."""
+    """The row function of ``bound_name``; an unknown name is a ``ValueError``."""
     if bound_name not in _RATIOS:
         raise ValueError(f"unknown bound {bound_name!r}; expected one of {CALIBRATION_BOUNDS}")
     return _RATIOS[bound_name]
+
+
+def _check_finite(name: str, values: Sequence[Number]) -> None:
+    """Raise ``ValueError`` naming the first value of ``values`` that is not finite."""
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"calibration {name} values must be finite, got {x}")
 
 
 def calibration_ratio(
@@ -444,8 +463,14 @@ def calibration_ratio(
     params: BoundParams = BoundParams(),
     mode: str = "winsorize",
 ) -> float:
-    """Re-evaluate one calibration cell (used to confirm a witness)."""
-    return _ratio(bound_name)(SystemOracle(corpus[cell["system"]]), params, mode)(cell)
+    """Re-evaluate one calibration cell (used to confirm a witness): the row of one."""
+    ratio = _ratio(bound_name)
+    oracle = SystemOracle(corpus[cell["system"]])
+    if bound_name == "concentration":
+        _check_finite("a and b", (cell["a"], cell["b"]))
+        return ratio(oracle, params, mode, [(cell["a"], cell["b"])])[cell["i"]]
+    _check_finite("z", (cell["z"],))
+    return ratio(oracle, params, mode, [cell["z"]])[0]
 
 
 def calibrate(
@@ -461,9 +486,11 @@ def calibrate(
     """Empirical minimal constant over (corpus x grid) for one bound family.
 
     Deterministic given (corpus, grids, params): one pass walks the systems
-    and their cells in a fixed order, and each per-cell ratio is a pure
-    float computation.  Ties keep the earliest cell as witness.  A cell
-    whose laws exceed the atom budget is skipped; ``grid["skipped"]``
+    in a fixed order and asks each for its row of ratios (see
+    :data:`_RATIOS`), each a pure float computation of its cell.  Ties keep
+    the earliest cell as witness.  The z and a values must be finite and
+    the gaps finite and nonnegative, else ``ValueError``.  A system whose
+    laws exceed the atom budget skips its whole row; ``grid["skipped"]``
     counts the skipped cells when there are any, and a grid with no
     evaluated cell is a ``ValueError``.
     """
@@ -472,41 +499,42 @@ def calibrate(
         raise ValueError("calibration needs a nonempty corpus")
     check_mode(mode)
     params.check_float_range()
-
     zs = [float(z) for z in z_grid]
+    _check_finite("z", zs)
     if bound_name in ("p4", "p5"):
         zs = [z for z in zs if z > 0.0]
     concentration = bound_name == "concentration"
     intervals = []
     if concentration:  # only this bound reads them
+        _check_finite("a", [float(a) for a in a_grid])
+        for gap in gaps:
+            if not 0 <= gap < math.inf:
+                raise ValueError(f"calibration gaps must be finite and nonnegative, got {gap}")
         intervals = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
     if bound_name in ("theorem", "p4", "p5") and not zs:
         raise ValueError("calibration needs a nonempty z grid")
     if concentration and not intervals:
         raise ValueError("calibration needs nonempty interval grids")
 
+    row = intervals if concentration else zs
     a_min = -math.inf
     witness: dict = {}
     n_cells = skipped = 0
     for idx, system in enumerate(corpus):
-        ratio_at = ratio(SystemOracle(system), params, mode)
-        if concentration:
-            cells = (
-                {"system": idx, "i": i, "a": a, "b": b}
-                for i in range(system.n)
-                for a, b in intervals
-            )
-        else:
-            cells = ({"system": idx, "z": z} for z in zs)
-        for cell in cells:
-            try:
-                value = ratio_at(cell)
-            except ConvolutionCapError:
-                skipped += 1
-                continue
-            n_cells += 1
+        try:
+            values = ratio(SystemOracle(system), params, mode, row)
+        except ConvolutionCapError:
+            skipped += system.n * len(row) if concentration else len(row)
+            continue
+        n_cells += len(values)
+        for k, value in enumerate(values):
             if value > a_min:
-                a_min, witness = value, cell
+                a_min = value
+                if concentration:
+                    i, j = divmod(k, len(row))
+                    witness = {"system": idx, "i": i, "a": row[j][0], "b": row[j][1]}
+                else:
+                    witness = {"system": idx, "z": row[k]}
     if not n_cells:
         raise ValueError(f"no calibration cell fits the atom budget ({skipped} skipped)")
     grid_desc = {

@@ -288,6 +288,37 @@ class TestLatticeKernel:
                 got = law.fraction(law.tail_numerator(*pair))
                 assert got == expected and type(got) is F, pair
 
+    @given(
+        rvs=hyp.lists(lattice_rvs(), min_size=1, max_size=3),
+        num=hyp.integers(min_value=-400, max_value=400),
+        den=hyp.integers(min_value=1, max_value=60),
+        factor=hyp.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_at_least_numerator_is_mass_at_least(self, rvs, num, den, factor):
+        law = lattice_chain(rvs)
+        sub = law.to_submeasure()
+
+        def reference(t):  # mass at or above t, summed from the Fraction atoms
+            return sum((m for x, m in zip(sub.values, sub.masses) if x >= t), F(0))
+
+        # a random threshold, every atom (the closed end counts it) and a
+        # point just past each atom, as reduced and unreduced pairs
+        pairs = [(num, den)] + [(x.numerator, x.denominator) for x in sub.values]
+        pairs += [(x.numerator * 7 * den + 1, x.denominator * 7 * den) for x in sub.values]
+        for n, d in pairs:
+            t = F(n, d)
+            for pair in ((n, d), (n * factor, d * factor)):
+                got = law.at_least_numerator(*pair)
+                assert type(got) is int and law.fraction(got) == reference(t), pair
+            for threshold in (t, float(t)) + ((n // d,) if d == 1 else ()):
+                assert law.mass_at_least(threshold) == reference(F(threshold)), threshold
+            assert sub.mass_at_least(t) == reference(t)
+            # [t, b] holds the mass at or above t less the mass above b
+            for b in (t, t + F(1, 3), t - 1):
+                above = sum((m for x, m in zip(sub.values, sub.masses) if x > b), F(0))
+                assert law.interval_mass(t, b) == (reference(t) - above if t <= b else 0)
+
     def test_non_finite_float_thresholds(self, coin):
         law = lattice_chain([coin, coin])
         assert law.tail(float("inf")) == 0

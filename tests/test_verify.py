@@ -9,11 +9,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
+from sumtails import verify
 from sumtails.bounds import _auto_y_candidates
 
 
@@ -468,6 +469,9 @@ class TestPBoundsAgreesWithSweep:
         assert set(checked) == {"p2", "p3"}
 
 
+GAPS_MUST = "gaps must be finite and nonnegative"
+
+
 class TestCalibrate:
     def test_theorem_finite_and_deterministic(self, small_corpus):
         params = st.BoundParams(v=1, w=1, lam=0.5)
@@ -544,23 +548,84 @@ class TestCalibrate:
             ratio = st.calibration_ratio(small_corpus, bound, cell, params)
             assert ratio == pytest.approx(value, rel=1e-12), bound
 
-    @pytest.mark.parametrize("bound", ["theorem", "p4", "p5"])
+    @pytest.mark.parametrize("bound", ["theorem", "concentration", "p4", "p5"])
     def test_cells_past_the_atom_budget_are_skipped(self, small_corpus, monkeypatch, bound):
-        # at a budget of 3 pairs only the one-summand systems need no convolution
+        # at a budget of 3 pairs only the systems whose laws need no
+        # convolution fit: one summand, or two for the leave-one-out laws
+        most = 2 if bound == "concentration" else 1
+        # two z values, or two intervals per summand
+        grids = dict(z_grid=[F(1, 2), F(2)], a_grid=[F(-1, 2), F(1)], gaps=[F(1)])
+        fits = [s for s in small_corpus if s.n <= most]
+        assert 0 < len(fits) < len(small_corpus)
+
+        def cells(systems):
+            return sum(2 * s.n if bound == "concentration" else 2 for s in systems)
+
+        want = st.calibrate(fits, bound, **grids)
+        monkeypatch.setattr(verify, "SystemOracle", functools.partial(st.SystemOracle, cap=3))
+        result = st.calibrate(small_corpus, bound, **grids)
+        assert (result.a_min, result.n_cells) == (want.a_min, want.n_cells)
+        assert result.grid["skipped"] == cells(s for s in small_corpus if s.n > most)
+        assert "skipped" not in want.grid
+        assert small_corpus[result.witness["system"]].n <= most
+        capped = [s for s in small_corpus if s.n > most][:3]
+        message = f"no calibration cell fits the atom budget \\({cells(capped)} skipped\\)"
+        with pytest.raises(ValueError, match=message):
+            st.calibrate(capped, bound, **grids)
+
+    @pytest.mark.parametrize(
+        "bound, grids, message",
+        [
+            ("theorem", dict(z_grid=[F(1), math.nan]), "z values must be finite, got nan"),
+            ("p4", dict(z_grid=[math.nan, 0.5]), "z values must be finite, got nan"),
+            ("p5", dict(z_grid=[0.5, math.nan]), "z values must be finite, got nan"),
+            ("theorem", dict(z_grid=[math.inf]), "z values must be finite, got inf"),
+            ("p4", dict(z_grid=[F(1), -math.inf]), "z values must be finite, got -inf"),
+            ("concentration", dict(a_grid=[F(0), math.nan]), "a values must be finite, got nan"),
+            ("concentration", dict(a_grid=[math.inf]), "a values must be finite, got inf"),
+            ("concentration", dict(gaps=[F(1), F(-1)]), f"{GAPS_MUST}, got -1"),
+            ("concentration", dict(gaps=[math.inf]), f"{GAPS_MUST}, got inf"),
+            ("concentration", dict(gaps=[math.nan]), f"{GAPS_MUST}, got nan"),
+        ],
+        ids=[
+            "theorem-z-nan",
+            "p4-z-nan",
+            "p5-z-nan",
+            "theorem-z-inf",
+            "p4-z-minus-inf",
+            "concentration-a-nan",
+            "concentration-a-inf",
+            "concentration-gap-negative",
+            "concentration-gap-inf",
+            "concentration-gap-nan",
+        ],
+    )
+    def test_grids_are_checked_before_any_work(
+        self, small_corpus, monkeypatch, bound, grids, message
+    ):
         from sumtails import verify
 
-        z_grid = [F(1, 2), F(2)]
-        singles = [s for s in small_corpus if s.n == 1]
-        assert 0 < len(singles) < len(small_corpus)
-        want = st.calibrate(singles, bound, z_grid=z_grid)
-        monkeypatch.setattr(verify, "SystemOracle", functools.partial(st.SystemOracle, cap=3))
-        result = st.calibrate(small_corpus, bound, z_grid=z_grid)
-        assert (result.a_min, result.n_cells) == (want.a_min, want.n_cells)
-        assert result.grid["skipped"] == 2 * (len(small_corpus) - len(singles))
-        assert "skipped" not in want.grid
-        assert small_corpus[result.witness["system"]].n == 1
-        with pytest.raises(ValueError, match=r"no calibration cell fits the atom budget \(6 skipped\)"):
-            st.calibrate([s for s in small_corpus if s.n > 1][:3], bound, z_grid=z_grid)
+        def no_oracle(system):
+            raise AssertionError("an oracle was built before the grids were checked")
+
+        monkeypatch.setattr(verify, "SystemOracle", no_oracle)
+        with pytest.raises(ValueError) as err:
+            st.calibrate(small_corpus[:3], bound, **grids)
+        assert str(err.value) == f"calibration {message}"
+
+    @pytest.mark.parametrize(
+        "bound, cell",
+        [
+            ("theorem", {"system": 0, "z": math.nan}),
+            ("p5", {"system": 0, "z": math.inf}),
+            ("concentration", {"system": 0, "i": 0, "a": -math.inf, "b": 0.5}),
+            ("concentration", {"system": 0, "i": 0, "a": 0.0, "b": math.nan}),
+        ],
+        ids=["theorem-nan", "p5-inf", "concentration-a", "concentration-b"],
+    )
+    def test_ratio_of_a_cell_that_is_not_finite(self, small_corpus, bound, cell):
+        with pytest.raises(ValueError, match="values must be finite, got"):
+            st.calibration_ratio(small_corpus, bound, cell)
 
     def test_unknown_bound_message_is_shared(self, small_corpus):
         with pytest.raises(ValueError) as by_calibrate:
@@ -569,6 +634,66 @@ class TestCalibrate:
             st.calibration_ratio(small_corpus, "p6", {"system": 0, "z": 1.0})
         assert str(by_ratio.value) == str(by_calibrate.value)
         assert str(by_ratio.value).startswith("unknown bound 'p6'; expected one of")
+
+
+#: calibration grid values: exact and float, negative, zero and positive
+calibration_values = hyp.one_of(
+    hyp.builds(F, hyp.integers(min_value=-16, max_value=24), hyp.sampled_from([1, 2, 3, 4, 10])),
+    hyp.floats(min_value=-3, max_value=6),
+)
+calibration_gaps = hyp.one_of(
+    hyp.builds(F, hyp.integers(min_value=0, max_value=20), hyp.sampled_from([1, 2, 10])),
+    hyp.floats(min_value=0, max_value=3),
+)
+
+
+class TestCalibrationRows:
+    """``calibrate`` reads each system as one row; every row value is its cell's ratio."""
+
+    @given(
+        picks=hyp.lists(hyp.integers(min_value=0, max_value=39), min_size=1, max_size=3),
+        with_float=hyp.booleans(),
+        bound=hyp.sampled_from(verify.CALIBRATION_BOUNDS),
+        mode=hyp.sampled_from(verify.WINSOR_MODES),
+        w=hyp.sampled_from([F(1, 2), F(1), F(3, 10), 0.7]),
+        z_grid=hyp.lists(calibration_values, min_size=1, max_size=5),
+        a_grid=hyp.lists(calibration_values, min_size=1, max_size=3),
+        gaps=hyp.lists(calibration_gaps, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_a_cell_by_cell_loop(
+        self, small_corpus, picks, with_float, bound, mode, w, z_grid, a_grid, gaps
+    ):
+        if bound in ("p4", "p5"):
+            assume(any(float(z) > 0 for z in z_grid))
+        corpus = [small_corpus[i] for i in picks]
+        if with_float:
+            corpus.append(st.extremal_system(3)[0])
+        params = st.BoundParams(w=w)
+        grids = dict(z_grid=z_grid, a_grid=a_grid, gaps=gaps)
+        result = st.calibrate(corpus, bound, params=params, mode=mode, **grids)
+        # the reference: every cell on its own, in calibrate's order
+        a_min, witness, n_cells = -math.inf, {}, 0
+        for idx, system in enumerate(corpus):
+            if bound == "concentration":
+                row = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
+                cells = [
+                    {"system": idx, "i": i, "a": a, "b": b}
+                    for i in range(system.n)
+                    for a, b in row
+                ]
+            else:
+                row = [float(z) for z in z_grid if bound == "theorem" or float(z) > 0]
+                cells = [{"system": idx, "z": z} for z in row]
+            values = verify._RATIOS[bound](st.SystemOracle(system), params, mode, row)
+            assert len(values) == len(cells)
+            for cell, value in zip(cells, values):
+                ratio = st.calibration_ratio(corpus, bound, cell, params, mode)
+                assert repr(value) == repr(ratio), cell  # bit for bit, -0.0 and nan included
+                n_cells += 1
+                if ratio > a_min:
+                    a_min, witness = ratio, cell
+        assert (result.a_min, result.witness, result.n_cells) == (a_min, witness, n_cells)
 
 
 class TestExtremalFamily:
