@@ -10,10 +10,12 @@ The package has four layers:
   Mills ratio / Stein function numerics;
 * :mod:`sumtails.bounds` -- the bound evaluators: :class:`SystemOracle`
   caches the exact laws of one system and answers Delta_w and the
-  concentration quantities Q and Q* (``oracle.delta``, ``oracle.q``,
-  ``oracle.qstar``); :func:`p_bounds` reports the five tail-difference
-  bounds, the exponential normal-approximation bound and their composite
-  (``report.corollary_bound``); plus the Bennett-Hoeffding bound;
+  concentration quantities Q and Q* a row of z values at a time
+  (``oracle.delta_row``, ``oracle.concentration_row``; ``oracle.delta``,
+  ``.q`` and ``.qstar`` are rows of one); :func:`p_bounds` reports the
+  five tail-difference bounds, the exponential normal-approximation bound
+  and their composite (``report.corollary_bound``); plus the
+  Bennett-Hoeffding bound;
 * :mod:`sumtails.verify` / :mod:`sumtails.mc` -- seeded corpora, exact
   verification sweeps, empirical constant calibration, sharpness reports,
   and reproducible Monte Carlo for sizes beyond the exact oracle.

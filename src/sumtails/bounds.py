@@ -193,7 +193,9 @@ class SystemOracle:
     and the moment profile and the lattice summands are assigned only once
     they are built, which keeps concurrent readers safe.
 
-    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which owns its layout.
+    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
+    owns its layout; its P2/P3 pairs come from :func:`_y_pairs`, as those
+    of :func:`p_bounds` do.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -673,55 +675,42 @@ def _parts(x: Number) -> tuple[Number, Number]:
     return x.numerator, x.denominator
 
 
-def _y_terms(oracle: SystemOracle, z: Number, ys: Iterable[Number]) -> tuple[list, list]:
-    """The y terms of P2 and P3 at z, and the y values past the atom budget.
+def _y_pairs(
+    oracle: SystemOracle, zs: Sequence[Number], y: Number, at_w: Sequence[tuple]
+) -> list[list[tuple]] | None:
+    """P2 and P3 at y for each z of ``zs`` and each w of ``at_w``; None past the atom budget.
 
-    A term is y followed by the :func:`_parts` numerator and denominator of
-    the max tail P(max_i X_i > y), of Q(z, y) and of 2 Q*(z, y), flat.  Each
-    y asks the oracle for its max tail, then for its concentration pair.  An
-    auto-y :func:`p_bounds` passes only the least y of each signature
-    class: within a class the max tail is fixed and Q, Q* can only grow
-    with y, so the other members give no smaller P2 or P3.
-    """
-    terms: list[tuple] = []
-    capped: list[Number] = []
-    for y in ys:
-        mt_y = oracle.max_tail_at(y)
-        try:
-            q, qstar = oracle.concentration(z, y)
-        except ConvolutionCapError:
-            capped.append(y)
-            continue
-        terms.append(_y_term(y, _parts(mt_y), q, qstar))
-    return terms, capped
-
-
-def _y_term(y: Number, max_tail_parts: tuple, q: Number, qstar: Number) -> tuple:
-    """The :func:`_y_terms` term of y from the :func:`_parts` pair of its max tail and its Q, Q*."""
-    qstar_n, qstar_d = _parts(qstar)
-    return (y, *max_tail_parts, *_parts(q), 2 * qstar_n, qstar_d)
-
-
-def _p23_pairs(term: tuple, exc: tuple, p1: tuple) -> tuple[Number, Number, Number, Number]:
-    """P2 and P3 of a :func:`_y_terms` term as unreduced fractions: (n2, d2, n3, d3).
-
-    ``exc`` and ``p1`` are the :func:`_parts` pairs of sum_i P(X_i > w) and
-    of P1.  Exact values give integers, with no gcd.  Float values give the
-    float P(max_i X_i > y) + Q sum_i P(X_i > w) and
-    P(max_i X_i > y) + (2 Q*) P1 over 1.0.  Denominators are positive, so
-    cross-multiplying two fractions keeps their order, and
+    ``at_w`` holds per w the :func:`_parts` pairs of sum_i P(X_i > w) and
+    of P1.  The oracle is asked for the max tail of y and for one
+    (Q, Q*) row over ``zs``, and a row past the atom budget gives None.
+    Otherwise entry [k][j] is (n2, d2, n3, d3), P2 and P3 at ``zs[k]`` and
+    the j-th w as unreduced fractions: integers with no gcd when exact,
+    the float P(max_i X_i > y) + Q sum_i P(X_i > w) and
+    P(max_i X_i > y) + (2 Q*) P1 over 1.0 when not.  Denominators are
+    positive, so cross-multiplying two fractions keeps their order, and
     :func:`_pair_value` reads the reported number from the pair.
     """
-    _, mn, md, qn, qd, sn, sd = term
-    (en, ed), (pn, pd) = exc, p1
-    return (
-        mn * qd * ed + qn * en * md, md * qd * ed,  # P2
-        mn * sd * pd + sn * pn * md, md * sd * pd,  # P3
-    )
+    mn, md = _parts(oracle.max_tail_at(y))
+    try:
+        row = oracle.concentration_row(zs, y)
+    except ConvolutionCapError:
+        return None
+    out = []
+    for q, qstar in row:
+        (qn, qd), (sn, sd) = _parts(q), _parts(qstar)
+        sn *= 2
+        at_z = []
+        for (en, ed), (pn, pd) in at_w:
+            at_z.append((
+                mn * qd * ed + qn * en * md, md * qd * ed,  # P2
+                mn * sd * pd + sn * pn * md, md * sd * pd,  # P3
+            ))
+        out.append(at_z)
+    return out
 
 
 def _pair_value(n: Number, d: Number) -> Number:
-    """n / d of a :func:`_p23_pairs` pair: a ``Fraction`` for integers, else a float."""
+    """n / d of a :func:`_y_pairs` pair: a ``Fraction`` for integers, else a float."""
     return Fraction(n, d) if type(d) is int else n / d
 
 
@@ -730,6 +719,30 @@ def _least(least: tuple | None, n: Number, d: Number) -> tuple:
     if least is None or n * least[1] < least[0] * d:
         return n, d
     return least
+
+
+def _float_z(z: Number, params: BoundParams) -> float:
+    """float(z) after checking that a report at z has float values, else ``ValueError`` naming z.
+
+    The check asks that z be finite and fit a float, and that neither the
+    float factor e^(-lam z) of :func:`theorem_bound` nor (c + z)^p of P4
+    and P5 (read only for z > 0) overflow.
+    """
+    try:
+        zf = float(z)
+        fits = math.isfinite(zf)
+        if fits:
+            math.exp(-params.lam * zf)
+            if zf > 0 or z > 0:  # a positive z may round to 0.0
+                (params.c + zf) ** params.p
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"z = {z} has no float report: z must be finite, and neither e^(-lam z) "
+            "nor, for z > 0, (c + z)^p may overflow a float"
+        )
+    return zf
 
 
 def p_bounds(
@@ -747,7 +760,7 @@ def p_bounds(
     under {X_i <= y}) is evaluated, and the minimum is still exact: within
     a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
     nondecreasing in y, as the threshold z - y falls (the contract of
-    :meth:`SystemOracle.concentration`).  P4/P5 are reported as
+    :meth:`SystemOracle.concentration_row`).  P4/P5 are reported as
     not-applicable (None) for z <= 0, where their derivation does not
     apply; with defaulted constants they are reported and flagged but
     excluded from ``best``.  The exact tail difference is
@@ -756,8 +769,11 @@ def p_bounds(
     P3 candidate uses the Bennett-Hoeffding bound in place of Q* when the
     total variance is at most one (none otherwise), with a warning; P2/P3
     are None when no y yields a candidate, so ``best`` stays a proven bound.
+    A z that is not finite, or at which e^(-lam z) or (c + z)^p overflows a
+    float, is a ``ValueError``.
     """
     check_mode(mode)
+    zf = _float_z(z, params)
     oracle = oracle if oracle is not None else SystemOracle(system)
     warnings: list[str] = []
 
@@ -773,27 +789,27 @@ def p_bounds(
 
     if params.y == "auto":
         candidates, least = _y_classes(oracle, z, params.p, w)
-        n_ys = len(candidates)
-        terms, capped_ys = _y_terms(oracle, z, least.values())
-        if capped_ys:
-            # every member of a class past the budget, in candidate order
-            capped = {oracle.signature(y) for y in capped_ys}
-            capped_ys = [
-                Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
-            ]
-    else:
-        n_ys = 1
-        terms, capped_ys = _y_terms(oracle, z, [params.y])
-    exc_parts, p1_parts = _parts(sum_exc), _parts(p1)
+    else:  # one class of one y
+        candidates, least = [(None, params.y)], {None: params.y}
+    at_w = [(_parts(sum_exc), _parts(p1))]
     # the least P2 and P3 candidates so far, as (numerator, denominator)
     least2 = least3 = None
-    for term in terms:
-        n2, d2, n3, d3 = _p23_pairs(term, exc_parts, p1_parts)
+    capped = set()  # the classes past the atom budget
+    for sig, y in least.items():
+        pairs = _y_pairs(oracle, (z,), y, at_w)
+        if pairs is None:
+            capped.add(sig)
+            continue
+        n2, d2, n3, d3 = pairs[0][0]
         least2 = _least(least2, n2, d2)
         least3 = _least(least3, n3, d3)
     p2 = None if least2 is None else _pair_value(*least2)
     p3_cands: list[Number] = [] if least3 is None else [_pair_value(*least3)]
-    if capped_ys:
+    if capped:
+        # every member of a class past the budget, in candidate order
+        capped_ys = [
+            Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
+        ]
         # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
         # Q* only for total variance at most one
         if system.unit_variance or system.total_variance() <= 1:
@@ -802,7 +818,7 @@ def p_bounds(
         else:
             fallback = "P2/P3 skipped (total variance above one, no Bennett-Hoeffding bound)"
         warnings.append(
-            f"{fallback} at {len(capped_ys)} of {n_ys} y values: "
+            f"{fallback} at {len(capped_ys)} of {len(candidates)} y values: "
             "convolution cap exceeded"
         )
     p3 = min(p3_cands, default=None)
@@ -817,7 +833,6 @@ def p_bounds(
             warnings.append("constant 'p4' defaulted to 1")
         if a5_defaulted:
             warnings.append("constant 'p5' defaulted to 1")
-        zf = float(z)
         denom = (params.c + zf) ** params.p
         p4 = float(oracle.max_tail_at(scaled_y(zf, params.p))) + a4 / denom * float(p1)
         p5 = a5 * float(oracle.mu_p_at(params.p)) / denom
@@ -834,7 +849,7 @@ def p_bounds(
     corollary = theorem + float(best)
     bik = oracle.bikelis_at(z, params.v)
     return BoundReport(
-        z=float(z),
+        z=zf,
         delta_w=delta_w,
         p1=p1,
         p2=p2,

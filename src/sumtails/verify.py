@@ -26,10 +26,9 @@ from .bounds import (
     BoundParams,
     SystemOracle,
     _key,
-    _p23_pairs,
     _pair_value,
     _parts,
-    _y_term,
+    _y_pairs,
     normal_tail,
     scaled_y,
 )
@@ -167,46 +166,41 @@ def _sweep_terms(
 ) -> tuple[list, list]:
     """What :func:`verify_osipov` reads that does not depend on the mode.
 
-    Returns ``(per_w, at_z)``: per w its value, float, P1 and the
-    :func:`~sumtails.bounds._parts` pairs of P1 and of sum_i P(X_i > w);
-    per z of the grid the y values past the atom budget and, per w, the
-    P2/P3 pairs of each y term with the term.  Each distinct y asks the
-    oracle for its max tail and for one (Q, Q*) row over the z values it
-    is swept at; a row past the atom budget skips that y at all of them.
+    Returns ``(per_w, at_z)``: per w its float and P1 with P1's
+    :func:`~sumtails.bounds._parts` pair; per z of the grid the y values
+    past the atom budget and, per w, a row of ((n2, d2, n3, d3), y): the
+    P2/P3 pairs of :func:`~sumtails.bounds._y_pairs` at each y in sweep
+    order.  Each distinct y is evaluated once over all the z values it is
+    swept at, so it asks the oracle for one max tail and one (Q, Q*) row;
+    a row past the atom budget skips that y at all of them.
     """
     per_w = []
+    at_w = []
     for w in w_grid:
         p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
-        per_w.append((w, float(w), p1, _parts(p1), _parts(sum_exc)))
+        per_w.append((float(w), p1, _parts(p1)))
+        at_w.append((_parts(sum_exc), _parts(p1)))
     ys_at = [[(_key(y), y) for y in _sweep_ys(z, y_grid, p)] for z in z_grid]
     # each distinct y with the positions of the z values it is swept at
     positions: dict[object, tuple[Number, list[int]]] = {}
     for i, ys in enumerate(ys_at):
         for key, y in ys:
             positions.setdefault(key, (y, []))[1].append(i)
-    # per y: its max-tail pair and its (Q, Q*) by z position, None past the budget
-    by_y: dict[object, tuple | None] = {}
+    # per y: its pairs by z position, None past the budget
+    by_y: dict[object, dict | None] = {}
     for key, (y, at) in positions.items():
-        mt_parts = _parts(oracle.max_tail_at(y))
-        try:
-            row = oracle.concentration_row([z_grid[i] for i in at], y)
-        except ConvolutionCapError:
-            by_y[key] = None
-            continue
-        by_y[key] = mt_parts, dict(zip(at, row))
+        pairs = _y_pairs(oracle, [z_grid[i] for i in at], y, at_w)
+        by_y[key] = None if pairs is None else dict(zip(at, pairs))
     at_z = []
     for i, ys in enumerate(ys_at):
-        capped, terms = [], []
+        capped, rows = [], [[] for _ in w_grid]
         for key, y in ys:
-            entry = by_y[key]
-            if entry is None:
+            pairs = by_y[key]
+            if pairs is None:
                 capped.append(y)
-            else:
-                terms.append(_y_term(y, entry[0], *entry[1][i]))
-        rows = [
-            [(*_p23_pairs(term, exc_parts, p1_parts), term) for term in terms]
-            for *_, p1_parts, exc_parts in per_w
-        ]
+                continue
+            for row, pair in zip(rows, pairs[i]):
+                row.append((pair, y))
         at_z.append((capped, rows))
     return per_w, at_z
 
@@ -227,11 +221,12 @@ def verify_osipov(
     The y values at each z are :func:`_sweep_ys`: the grid plus the scaled
     choice z / (1 + p/2).  Every verdict cross-multiplies (numerator,
     denominator) pairs: integers for exact values, ``(x, 1.0)`` for floats.
-    P2 and P3 are the pairs of :func:`~sumtails.bounds._p23_pairs` and are
-    built as numbers only for a violation.  The oracle is asked by rows:
+    P2 and P3 are the pairs of :func:`~sumtails.bounds._y_pairs`, the
+    evaluator :func:`~sumtails.bounds.p_bounds` uses too, and are built as
+    numbers only for a violation.  The oracle is asked by rows:
     one Delta row per w over the whole z grid, and one (Q, Q*) row per
     distinct y (see :func:`_sweep_terms`).  What does not depend on
-    ``mode`` (P1, the y terms and the P2/P3 pairs) is kept in the oracle's
+    ``mode`` (P1 and the P2/P3 pairs) is kept in the oracle's
     ``_sweeps`` memo, keyed by the grids, so a sweep of the other mode on
     the same oracle reads it instead of asking the oracle again.  Cells
     whose convolutions exceed the atom budget are appended to ``skip_log``
@@ -249,7 +244,7 @@ def verify_osipov(
     per_w, at_z = sweep
     # Delta at every z per w; None where the capped sum is past the atom budget
     deltas: list[list[Number] | None] = []
-    for w, *_ in per_w:
+    for w in w_grid:
         try:
             deltas.append(oracle.delta_row(z_grid, w, mode))
         except ConvolutionCapError:
@@ -258,7 +253,7 @@ def verify_osipov(
     for i, (z, (capped, rows)) in enumerate(zip(z_grid, at_z)):
         zf = float(z)
         skip_log.extend({"z": zf, "y": float(y), "stage": "restricted"} for y in capped)
-        for (_, wf, p1, (p1n, p1d), _), row, row_deltas in zip(per_w, rows, deltas):
+        for (wf, p1, (p1n, p1d)), row, row_deltas in zip(per_w, rows, deltas):
             if row_deltas is None:
                 skip_log.append({"z": zf, "w": wf, "stage": "capped-sum"})
                 continue
@@ -268,12 +263,12 @@ def verify_osipov(
                 violations.append(OsipovViolation(zf, wf, None, "nonneg", delta, 0))
             if dn * p1d > p1n * dd:
                 violations.append(OsipovViolation(zf, wf, None, "p1", delta, p1))
-            for n2, d2, n3, d3, term in row:
+            for (n2, d2, n3, d3), y in row:
                 over2, over3 = dn * d2 > dd * n2, dn * d3 > dd * n3
                 if over2 or over3:
                     values = _pair_value(n2, d2), _pair_value(n3, d3)
                     violations += [
-                        OsipovViolation(zf, wf, float(term[0]), name, delta, value)
+                        OsipovViolation(zf, wf, float(y), name, delta, value)
                         for name, value, bad in zip(("p2", "p3"), values, (over2, over3))
                         if bad
                     ]
@@ -456,6 +451,25 @@ def _check_finite(name: str, values: Sequence[Number]) -> None:
             raise ValueError(f"calibration {name} values must be finite, got {x}")
 
 
+#: per calibrated bound, the grid whose large values overflow its structural
+#: right side, that float factor, and the factor as a function of (params, value)
+_FACTORS = dict(
+    theorem=("z", "e^(lam z)", lambda params, z: math.exp(params.lam * z)),
+    concentration=("a", "e^(-lam a)", lambda params, a: math.exp(-params.lam * a)),
+    p4=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
+    p5=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
+)
+
+
+def _check_range(bound_name: str, params: BoundParams, x: float) -> None:
+    """Raise ``ValueError`` naming ``x`` if its factor of :data:`_FACTORS` overflows a float."""
+    name, factor, f = _FACTORS[bound_name]
+    try:
+        f(params, x)
+    except OverflowError:
+        raise ValueError(f"calibration {name} value {x} overflows {factor} as a float") from None
+
+
 def calibration_ratio(
     corpus: Sequence[System],
     bound_name: str,
@@ -468,8 +482,10 @@ def calibration_ratio(
     oracle = SystemOracle(corpus[cell["system"]])
     if bound_name == "concentration":
         _check_finite("a and b", (cell["a"], cell["b"]))
+        _check_range(bound_name, params, cell["a"])
         return ratio(oracle, params, mode, [(cell["a"], cell["b"])])[cell["i"]]
     _check_finite("z", (cell["z"],))
+    _check_range(bound_name, params, cell["z"])
     return ratio(oracle, params, mode, [cell["z"]])[0]
 
 
@@ -489,7 +505,8 @@ def calibrate(
     in a fixed order and asks each for its row of ratios (see
     :data:`_RATIOS`), each a pure float computation of its cell.  Ties keep
     the earliest cell as witness.  The z and a values must be finite and
-    the gaps finite and nonnegative, else ``ValueError``.  A system whose
+    the gaps finite and nonnegative, and no z or a may overflow its bound's
+    float factor of :data:`_FACTORS`, else ``ValueError``.  A system whose
     laws exceed the atom budget skips its whole row; ``grid["skipped"]``
     counts the skipped cells when there are any, and a grid with no
     evaluated cell is a ``ValueError``.
@@ -506,7 +523,8 @@ def calibrate(
     concentration = bound_name == "concentration"
     intervals = []
     if concentration:  # only this bound reads them
-        _check_finite("a", [float(a) for a in a_grid])
+        a_values = [float(a) for a in a_grid]
+        _check_finite("a", a_values)
         for gap in gaps:
             if not 0 <= gap < math.inf:
                 raise ValueError(f"calibration gaps must be finite and nonnegative, got {gap}")
@@ -515,6 +533,8 @@ def calibrate(
         raise ValueError("calibration needs a nonempty z grid")
     if concentration and not intervals:
         raise ValueError("calibration needs nonempty interval grids")
+    # each factor grows with z and falls with a, so the largest z or least a decides
+    _check_range(bound_name, params, min(a_values) if concentration else max(zs))
 
     row = intervals if concentration else zs
     a_min = -math.inf

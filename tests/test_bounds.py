@@ -575,6 +575,23 @@ class TestPBounds:
         assert report.delta_w == 0
         assert report.best == F(1, 2)
 
+    @pytest.mark.parametrize(
+        "z, params",
+        [
+            (1e200, st.BoundParams()),  # (c + z)^p overflows
+            (F(10**400), st.BoundParams()),  # z itself is past the float range
+            (-2000, st.BoundParams()),  # e^(-lam z) overflows
+            (2, st.BoundParams(p=1000.0)),
+            (math.inf, st.BoundParams()),
+            (math.nan, st.BoundParams()),
+        ],
+        ids=["1e200", "10^400", "-2000", "p-1000", "inf", "nan"],
+    )
+    def test_z_without_a_float_report(self, two_coins, z, params):
+        with pytest.raises(ValueError) as err:
+            st.p_bounds(two_coins, z, params)
+        assert str(err.value).startswith(f"z = {z} has no float report: ")
+
     def test_capping_above_support_is_free(self, four_coins):
         oracle = st.SystemOracle(four_coins)
         params = st.BoundParams(w=1)

@@ -102,6 +102,25 @@ class TestBoundsCommand:
         assert code == 2
         assert "mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, z",
+        [
+            (["bounds"], 10**200),
+            (
+                ["mc", "--family", "discrete-system", "--check-bounds", "--samples", "1000"]
+                + ["--seed", "1"],
+                1e200,
+            ),
+        ],
+        ids=["bounds", "mc"],
+    )
+    def test_z_without_a_float_report_is_a_usage_error(self, capsys, argv, z):
+        system = str(GOLDEN / "corpus_seed1_system10.json")
+        assert main([*argv, "--system", system, "--z-grid", "1e200:1:1e200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: z = {z} has no float report: ")
+
 
     def test_csv_warnings_go_to_stderr_once(self, two_coins_path, monkeypatch, capsys):
         from sumtails import cli
@@ -296,6 +315,18 @@ class TestCalibrateCommand:
         assert main([*argv[:4], "1", *argv[5:]]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: no calibration cell fits the atom budget (32 skipped)\n")
+
+    @pytest.mark.parametrize(
+        "bound, z, message",
+        [
+            ("theorem", "2000", "z value 2000.0 overflows e^(lam z)"),
+            ("p5", "1e200", "z value 1e+200 overflows (c + z)^p"),
+        ],
+    )
+    def test_grid_value_that_overflows_is_a_usage_error(self, capsys, bound, z, message):
+        argv = ["calibrate", "--seed", "1", "--count", "3", "--bound", bound]
+        assert main([*argv, "--z-grid", f"{z}:1:{z}"]) == 2
+        assert capsys.readouterr() == ("", f"error: calibration {message} as a float\n")
 
 
 CALIBRATE_ARGV = ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5"]

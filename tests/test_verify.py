@@ -468,6 +468,51 @@ class TestPBoundsAgreesWithSweep:
         checked = self.checked_bounds(system, 0.0, [F(n, 4) for n in range(1, 13)])
         assert set(checked) == {"p2", "p3"}
 
+    @pytest.mark.parametrize("factor", [F(0), F(1, 16)])
+    def test_one_evaluator_with_a_capped_y(self, small_corpus, factor):
+        # a small Q and Q* make the sweep report P2/P3 violations (at 1/16
+        # they depend on w), and y = 1/2 is past the atom budget; p_bounds
+        # on a fresh oracle of the same class gives every reported value,
+        # and falls back to Bennett-Hoeffding exactly at the (z, y) cells
+        # the sweep logs as "restricted"
+        class CappedScaled(ScaledConcentration):
+            def concentration_row(self, zs, y):
+                if y == F(1, 2):
+                    raise st.ConvolutionCapError("restriction over budget")
+                return super().concentration_row(zs, y)
+
+        system = small_corpus[4]  # unit variance, so a capped y offers a P3
+        z_grid = DEFAULT_Z[1:]
+        compared = fallbacks = 0
+        for mode in MODES:
+            log = []
+            found = st.verify_osipov(
+                system, z_grid, mode=mode, oracle=CappedScaled(system, factor), skip_log=log
+            )
+            reported = {(v.z, v.w, v.y, v.bound): v.bound_value for v in found}
+            restricted = {(e["z"], e["y"]) for e in log if e["stage"] == "restricted"}
+            oracle = CappedScaled(system, factor)
+            for z in z_grid:
+                for w in verify.DEFAULT_W_GRID:
+                    for y in verify._sweep_ys(z, verify.DEFAULT_Y_GRID, 2):
+                        params = st.BoundParams(w=w, y=y)
+                        report = st.p_bounds(system, z, params, mode, oracle=oracle)
+                        fell_back = any("Bennett-Hoeffding" in text for text in report.warnings)
+                        assert fell_back == ((float(z), float(y)) in restricted)
+                        if fell_back:
+                            assert report.p2 is None
+                            bh = st.max_tail(system, y) + 2 * st.bh_bound(z, y) * report.p1
+                            assert report.p3 == bh
+                            fallbacks += 1
+                        for name, value in (("p2", report.p2), ("p3", report.p3)):
+                            key = (float(z), float(w), float(y), name)
+                            if key in reported:
+                                assert not fell_back
+                                assert value == reported[key]
+                                assert type(value) is type(reported[key])
+                                compared += 1
+        assert compared and fallbacks
+
 
 GAPS_MUST = "gaps must be finite and nonnegative"
 
@@ -612,6 +657,38 @@ class TestCalibrate:
         with pytest.raises(ValueError) as err:
             st.calibrate(small_corpus[:3], bound, **grids)
         assert str(err.value) == f"calibration {message}"
+
+    @pytest.mark.parametrize(
+        "bound, grids, cell, message",
+        [
+            ("theorem", {"z_grid": [1, 2000]}, {"z": 2000.0}, "z value 2000.0 overflows e^(lam z)"),
+            ("p5", {"z_grid": [1e200]}, {"z": 1e200}, "z value 1e+200 overflows (c + z)^p"),
+            (
+                "concentration",
+                {"a_grid": [0, -1e308]},
+                {"i": 0, "a": -1e308, "b": -1e308},
+                "a value -1e+308 overflows e^(-lam a)",
+            ),
+        ],
+        ids=["theorem-z-2000", "p5-z-1e200", "concentration-a-minus-1e308"],
+    )
+    def test_values_that_overflow_are_checked_before_any_work(
+        self, small_corpus, monkeypatch, bound, grids, cell, message
+    ):
+        from sumtails import verify
+
+        def no_oracle(system):
+            raise AssertionError("an oracle was built before the grids were checked")
+
+        monkeypatch.setattr(verify, "SystemOracle", no_oracle)
+        expected = f"calibration {message} as a float"
+        with pytest.raises(ValueError) as err:
+            st.calibrate(small_corpus[:3], bound, **grids)
+        assert str(err.value) == expected
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            st.calibration_ratio(small_corpus, bound, {"system": 0, **cell})
+        assert str(err.value) == expected
 
     @pytest.mark.parametrize(
         "bound, cell",
