@@ -12,10 +12,11 @@ The package has four layers:
   caches the exact laws of one system and answers Delta_w and the
   concentration quantities Q and Q* a row of z values at a time
   (``oracle.delta_row``, ``oracle.concentration_row``; ``oracle.delta``,
-  ``.q`` and ``.qstar`` are rows of one); :func:`p_bounds` reports the
-  five tail-difference bounds, the exponential normal-approximation bound
-  and their composite (``report.corollary_bound``); plus the
-  Bennett-Hoeffding bound;
+  ``.q`` and ``.qstar`` are rows of one); :func:`p_bounds_row` reports,
+  at each z of a grid, the five tail-difference bounds, the exponential
+  normal-approximation bound and their composite
+  (``report.corollary_bound``), and :func:`p_bounds` is its row of one;
+  plus the Bennett-Hoeffding bound;
 * :mod:`sumtails.verify` / :mod:`sumtails.mc` -- seeded corpora, exact
   verification sweeps, empirical constant calibration, sharpness reports,
   and reproducible Monte Carlo for sizes beyond the exact oracle.
@@ -33,6 +34,7 @@ from .bounds import (
     bound_reports_to_json,
     normal_tail,
     p_bounds,
+    p_bounds_row,
     theorem_bound,
 )
 from .discrete import (

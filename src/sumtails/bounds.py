@@ -194,8 +194,8 @@ class SystemOracle:
     they are built, which keeps concurrent readers safe.
 
     ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
-    owns its layout; its P2/P3 pairs come from :func:`_y_pairs`, as those
-    of :func:`p_bounds` do.
+    owns its layout; its P2/P3 pairs come from :func:`_pairs_by_y`, as
+    those of :func:`p_bounds_row` do.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -448,11 +448,19 @@ class SystemOracle:
         systems and scales that are not finite and positive call
         :func:`bikelis_sum`.
         """
-        scale = v * (1 + abs(z))
-        ratio = _as_ratio(scale) if self.system.exact else None
-        if ratio is None or ratio[0] <= 0:
+        if not self.system.exact:
             return bikelis_sum(self.system, z, v)
-        sn, sd = ratio
+        if type(z) in _EXACT_TYPES and type(v) in _EXACT_TYPES:
+            # s = v (1 + |z|) as an unreduced integer pair
+            zn, zd = z.numerator, z.denominator
+            sn, sd = v.numerator * (zd + abs(zn)), v.denominator * zd
+        else:
+            ratio = _as_ratio(v * (1 + abs(z)))
+            if ratio is None:
+                return bikelis_sum(self.system, z, v)
+            sn, sd = ratio
+        if sn <= 0:
+            return bikelis_sum(self.system, z, v)
         values, cubes, squares, xden, pden = self._moment_profile()
         # |x| = a / xden <= sn / sd  <=>  a <= floor(sn * xden / sd)
         k = bisect_right(values, sn * xden // sd)
@@ -611,17 +619,19 @@ def scaled_y(z: Number, p: Number) -> Number:
     return Fraction(*pair)
 
 
-def _exact_y_pairs(z: Number, p: Number) -> list[tuple[int, int]] | None:
-    """The y grid of an exact z > 0 and an integer p as integer pairs (num, den); else None.
+def _exact_y_grid(z: Number, p: Number) -> tuple | None:
+    """The y grid of an exact z > 0 and an integer p as integers; else None.
 
-    The scaled choice first, then the halvings z 2^-j for j = 1..12 but the
-    one equal to it, where 2^(j+1) = 2 + p.
+    Returns ``(first, zn, zd, js)``: the scaled choice as an integer pair
+    (num, den), then the halvings z 2^-j = zn / (zd 2^j) for each j of
+    ``js``, which runs over 1..12 but the one whose halving equals the
+    scaled choice, where 2^(j+1) = 2 + p.
     """
     first = _scaled_pair(z, p)
-    if first is None or not z > 0:
+    if first is None or first[0] <= 0:  # first[0] has the sign of z
         return None
-    zn, zd, two_p = z.numerator, z.denominator, 2 + int(p)
-    return [first, *((zn, zd << j) for j in range(1, 13) if 2 << j != two_p)]
+    two_p = 2 + int(p)
+    return first, z.numerator, z.denominator, [j for j in range(1, 13) if 2 << j != two_p]
 
 
 def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
@@ -632,9 +642,10 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     """
     if not z > 0:
         return [w]
-    pairs = _exact_y_pairs(z, p)
-    if pairs is not None:
-        return [Fraction(n, d) for n, d in pairs]
+    grid = _exact_y_grid(z, p)
+    if grid is not None:
+        first, zn, zd, js = grid
+        return [Fraction(*first), *(Fraction(zn, zd << j) for j in js)]
     first, z = scaled_y(z, p), float(z)
     return list(dict.fromkeys([first, *(z * 0.5**j for j in range(1, 13))]))
 
@@ -645,21 +656,25 @@ def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[li
     Returns ``(candidates, least)``: each candidate's (signature, y) in
     candidate order, and the least y of each signature class, keyed by the
     signature in order of first appearance.  On an exact system, where
-    :func:`_exact_y_pairs` gives the grid, a candidate's y stays an integer
+    :func:`_exact_y_grid` gives the grid, a candidate's y stays an integer
     pair (num, den), its signature comes from its lattice cut
-    ``num * scale // den``, and only the least y of a class becomes a
-    ``Fraction``.
+    ``floor(y * scale)``, and only the least y of a class becomes a
+    ``Fraction``.  The cut of the halving z 2^-j is that of z shifted
+    right by j, as floor(floor(x) / 2^j) = floor(x / 2^j).
     """
-    pairs = _exact_y_pairs(z, p) if oracle.system.exact else None
-    if pairs is None:
+    grid = _exact_y_grid(z, p) if oracle.system.exact else None
+    if grid is None:
         candidates = [(oracle.signature(y), y) for y in _auto_y_candidates(z, p, w)]
         least: dict[tuple[int, ...], Number] = {}
         for sig, y in candidates:
             if sig not in least or y < least[sig]:
                 least[sig] = y
         return candidates, least
+    (fn, fd), zn, zd, js = grid
     scale = oracle._lattice_rvs()[0].scale
-    candidates = [(oracle._cut_signature(n * scale // d), (n, d)) for n, d in pairs]
+    cut, at = oracle._cut_signature, zn * scale // zd
+    candidates = [(cut(fn * scale // fd), (fn, fd))]
+    candidates += [(cut(at >> j), (zn, zd << j)) for j in js]
     low: dict[tuple[int, ...], tuple[int, int]] = {}
     for sig, (n, d) in candidates:
         other = low.get(sig)
@@ -721,6 +736,25 @@ def _least(least: tuple | None, n: Number, d: Number) -> tuple:
     return least
 
 
+def _least_value(values: Iterable[Number]) -> Number:
+    """``min(values)`` of nonnegative ``Fraction``, int and float values, compared as integer pairs.
+
+    The first least value wins, as in :func:`min`, and no values give None.
+    Python compares a ``Fraction`` with a float exactly, so the pairs of
+    ``as_integer_ratio`` order them the same way, without building a
+    ``Fraction`` per float.  An infinite or NaN float is never below a
+    finite value, so it is passed over; the first value must be finite.
+    """
+    best, bn, bd = None, 0, 1
+    for value in values:
+        if type(value) is float and not math.isfinite(value):
+            continue
+        n, d = value.as_integer_ratio()
+        if best is None or n * bd < bn * d:
+            best, bn, bd = value, n, d
+    return best
+
+
 def _float_z(z: Number, params: BoundParams) -> float:
     """float(z) after checking that a report at z has float values, else ``ValueError`` naming z.
 
@@ -745,6 +779,173 @@ def _float_z(z: Number, params: BoundParams) -> float:
     return zf
 
 
+def _pairs_by_y(
+    oracle: SystemOracle, zs: Sequence[Number], ys_at: Sequence[Sequence[tuple]], at_w
+) -> dict[object, dict[int, list] | None]:
+    """The :func:`_y_pairs` of each distinct y of a z row, over every z it is asked at.
+
+    ``ys_at[i]`` holds the (``_key(y)``, y) of each y asked at ``zs[i]``.
+    Each distinct key is evaluated once, at its first y, over all the z
+    values that ask it: one max tail and one (Q, Q*) row.  Returns per key
+    None past the atom budget, else a dict from the position of z in
+    ``zs`` to its pairs.
+    """
+    positions: dict[object, tuple[Number, list[int]]] = {}
+    for i, ys in enumerate(ys_at):
+        for key, y in ys:
+            positions.setdefault(key, (y, []))[1].append(i)
+    by_y: dict[object, dict[int, list] | None] = {}
+    for key, (y, at) in positions.items():
+        pairs = _y_pairs(oracle, [zs[i] for i in at], y, at_w)
+        by_y[key] = None if pairs is None else dict(zip(at, pairs))
+    return by_y
+
+
+def p_bounds_row(
+    system: System,
+    zs: Sequence[Number],
+    params: BoundParams = BoundParams(),
+    mode: str = "winsorize",
+    *,
+    oracle: SystemOracle | None = None,
+) -> list[BoundReport]:
+    """Evaluate Delta_w(z) and all five bounds at each z of ``zs``, one report per z.
+
+    This is the definition of the bounds table; :func:`p_bounds` is its
+    row of one.  Every z is checked before the oracle is asked anything: a
+    z that is not finite, or at which e^(-lam z) or (c + z)^p overflows a
+    float, is a ``ValueError``.  What does not depend on z is asked once
+    per row: P1, sum_i P(X_i > w), one Delta row
+    (:meth:`SystemOracle.delta_row`), beta_v, mu_p and the constants.
+
+    P2/P3 are minimized over the y candidates when ``params.y`` is "auto".
+    Only the least y of each signature class (the atoms each summand keeps
+    under {X_i <= y}) is evaluated, and the minimum is still exact: within
+    a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
+    nondecreasing in y, as the threshold z - y falls (the contract of
+    :meth:`SystemOracle.concentration_row`).  Each distinct y is evaluated
+    once over all the z values whose classes it is least of, and each z
+    then takes its own least P2 and P3.  P4/P5 are reported as
+    not-applicable (None) for z <= 0, where their derivation does not
+    apply; with defaulted constants they are reported and flagged but
+    excluded from ``best``.  The exact tail difference is included
+    whenever the convolution oracle fits the atom budget.  A y whose
+    restricted convolutions exceed it offers no P2 candidate, and its P3
+    candidate uses the Bennett-Hoeffding bound in place of Q* when the
+    total variance is at most one (none otherwise), with a warning; P2/P3
+    are None when no y yields a candidate, so ``best`` stays a proven
+    bound.
+    """
+    check_mode(mode)
+    zfs = [_float_z(z, params) for z in zs]
+    if not zfs:
+        return []
+    oracle = oracle if oracle is not None else SystemOracle(system)
+    shared: list[str] = []  # the warnings of every z
+
+    w = params.w
+    p1 = oracle.max_tail_at(w)
+    sum_exc = oracle.sum_exceedance(w)
+
+    try:
+        deltas: Sequence[Number | None] = oracle.delta_row(zs, w, mode)
+    except ConvolutionCapError:
+        deltas = [None] * len(zfs)
+        shared.append("tail-difference oracle skipped: convolution cap exceeded")
+
+    if params.y == "auto":
+        classes = [_y_classes(oracle, z, params.p, w) for z in zs]
+    else:  # one class of one y
+        classes = [([(None, params.y)], {None: params.y})] * len(zfs)
+    ys_at = [[(_key(y), y) for y in least.values()] for _, least in classes]
+    by_y = _pairs_by_y(oracle, zs, ys_at, [(_parts(sum_exc), _parts(p1))])
+
+    # P4/P5 with defaulted constants are reported (flagged) but kept out of
+    # `best`: an unsupplied constant must never silently tighten the bound
+    a_theorem, _ = params.constant("theorem")
+    a4, a4_defaulted = params.constant("p4")
+    a5, a5_defaulted = params.constant("p5")
+    defaulted = [
+        f"constant {name!r} defaulted to 1"
+        for name, flag in (("p4", a4_defaulted), ("p5", a5_defaulted))
+        if flag
+    ]
+    beta = float(oracle.beta_v_at(params.v))
+    positive = [z > 0 for z in zs]  # P4 and P5 apply
+    mu = float(oracle.mu_p_at(params.p)) if any(positive) else None
+    p1f = float(p1)
+
+    reports = []
+    rows = zip(zs, zfs, positive, deltas, classes)
+    for i, (z, zf, z_positive, delta_w, (candidates, least)) in enumerate(rows):
+        warnings = list(shared)
+        # the least P2 and P3 candidates so far, as (numerator, denominator)
+        least2 = least3 = None
+        capped = set()  # the classes past the atom budget
+        for sig, (key, _) in zip(least, ys_at[i]):
+            pairs = by_y[key]
+            if pairs is None:
+                capped.add(sig)
+                continue
+            n2, d2, n3, d3 = pairs[i][0]
+            least2 = _least(least2, n2, d2)
+            least3 = _least(least3, n3, d3)
+        p2 = None if least2 is None else _pair_value(*least2)
+        p3_cands: list[Number] = [] if least3 is None else [_pair_value(*least3)]
+        if capped:
+            # every member of a class past the budget, in candidate order
+            capped_ys = [
+                Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
+            ]
+            # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
+            # Q* only for total variance at most one
+            if system.unit_variance or system.total_variance() <= 1:
+                p3_cands += [oracle.max_tail_at(y) + 2 * bh_bound(z, y) * p1 for y in capped_ys]
+                fallback = "Q* in P3 replaced by the Bennett-Hoeffding bound"
+            else:
+                fallback = "P2/P3 skipped (total variance above one, no Bennett-Hoeffding bound)"
+            warnings.append(
+                f"{fallback} at {len(capped_ys)} of {len(candidates)} y values: "
+                "convolution cap exceeded"
+            )
+        p3 = _least_value(p3_cands)
+
+        in_best: list[Number] = [p for p in (p1, p2, p3) if p is not None]
+        if z_positive:
+            warnings += defaulted
+            denom = (params.c + zf) ** params.p
+            p4 = float(oracle.max_tail_at(scaled_y(zf, params.p))) + a4 / denom * p1f
+            p5 = a5 * mu / denom
+            if not a4_defaulted:
+                in_best.append(p4)
+            if not a5_defaulted:
+                in_best.append(p5)
+        else:
+            p4 = None
+            p5 = None
+
+        best = _least_value(in_best)
+        theorem = a_theorem * beta * math.exp(-params.lam * zf)
+        reports.append(
+            BoundReport(
+                z=zf,
+                delta_w=delta_w,
+                p1=p1,
+                p2=p2,
+                p3=p3,
+                p4=p4,
+                p5=p5,
+                best=best,
+                theorem_bound=theorem,
+                corollary_bound=theorem + float(best),
+                bikelis_sum=oracle.bikelis_at(z, params.v),
+                winsor_mode=mode,
+                warnings=tuple(warnings),
+            )
+        )
+    return reports
+
+
 def p_bounds(
     system: System,
     z: Number,
@@ -753,116 +954,8 @@ def p_bounds(
     *,
     oracle: SystemOracle | None = None,
 ) -> BoundReport:
-    """Evaluate Delta_w(z) and all five bounds at one z.
-
-    P2/P3 are minimized over the y candidates when ``params.y`` is "auto".
-    Only the least y of each signature class (the atoms each summand keeps
-    under {X_i <= y}) is evaluated, and the minimum is still exact: within
-    a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
-    nondecreasing in y, as the threshold z - y falls (the contract of
-    :meth:`SystemOracle.concentration_row`).  P4/P5 are reported as
-    not-applicable (None) for z <= 0, where their derivation does not
-    apply; with defaulted constants they are reported and flagged but
-    excluded from ``best``.  The exact tail difference is
-    included whenever the convolution oracle fits the atom budget.  A y
-    whose restricted convolutions exceed it offers no P2 candidate, and its
-    P3 candidate uses the Bennett-Hoeffding bound in place of Q* when the
-    total variance is at most one (none otherwise), with a warning; P2/P3
-    are None when no y yields a candidate, so ``best`` stays a proven bound.
-    A z that is not finite, or at which e^(-lam z) or (c + z)^p overflows a
-    float, is a ``ValueError``.
-    """
-    check_mode(mode)
-    zf = _float_z(z, params)
-    oracle = oracle if oracle is not None else SystemOracle(system)
-    warnings: list[str] = []
-
-    w = params.w
-    p1 = oracle.max_tail_at(w)
-    sum_exc = oracle.sum_exceedance(w)
-
-    try:
-        delta_w = oracle.delta(z, w, mode)
-    except ConvolutionCapError:
-        delta_w = None
-        warnings.append("tail-difference oracle skipped: convolution cap exceeded")
-
-    if params.y == "auto":
-        candidates, least = _y_classes(oracle, z, params.p, w)
-    else:  # one class of one y
-        candidates, least = [(None, params.y)], {None: params.y}
-    at_w = [(_parts(sum_exc), _parts(p1))]
-    # the least P2 and P3 candidates so far, as (numerator, denominator)
-    least2 = least3 = None
-    capped = set()  # the classes past the atom budget
-    for sig, y in least.items():
-        pairs = _y_pairs(oracle, (z,), y, at_w)
-        if pairs is None:
-            capped.add(sig)
-            continue
-        n2, d2, n3, d3 = pairs[0][0]
-        least2 = _least(least2, n2, d2)
-        least3 = _least(least3, n3, d3)
-    p2 = None if least2 is None else _pair_value(*least2)
-    p3_cands: list[Number] = [] if least3 is None else [_pair_value(*least3)]
-    if capped:
-        # every member of a class past the budget, in candidate order
-        capped_ys = [
-            Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
-        ]
-        # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
-        # Q* only for total variance at most one
-        if system.unit_variance or system.total_variance() <= 1:
-            p3_cands += [oracle.max_tail_at(y) + 2 * bh_bound(z, y) * p1 for y in capped_ys]
-            fallback = "Q* in P3 replaced by the Bennett-Hoeffding bound"
-        else:
-            fallback = "P2/P3 skipped (total variance above one, no Bennett-Hoeffding bound)"
-        warnings.append(
-            f"{fallback} at {len(capped_ys)} of {len(candidates)} y values: "
-            "convolution cap exceeded"
-        )
-    p3 = min(p3_cands, default=None)
-
-    # P4/P5 with defaulted constants are reported (flagged) but kept out of
-    # `best`: an unsupplied constant must never silently tighten the bound
-    in_best: list[Number] = [p for p in (p1, p2, p3) if p is not None]
-    if z > 0:
-        a4, a4_defaulted = params.constant("p4")
-        a5, a5_defaulted = params.constant("p5")
-        if a4_defaulted:
-            warnings.append("constant 'p4' defaulted to 1")
-        if a5_defaulted:
-            warnings.append("constant 'p5' defaulted to 1")
-        denom = (params.c + zf) ** params.p
-        p4 = float(oracle.max_tail_at(scaled_y(zf, params.p))) + a4 / denom * float(p1)
-        p5 = a5 * float(oracle.mu_p_at(params.p)) / denom
-        if not a4_defaulted:
-            in_best.append(p4)
-        if not a5_defaulted:
-            in_best.append(p5)
-    else:
-        p4 = None
-        p5 = None
-
-    best = min(in_best)
-    theorem = theorem_bound(system, z, params, oracle=oracle)
-    corollary = theorem + float(best)
-    bik = oracle.bikelis_at(z, params.v)
-    return BoundReport(
-        z=zf,
-        delta_w=delta_w,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p4=p4,
-        p5=p5,
-        best=best,
-        theorem_bound=theorem,
-        corollary_bound=corollary,
-        bikelis_sum=bik,
-        winsor_mode=mode,
-        warnings=tuple(warnings),
-    )
+    """Evaluate Delta_w(z) and all five bounds at one z: the row of one of :func:`p_bounds_row`."""
+    return p_bounds_row(system, (z,), params, mode, oracle=oracle)[0]
 
 
 def bikelis_sum(system: System, z: Number, v: Number = 1) -> Number:

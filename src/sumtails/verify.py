@@ -27,8 +27,8 @@ from .bounds import (
     SystemOracle,
     _key,
     _pair_value,
+    _pairs_by_y,
     _parts,
-    _y_pairs,
     normal_tail,
     scaled_y,
 )
@@ -171,8 +171,10 @@ def _sweep_terms(
     past the atom budget and, per w, a row of ((n2, d2, n3, d3), y): the
     P2/P3 pairs of :func:`~sumtails.bounds._y_pairs` at each y in sweep
     order.  Each distinct y is evaluated once over all the z values it is
-    swept at, so it asks the oracle for one max tail and one (Q, Q*) row;
-    a row past the atom budget skips that y at all of them.
+    swept at (:func:`~sumtails.bounds._pairs_by_y`, which
+    :func:`~sumtails.bounds.p_bounds_row` groups its y values by too), so
+    it asks the oracle for one max tail and one (Q, Q*) row; a row past
+    the atom budget skips that y at all of them.
     """
     per_w = []
     at_w = []
@@ -181,16 +183,7 @@ def _sweep_terms(
         per_w.append((float(w), p1, _parts(p1)))
         at_w.append((_parts(sum_exc), _parts(p1)))
     ys_at = [[(_key(y), y) for y in _sweep_ys(z, y_grid, p)] for z in z_grid]
-    # each distinct y with the positions of the z values it is swept at
-    positions: dict[object, tuple[Number, list[int]]] = {}
-    for i, ys in enumerate(ys_at):
-        for key, y in ys:
-            positions.setdefault(key, (y, []))[1].append(i)
-    # per y: its pairs by z position, None past the budget
-    by_y: dict[object, dict | None] = {}
-    for key, (y, at) in positions.items():
-        pairs = _y_pairs(oracle, [z_grid[i] for i in at], y, at_w)
-        by_y[key] = None if pairs is None else dict(zip(at, pairs))
+    by_y = _pairs_by_y(oracle, z_grid, ys_at, at_w)
     at_z = []
     for i, ys in enumerate(ys_at):
         capped, rows = [], [[] for _ in w_grid]
@@ -394,7 +387,10 @@ def _ratio_concentration(
             masses = [(at_least[a] - above[b]) / law.den if a <= b else 0.0 for a, b in intervals]
         else:
             masses = [float(law.interval_mass(a, b)) for a, b in intervals]
-        out += [lhs / r for lhs, r in zip(masses, rhs)]
+        # a right side that underflows to 0.0 reads as in _ratio_theorem
+        out += [
+            lhs / r if r else (math.inf if lhs > 0.0 else 0.0) for lhs, r in zip(masses, rhs)
+        ]
     return out
 
 
@@ -529,6 +525,7 @@ def calibrate(
             if not 0 <= gap < math.inf:
                 raise ValueError(f"calibration gaps must be finite and nonnegative, got {gap}")
         intervals = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
+        _check_finite("b = a + gap", [b for _, b in intervals])
     if bound_name in ("theorem", "p4", "p5") and not zs:
         raise ValueError("calibration needs a nonempty z grid")
     if concentration and not intervals:

@@ -1,5 +1,6 @@
 """Bound evaluators against enumeration oracles and frozen reference values."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -7,7 +8,7 @@ from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
 import sumtails as st
@@ -646,6 +647,83 @@ def as_float_system(system):
         [[(float(x), float(p)) for x, p in zip(rv.values, rv.masses)] for rv in system.rvs],
         exact=False,
     )
+
+
+#: systems of the row cross-check: exact corpus systems, their float
+#: copies, and the float extremal systems of three and five summands
+ROW_CORPUS = st.gen_corpus(st.CorpusSpec(seed=5, count=6, n_max=3))
+ROW_SYSTEMS = [
+    *ROW_CORPUS,
+    *(as_float_system(s) for s in ROW_CORPUS[:3]),
+    st.extremal_system(3)[0],
+    st.extremal_system(5)[0],
+]
+
+#: z values of a row: exact and float, zero and negative
+row_zs = hyp.one_of(
+    hyp.builds(F, hyp.integers(min_value=-4, max_value=24), hyp.sampled_from([1, 2, 4, 3])),
+    hyp.sampled_from([0, 0.0, -0.5, 0.7, 1.0, 2.3, 3]),
+)
+
+
+def _oracle(system, cap):
+    return st.SystemOracle(system) if cap is None else st.SystemOracle(system, cap=cap)
+
+
+class TestBoundsRow:
+    """p_bounds_row against its rows of one, each on a fresh oracle."""
+
+    @given(
+        index=hyp.integers(min_value=0, max_value=len(ROW_SYSTEMS) - 1),
+        zs=hyp.lists(row_zs, min_size=1, max_size=6),
+        y=hyp.sampled_from(["auto", "auto", F(1, 2), F(1, 3), 0.3, 0.5]),
+        w=hyp.sampled_from([F(1, 4), F(1, 2), 1, 0.5]),
+        cap=hyp.sampled_from([None, None, 3, 8]),
+        mode=hyp.sampled_from(WINSOR_MODES),
+        constants=hyp.sampled_from([{}, {"p4": 1.0, "p5": 2.0}]),
+    )
+    # z = 1 and z = 2 share the auto y values 1/2, 1/4, ... and the grid
+    # repeats z = 1, so a y is asked at several z in one row
+    @example(index=0, zs=[F(1), F(2), 0, F(1), -1], y="auto", w=F(1, 4), cap=None,
+             mode="winsorize", constants={})
+    @example(index=1, zs=[F(1, 2), F(2), 0.7], y="auto", w=F(1, 4), cap=8,
+             mode="truncate", constants={})
+    @settings(max_examples=60, deadline=None)
+    def test_row_equals_rows_of_one(self, index, zs, y, w, cap, mode, constants):
+        system = ROW_SYSTEMS[index]
+        params = st.BoundParams(w=w, y=y, constants=constants)
+        row = st.p_bounds_row(system, zs, params, mode, oracle=_oracle(system, cap))
+        ones = [st.p_bounds_row(system, (z,), params, mode, oracle=_oracle(system, cap))[0]
+                for z in zs]
+        assert row == ones
+        for got, want in zip(row, ones):
+            assert [type(getattr(got, f.name)) for f in dataclasses.fields(got)] == [
+                type(getattr(want, f.name)) for f in dataclasses.fields(want)
+            ]
+        assert [st.p_bounds(system, z, params, mode, oracle=_oracle(system, cap)) for z in zs] == row
+
+    def test_small_cap_skips_delta_and_caps_classes(self):
+        # the second example above: the capped sum is past the budget at
+        # every z, and a y class of z = 2 only, so its neighbours in the
+        # row keep their own P2/P3
+        system = ROW_SYSTEMS[1]
+        params = st.BoundParams(w=F(1, 4))
+        reports = st.p_bounds_row(system, [F(1, 2), F(2), 0.7], params, oracle=_oracle(system, 8))
+        assert [report.delta_w for report in reports] == [None] * 3
+        assert [len(fallback_warnings(report)) for report in reports] == [0, 1, 0]
+
+    def test_bad_z_is_checked_before_the_oracle_is_asked(self, two_coins):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the oracle was asked for {name} before z was checked")
+
+        zs = [0, F(1, 2), 1.5, 1e200]
+        with pytest.raises(ValueError) as err:
+            st.p_bounds_row(two_coins, zs, st.BoundParams(w=F(1, 4)), oracle=Untouchable())
+        assert str(err.value).startswith("z = 1e+200 has no float report: ")
+
+    def test_empty_row(self, two_coins):
+        assert st.p_bounds_row(two_coins, [], oracle=object()) == []
 
 
 class ScaledOracle(st.SystemOracle):

@@ -158,6 +158,16 @@ class TestEstimates:
         with pytest.raises(ValueError, match="bound_scale must be finite and positive"):
             st.mc_check_bounds(coin_spec, st.BoundParams(), [0.0], 10_000, 1, bound_scale=scale)
 
+    @pytest.mark.parametrize("z", [1e200, math.inf, math.nan])
+    def test_z_without_a_float_report_rejected_before_drawing(self, coin_spec, monkeypatch, z):
+        from sumtails import mc
+
+        monkeypatch.setattr(mc, "_draw_summands", None)  # a draw would raise TypeError
+        monkeypatch.setattr(mc, "_tail_counts", None)  # so would counting
+        with pytest.raises(ValueError) as err:
+            st.mc_check_bounds(coin_spec, st.BoundParams(w=F(1, 4)), [0.0, 1.0, z], 10_000, 1)
+        assert str(err.value).startswith(f"z = {z} has no float report: ")
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_rejected_before_drawing(self, coin_spec, monkeypatch, workers):
         from sumtails import mc

@@ -690,6 +690,32 @@ class TestCalibrate:
             st.calibration_ratio(small_corpus, bound, {"system": 0, **cell})
         assert str(err.value) == expected
 
+    def test_infinite_interval_end_is_checked_before_any_work(self, small_corpus, monkeypatch):
+        # a = 1e308 and its gap are finite, but b = a + gap is not
+        from sumtails import verify
+
+        def no_oracle(system):
+            raise AssertionError("an oracle was built before the grids were checked")
+
+        monkeypatch.setattr(verify, "SystemOracle", no_oracle)
+        with pytest.raises(ValueError) as err:
+            st.calibrate(small_corpus[:3], "concentration", a_grid=[1e308], gaps=[1e308])
+        assert str(err.value) == "calibration b = a + gap values must be finite, got inf"
+
+    def test_concentration_right_side_that_underflows(self, small_corpus, two_coins):
+        # e^(-lam a) is 0.0 at a = 1500, so the right side is 0.0 and the
+        # ratio reads as the theorem's does: 0.0 over no mass ...
+        corpus = small_corpus[:3]
+        result = st.calibrate(corpus, "concentration", a_grid=[1500])
+        assert result.a_min == 0.0
+        assert st.calibration_ratio(corpus, "concentration", result.witness) == 0.0
+        # ... and inf over a positive mass: the other coin puts 1/2 on
+        # [1/4, 9/4], where e^(-lam / 4) is 0.0 at lam = 10^4
+        params = st.BoundParams(lam=1e4)
+        result = st.calibrate([two_coins], "concentration", params=params, a_grid=[0.25], gaps=[2])
+        assert result.a_min == math.inf
+        assert st.calibration_ratio([two_coins], "concentration", result.witness, params) == math.inf
+
     @pytest.mark.parametrize(
         "bound, cell",
         [
