@@ -193,9 +193,9 @@ class SystemOracle:
     and the moment profile and the lattice summands are assigned only once
     they are built, which keeps concurrent readers safe.
 
-    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`, which
-    owns its layout; its P2/P3 pairs come from :func:`_pairs_by_y`, as
-    those of :func:`p_bounds_row` do.
+    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`: per
+    grid, P1 per w and the per-z ``(y, pairs)`` rows of
+    :func:`_pairs_by_y`, the P2/P3 evaluator :func:`p_bounds_row` reads too.
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -221,7 +221,10 @@ class SystemOracle:
     def _memo(cache: dict, key: object, build, *args):
         """``cache[key]``, built as ``build(*args)`` on the first call.
 
-        A build that exceeds the atom budget stores its error, and every
+        It holds the laws and the scalars asked once per row (sum_i
+        P(X_i > w), beta_v and mu_p); the per-y memos of the signature and
+        the max tail, asked thousands of times per round, stay inline.  A
+        build that exceeds the atom budget stores its error, and every
         later call raises a fresh :class:`ConvolutionCapError` with the
         same message.
         """
@@ -387,32 +390,20 @@ class SystemOracle:
 
     def sum_exceedance(self, w: Number) -> Number:
         """sum_i P(X_i > w), cached by ``_key(w)``."""
-        key = _key(w)
-        value = self._sum_exceedance.get(key)
-        if value is None:
-            zero = Fraction(0) if self.system.exact else 0.0
-            value = sum((rv.tail(w) for rv in self.system.rvs), zero)
-            self._sum_exceedance[key] = value
-        return value
+        zero = Fraction(0) if self.system.exact else 0.0
+        tails = (rv.tail(w) for rv in self.system.rvs)
+        return self._memo(self._sum_exceedance, _key(w), sum, tails, zero)
 
     def beta_v_at(self, v: Number) -> Number:
         """beta_v of the system at scale v, ``bikelis_at(0, v)``, cached by ``_key(v)``.
 
         It does not depend on z, so a sweep computes it once per v.
         """
-        key = _key(v)
-        value = self._beta_v.get(key)
-        if value is None:
-            value = self._beta_v[key] = self.bikelis_at(0, v)
-        return value
+        return self._memo(self._beta_v, _key(v), self.bikelis_at, 0, v)
 
     def mu_p_at(self, p: Number) -> Number:
         """mu_p = sum_i E |X_i|^p, cached by ``_key(p)`` (it does not depend on z)."""
-        key = _key(p)
-        value = self._mu_p.get(key)
-        if value is None:
-            value = self._mu_p[key] = mu_p(self.system, p)
-        return value
+        return self._memo(self._mu_p, _key(p), mu_p, self.system, p)
 
     def _moment_profile(self) -> tuple:
         """The exact system's atoms as integers, sorted by |x|, with moment sums.
@@ -650,26 +641,24 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     return list(dict.fromkeys([first, *(z * 0.5**j for j in range(1, 13))]))
 
 
-def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[list, dict]:
-    """The auto-y candidates of :func:`_auto_y_candidates` grouped by signature.
+def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> dict:
+    """The least y of each signature class of the auto-y candidates of :func:`_auto_y_candidates`.
 
-    Returns ``(candidates, least)``: each candidate's (signature, y) in
-    candidate order, and the least y of each signature class, keyed by the
-    signature in order of first appearance.  On an exact system, where
-    :func:`_exact_y_grid` gives the grid, a candidate's y stays an integer
-    pair (num, den), its signature comes from its lattice cut
-    ``floor(y * scale)``, and only the least y of a class becomes a
-    ``Fraction``.  The cut of the halving z 2^-j is that of z shifted
-    right by j, as floor(floor(x) / 2^j) = floor(x / 2^j).
+    Keyed by the signature, in order of first appearance.  On an exact
+    system, where :func:`_exact_y_grid` gives the grid, a candidate's y
+    stays an integer pair (num, den), its signature comes from its lattice
+    cut ``floor(y * scale)``, and only the least y of a class becomes a
+    ``Fraction``.  The cut of the halving z 2^-j is that of z shifted right
+    by j, as floor(floor(x) / 2^j) = floor(x / 2^j).
     """
     grid = _exact_y_grid(z, p) if oracle.system.exact else None
     if grid is None:
-        candidates = [(oracle.signature(y), y) for y in _auto_y_candidates(z, p, w)]
         least: dict[tuple[int, ...], Number] = {}
-        for sig, y in candidates:
+        for y in _auto_y_candidates(z, p, w):
+            sig = oracle.signature(y)
             if sig not in least or y < least[sig]:
                 least[sig] = y
-        return candidates, least
+        return least
     (fn, fd), zn, zd, js = grid
     scale = oracle._lattice_rvs()[0].scale
     cut, at = oracle._cut_signature, zn * scale // zd
@@ -680,7 +669,7 @@ def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> tuple[li
         other = low.get(sig)
         if other is None or n * other[1] < other[0] * d:
             low[sig] = n, d
-    return candidates, {sig: Fraction(n, d) for sig, (n, d) in low.items()}
+    return {sig: Fraction(n, d) for sig, (n, d) in low.items()}
 
 
 def _parts(x: Number) -> tuple[Number, Number]:
@@ -690,42 +679,8 @@ def _parts(x: Number) -> tuple[Number, Number]:
     return x.numerator, x.denominator
 
 
-def _y_pairs(
-    oracle: SystemOracle, zs: Sequence[Number], y: Number, at_w: Sequence[tuple]
-) -> list[list[tuple]] | None:
-    """P2 and P3 at y for each z of ``zs`` and each w of ``at_w``; None past the atom budget.
-
-    ``at_w`` holds per w the :func:`_parts` pairs of sum_i P(X_i > w) and
-    of P1.  The oracle is asked for the max tail of y and for one
-    (Q, Q*) row over ``zs``, and a row past the atom budget gives None.
-    Otherwise entry [k][j] is (n2, d2, n3, d3), P2 and P3 at ``zs[k]`` and
-    the j-th w as unreduced fractions: integers with no gcd when exact,
-    the float P(max_i X_i > y) + Q sum_i P(X_i > w) and
-    P(max_i X_i > y) + (2 Q*) P1 over 1.0 when not.  Denominators are
-    positive, so cross-multiplying two fractions keeps their order, and
-    :func:`_pair_value` reads the reported number from the pair.
-    """
-    mn, md = _parts(oracle.max_tail_at(y))
-    try:
-        row = oracle.concentration_row(zs, y)
-    except ConvolutionCapError:
-        return None
-    out = []
-    for q, qstar in row:
-        (qn, qd), (sn, sd) = _parts(q), _parts(qstar)
-        sn *= 2
-        at_z = []
-        for (en, ed), (pn, pd) in at_w:
-            at_z.append((
-                mn * qd * ed + qn * en * md, md * qd * ed,  # P2
-                mn * sd * pd + sn * pn * md, md * sd * pd,  # P3
-            ))
-        out.append(at_z)
-    return out
-
-
 def _pair_value(n: Number, d: Number) -> Number:
-    """n / d of a :func:`_y_pairs` pair: a ``Fraction`` for integers, else a float."""
+    """n / d of a :func:`_pairs_by_y` pair: a ``Fraction`` for integers, else a float."""
     return Fraction(n, d) if type(d) is int else n / d
 
 
@@ -758,9 +713,10 @@ def _least_value(values: Iterable[Number]) -> Number:
 def _float_z(z: Number, params: BoundParams) -> float:
     """float(z) after checking that a report at z has float values, else ``ValueError`` naming z.
 
-    The check asks that z be finite and fit a float, and that neither the
-    float factor e^(-lam z) of :func:`theorem_bound` nor (c + z)^p of P4
-    and P5 (read only for z > 0) overflow.
+    The check asks that z be finite and fit a float, that the float factor
+    e^(-lam z) of :func:`theorem_bound` not overflow, and that (c + z)^p,
+    the divisor of P4 and P5 (read only for z > 0), be a positive finite
+    float: neither overflow nor underflow to 0.0.
     """
     try:
         zf = float(z)
@@ -768,37 +724,71 @@ def _float_z(z: Number, params: BoundParams) -> float:
         if fits:
             math.exp(-params.lam * zf)
             if zf > 0 or z > 0:  # a positive z may round to 0.0
-                (params.c + zf) ** params.p
+                fits = 0.0 < (params.c + zf) ** params.p < math.inf
     except OverflowError:
         fits = False
     if not fits:
         raise ValueError(
-            f"z = {z} has no float report: z must be finite, and neither e^(-lam z) "
-            "nor, for z > 0, (c + z)^p may overflow a float"
+            f"z = {z} has no float report: z must be finite, e^(-lam z) must not overflow "
+            "a float, and for z > 0 (c + z)^p must be a positive finite float"
         )
     return zf
 
 
 def _pairs_by_y(
-    oracle: SystemOracle, zs: Sequence[Number], ys_at: Sequence[Sequence[tuple]], at_w
-) -> dict[object, dict[int, list] | None]:
-    """The :func:`_y_pairs` of each distinct y of a z row, over every z it is asked at.
+    oracle: SystemOracle, zs: Sequence[Number], ys_at: Sequence[Sequence[Number]], at_w
+) -> list[list[tuple]]:
+    """P2 and P3 at each y asked at each z of ``zs``, for each w of ``at_w``.
 
-    ``ys_at[i]`` holds the (``_key(y)``, y) of each y asked at ``zs[i]``.
-    Each distinct key is evaluated once, at its first y, over all the z
-    values that ask it: one max tail and one (Q, Q*) row.  Returns per key
-    None past the atom budget, else a dict from the position of z in
-    ``zs`` to its pairs.
+    This is the one P2/P3 evaluator, of :func:`p_bounds_row` and of
+    :func:`sumtails.verify.verify_osipov`.  ``ys_at[i]`` lists the y values
+    asked at ``zs[i]``, and ``at_w`` holds per w the :func:`_parts` pairs of
+    sum_i P(X_i > w) and of P1.  Each distinct y of the row (by
+    :func:`_key`) is evaluated once, at its first value, over every z that
+    asks it: one max tail and one (Q, Q*) row.  Returns per z its
+    ``(y, pairs)`` in the order of ``ys_at[i]``.  ``pairs`` is None where
+    the (Q, Q*) row is past the atom budget, else per w (n2, d2, n3, d3),
+    P2 and P3 as unreduced fractions: integers with no gcd when exact, the
+    float P(max_i X_i > y) + Q sum_i P(X_i > w) and
+    P(max_i X_i > y) + (2 Q*) P1 over 1.0 when not.  Denominators are
+    positive, so cross-multiplying two fractions keeps their order, and
+    :func:`_pair_value` reads the reported number from a pair.
     """
-    positions: dict[object, tuple[Number, list[int]]] = {}
+    rows: list[list] = [[None] * len(ys) for ys in ys_at]
+    asked: dict[object, tuple[Number, list[tuple[int, int]]]] = {}
     for i, ys in enumerate(ys_at):
-        for key, y in ys:
-            positions.setdefault(key, (y, []))[1].append(i)
-    by_y: dict[object, dict[int, list] | None] = {}
-    for key, (y, at) in positions.items():
-        pairs = _y_pairs(oracle, [zs[i] for i in at], y, at_w)
-        by_y[key] = None if pairs is None else dict(zip(at, pairs))
-    return by_y
+        for j, y in enumerate(ys):
+            asked.setdefault(_key(y), (y, []))[1].append((i, j))
+    for y, at in asked.values():
+        mn, md = _parts(oracle.max_tail_at(y))
+        try:
+            row = oracle.concentration_row([zs[i] for i, _ in at], y)
+        except ConvolutionCapError:
+            for i, j in at:
+                rows[i][j] = ys_at[i][j], None
+            continue
+        for (i, j), (q, qstar) in zip(at, row):
+            (qn, qd), (sn, sd) = _parts(q), _parts(qstar)
+            sn *= 2
+            rows[i][j] = ys_at[i][j], [
+                (
+                    mn * qd * ed + qn * en * md, md * qd * ed,  # P2
+                    mn * sd * pd + sn * pn * md, md * sd * pd,  # P3
+                )
+                for (en, ed), (pn, pd) in at_w
+            ]
+    return rows
+
+
+def _float_mu(oracle: SystemOracle, p: Number) -> float:
+    """float(mu_p) of the oracle's system, else ``ValueError`` naming p where it overflows a float."""
+    try:
+        mu = float(oracle.mu_p_at(p))
+    except OverflowError:
+        mu = math.inf
+    if mu == math.inf:
+        raise ValueError(f"mu_p at p = {p} overflows a float")
+    return mu
 
 
 def p_bounds_row(
@@ -813,19 +803,22 @@ def p_bounds_row(
 
     This is the definition of the bounds table; :func:`p_bounds` is its
     row of one.  Every z is checked before the oracle is asked anything: a
-    z that is not finite, or at which e^(-lam z) or (c + z)^p overflows a
-    float, is a ``ValueError``.  What does not depend on z is asked once
-    per row: P1, sum_i P(X_i > w), one Delta row
-    (:meth:`SystemOracle.delta_row`), beta_v, mu_p and the constants.
+    z that is not finite, at which e^(-lam z) overflows a float, or, for
+    z > 0, at which (c + z)^p is not a positive finite float, is a
+    ``ValueError``; so is a mu_p past the float range when some z > 0.
+    What does not depend on z is asked once per row: mu_p, P1,
+    sum_i P(X_i > w), one Delta row (:meth:`SystemOracle.delta_row`),
+    beta_v and the constants.
 
     P2/P3 are minimized over the y candidates when ``params.y`` is "auto".
     Only the least y of each signature class (the atoms each summand keeps
     under {X_i <= y}) is evaluated, and the minimum is still exact: within
     a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
     nondecreasing in y, as the threshold z - y falls (the contract of
-    :meth:`SystemOracle.concentration_row`).  Each distinct y is evaluated
-    once over all the z values whose classes it is least of, and each z
-    then takes its own least P2 and P3.  P4/P5 are reported as
+    :meth:`SystemOracle.concentration_row`).  The y values of the whole row
+    go to :func:`_pairs_by_y`, which evaluates each distinct y once over
+    all the z values whose classes it is least of, and each z then takes
+    its own least P2 and P3.  P4/P5 are reported as
     not-applicable (None) for z <= 0, where their derivation does not
     apply; with defaulted constants they are reported and flagged but
     excluded from ``best``.  The exact tail difference is included
@@ -841,6 +834,8 @@ def p_bounds_row(
     if not zfs:
         return []
     oracle = oracle if oracle is not None else SystemOracle(system)
+    positive = [z > 0 for z in zs]  # P4 and P5 apply
+    mu = _float_mu(oracle, params.p) if any(positive) else None
     shared: list[str] = []  # the warnings of every z
 
     w = params.w
@@ -853,12 +848,13 @@ def p_bounds_row(
         deltas = [None] * len(zfs)
         shared.append("tail-difference oracle skipped: convolution cap exceeded")
 
-    if params.y == "auto":
+    auto = params.y == "auto"
+    if auto:
         classes = [_y_classes(oracle, z, params.p, w) for z in zs]
     else:  # one class of one y
-        classes = [([(None, params.y)], {None: params.y})] * len(zfs)
-    ys_at = [[(_key(y), y) for y in least.values()] for _, least in classes]
-    by_y = _pairs_by_y(oracle, zs, ys_at, [(_parts(sum_exc), _parts(p1))])
+        classes = [{None: params.y}] * len(zfs)
+    ys_at = [list(least.values()) for least in classes]
+    rows = _pairs_by_y(oracle, zs, ys_at, [(_parts(sum_exc), _parts(p1))])
 
     # P4/P5 with defaulted constants are reported (flagged) but kept out of
     # `best`: an unsupplied constant must never silently tighten the bound
@@ -871,32 +867,30 @@ def p_bounds_row(
         if flag
     ]
     beta = float(oracle.beta_v_at(params.v))
-    positive = [z > 0 for z in zs]  # P4 and P5 apply
-    mu = float(oracle.mu_p_at(params.p)) if any(positive) else None
     p1f = float(p1)
 
     reports = []
-    rows = zip(zs, zfs, positive, deltas, classes)
-    for i, (z, zf, z_positive, delta_w, (candidates, least)) in enumerate(rows):
+    for z, zf, z_positive, delta_w, least, row in zip(zs, zfs, positive, deltas, classes, rows):
         warnings = list(shared)
         # the least P2 and P3 candidates so far, as (numerator, denominator)
         least2 = least3 = None
         capped = set()  # the classes past the atom budget
-        for sig, (key, _) in zip(least, ys_at[i]):
-            pairs = by_y[key]
+        for sig, (_, pairs) in zip(least, row):
             if pairs is None:
                 capped.add(sig)
                 continue
-            n2, d2, n3, d3 = pairs[i][0]
+            n2, d2, n3, d3 = pairs[0]
             least2 = _least(least2, n2, d2)
             least3 = _least(least3, n3, d3)
         p2 = None if least2 is None else _pair_value(*least2)
         p3_cands: list[Number] = [] if least3 is None else [_pair_value(*least3)]
         if capped:
             # every member of a class past the budget, in candidate order
-            capped_ys = [
-                Fraction(*y) if type(y) is tuple else y for sig, y in candidates if sig in capped
-            ]
+            if auto:
+                candidates = _auto_y_candidates(z, params.p, w)
+                capped_ys = [y for y in candidates if oracle.signature(y) in capped]
+            else:  # an explicit y is its own one member
+                candidates = capped_ys = [params.y]
             # P2 has no convolution-free surrogate; Bennett-Hoeffding dominates
             # Q* only for total variance at most one
             if system.unit_variance or system.total_variance() <= 1:

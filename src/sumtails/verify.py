@@ -25,6 +25,7 @@ from typing import Sequence
 from .bounds import (
     BoundParams,
     SystemOracle,
+    _float_mu,
     _key,
     _pair_value,
     _pairs_by_y,
@@ -157,47 +158,6 @@ def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
     return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
 
 
-def _sweep_terms(
-    oracle: SystemOracle,
-    z_grid: Sequence[Number],
-    w_grid: Sequence[Number],
-    y_grid: Sequence[Number],
-    p: Number,
-) -> tuple[list, list]:
-    """What :func:`verify_osipov` reads that does not depend on the mode.
-
-    Returns ``(per_w, at_z)``: per w its float and P1 with P1's
-    :func:`~sumtails.bounds._parts` pair; per z of the grid the y values
-    past the atom budget and, per w, a row of ((n2, d2, n3, d3), y): the
-    P2/P3 pairs of :func:`~sumtails.bounds._y_pairs` at each y in sweep
-    order.  Each distinct y is evaluated once over all the z values it is
-    swept at (:func:`~sumtails.bounds._pairs_by_y`, which
-    :func:`~sumtails.bounds.p_bounds_row` groups its y values by too), so
-    it asks the oracle for one max tail and one (Q, Q*) row; a row past
-    the atom budget skips that y at all of them.
-    """
-    per_w = []
-    at_w = []
-    for w in w_grid:
-        p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
-        per_w.append((float(w), p1, _parts(p1)))
-        at_w.append((_parts(sum_exc), _parts(p1)))
-    ys_at = [[(_key(y), y) for y in _sweep_ys(z, y_grid, p)] for z in z_grid]
-    by_y = _pairs_by_y(oracle, z_grid, ys_at, at_w)
-    at_z = []
-    for i, ys in enumerate(ys_at):
-        capped, rows = [], [[] for _ in w_grid]
-        for key, y in ys:
-            pairs = by_y[key]
-            if pairs is None:
-                capped.append(y)
-                continue
-            for row, pair in zip(rows, pairs[i]):
-                row.append((pair, y))
-        at_z.append((capped, rows))
-    return per_w, at_z
-
-
 def verify_osipov(
     system: System,
     z_grid: Sequence[Number] = DEFAULT_Z_GRID,
@@ -214,17 +174,19 @@ def verify_osipov(
     The y values at each z are :func:`_sweep_ys`: the grid plus the scaled
     choice z / (1 + p/2).  Every verdict cross-multiplies (numerator,
     denominator) pairs: integers for exact values, ``(x, 1.0)`` for floats.
-    P2 and P3 are the pairs of :func:`~sumtails.bounds._y_pairs`, the
-    evaluator :func:`~sumtails.bounds.p_bounds` uses too, and are built as
-    numbers only for a violation.  The oracle is asked by rows:
-    one Delta row per w over the whole z grid, and one (Q, Q*) row per
-    distinct y (see :func:`_sweep_terms`).  What does not depend on
-    ``mode`` (P1 and the P2/P3 pairs) is kept in the oracle's
-    ``_sweeps`` memo, keyed by the grids, so a sweep of the other mode on
-    the same oracle reads it instead of asking the oracle again.  Cells
-    whose convolutions exceed the atom budget are appended to ``skip_log``
-    instead of failing the sweep, in the order z, then w, then y.  The
-    expected result is an empty list: these inequalities are theorems.
+    P2 and P3 are the pairs of :func:`~sumtails.bounds._pairs_by_y`, the
+    evaluator :func:`~sumtails.bounds.p_bounds_row` uses too, and are built
+    as numbers only for a violation.  The oracle is asked by rows: one
+    Delta row per w over the whole z grid, and one max tail and one
+    (Q, Q*) row per distinct y of the whole grid, so a y past the atom
+    budget is skipped at every z it is swept at.  What does not depend on
+    ``mode`` (P1 per w and the per-z ``(y, pairs)`` rows) is kept in the
+    oracle's ``_sweeps`` memo, keyed by the grids, so a sweep of the other
+    mode on the same oracle reads it instead of asking the oracle again.
+    Cells whose convolutions exceed the atom budget are appended to
+    ``skip_log`` instead of failing the sweep, in the order z, then w,
+    then y.  The expected result is an empty list: these inequalities are
+    theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
@@ -233,8 +195,14 @@ def verify_osipov(
     grid = tuple(tuple(map(_key, values)) for values in (z_grid, y_grid, (p,), w_grid))
     sweep = oracle._sweeps.get(grid)
     if sweep is None:
-        sweep = oracle._sweeps[grid] = _sweep_terms(oracle, z_grid, w_grid, y_grid, p)
-    per_w, at_z = sweep
+        per_w, at_w = [], []  # per w: its float and P1; the _parts of sum_i P(X_i > w) and P1
+        for w in w_grid:
+            p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
+            per_w.append((float(w), p1, _parts(p1)))
+            at_w.append((_parts(sum_exc), _parts(p1)))
+        ys_at = [_sweep_ys(z, y_grid, p) for z in z_grid]
+        sweep = oracle._sweeps[grid] = per_w, _pairs_by_y(oracle, z_grid, ys_at, at_w)
+    per_w, rows = sweep
     # Delta at every z per w; None where the capped sum is past the atom budget
     deltas: list[list[Number] | None] = []
     for w in w_grid:
@@ -243,10 +211,15 @@ def verify_osipov(
         except ConvolutionCapError:
             deltas.append(None)
 
-    for i, (z, (capped, rows)) in enumerate(zip(z_grid, at_z)):
+    for i, (z, row) in enumerate(zip(z_grid, rows)):
         zf = float(z)
-        skip_log.extend({"z": zf, "y": float(y), "stage": "restricted"} for y in capped)
-        for (wf, p1, (p1n, p1d)), row, row_deltas in zip(per_w, rows, deltas):
+        kept = []  # the (y, pairs) within the atom budget
+        for y, pairs in row:
+            if pairs is None:
+                skip_log.append({"z": zf, "y": float(y), "stage": "restricted"})
+            else:
+                kept.append((y, pairs))
+        for k, ((wf, p1, (p1n, p1d)), row_deltas) in enumerate(zip(per_w, deltas)):
             if row_deltas is None:
                 skip_log.append({"z": zf, "w": wf, "stage": "capped-sum"})
                 continue
@@ -256,7 +229,8 @@ def verify_osipov(
                 violations.append(OsipovViolation(zf, wf, None, "nonneg", delta, 0))
             if dn * p1d > p1n * dd:
                 violations.append(OsipovViolation(zf, wf, None, "p1", delta, p1))
-            for (n2, d2, n3, d3), y in row:
+            for y, pairs in kept:
+                n2, d2, n3, d3 = pairs[k]
                 over2, over3 = dn * d2 > dd * n2, dn * d3 > dd * n3
                 if over2 or over3:
                     values = _pair_value(n2, d2), _pair_value(n3, d3)
@@ -409,7 +383,7 @@ def _ratio_p4(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence
 
 
 def _ratio_p5(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
-    mu = float(oracle.mu_p_at(params.p))
+    mu = _float_mu(oracle, params.p)
     out = []
     for z, delta in zip(zs, oracle.delta_row(zs, params.w, mode)):
         delta = float(delta)
@@ -458,12 +432,17 @@ _FACTORS = dict(
 
 
 def _check_range(bound_name: str, params: BoundParams, x: float) -> None:
-    """Raise ``ValueError`` naming ``x`` if its factor of :data:`_FACTORS` overflows a float."""
+    """Raise ``ValueError`` naming ``x`` if its factor of :data:`_FACTORS` overflows a float.
+
+    So it does if (c + z)^p, the divisor of P4 and P5, underflows to 0.0.
+    """
     name, factor, f = _FACTORS[bound_name]
     try:
-        f(params, x)
+        value = f(params, x)
     except OverflowError:
         raise ValueError(f"calibration {name} value {x} overflows {factor} as a float") from None
+    if value == 0.0 and bound_name in ("p4", "p5"):
+        raise ValueError(f"calibration {name} value {x} underflows {factor} to 0.0 as a float")
 
 
 def calibration_ratio(
@@ -501,8 +480,9 @@ def calibrate(
     in a fixed order and asks each for its row of ratios (see
     :data:`_RATIOS`), each a pure float computation of its cell.  Ties keep
     the earliest cell as witness.  The z and a values must be finite and
-    the gaps finite and nonnegative, and no z or a may overflow its bound's
-    float factor of :data:`_FACTORS`, else ``ValueError``.  A system whose
+    the gaps finite and nonnegative, no z or a may overflow its bound's
+    float factor of :data:`_FACTORS`, and no z may underflow (c + z)^p to
+    0.0, else ``ValueError``.  A system whose
     laws exceed the atom budget skips its whole row; ``grid["skipped"]``
     counts the skipped cells when there are any, and a grid with no
     evaluated cell is a ``ValueError``.
@@ -531,7 +511,10 @@ def calibrate(
     if concentration and not intervals:
         raise ValueError("calibration needs nonempty interval grids")
     # each factor grows with z and falls with a, so the largest z or least a decides
+    # an overflow, and the least z an underflow of (c + z)^p
     _check_range(bound_name, params, min(a_values) if concentration else max(zs))
+    if bound_name in ("p4", "p5"):
+        _check_range(bound_name, params, min(zs))
 
     row = intervals if concentration else zs
     a_min = -math.inf

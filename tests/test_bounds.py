@@ -6,6 +6,7 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,10 @@ from hypothesis import strategies as hyp
 
 import sumtails as st
 from conftest import enumerate_outcomes
-from sumtails.bounds import _auto_y_candidates, _y_classes, scaled_y
+from sumtails.bounds import _auto_y_candidates, _key, _y_classes, scaled_y
 from sumtails.discrete import WINSOR_MODES, _as_ratio, capped_sum_rv
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def q_by_enumeration(system, z, y):
@@ -583,15 +586,29 @@ class TestPBounds:
             (F(10**400), st.BoundParams()),  # z itself is past the float range
             (-2000, st.BoundParams()),  # e^(-lam z) overflows
             (2, st.BoundParams(p=1000.0)),
+            (F(1, 10**200), st.BoundParams(c=1e-300)),  # (c + z)^p underflows to 0.0
             (math.inf, st.BoundParams()),
             (math.nan, st.BoundParams()),
         ],
-        ids=["1e200", "10^400", "-2000", "p-1000", "inf", "nan"],
+        ids=["1e200", "10^400", "-2000", "p-1000", "c-1e-300", "inf", "nan"],
     )
     def test_z_without_a_float_report(self, two_coins, z, params):
         with pytest.raises(ValueError) as err:
             st.p_bounds(two_coins, z, params)
         assert str(err.value).startswith(f"z = {z} has no float report: ")
+
+    def test_mu_p_past_the_float_range(self):
+        # an atom at -2 makes mu_5000 about 2^5000; P4/P5 apply at z = 0.1 only
+        class NoDelta(st.SystemOracle):
+            def delta_row(self, zs, w, mode):
+                raise AssertionError("the Delta row was asked before mu_p was checked")
+
+        system = st.load_system(GOLDEN / "corpus_seed1_system10.json")
+        params = st.BoundParams(p=5000.0, c=0.9)
+        with pytest.raises(ValueError) as err:
+            st.p_bounds_row(system, [F(-1), F(1, 10)], params, oracle=NoDelta(system))
+        assert str(err.value) == "mu_p at p = 5000.0 overflows a float"
+        assert st.p_bounds(system, F(-1), params).p5 is None  # no z > 0 reads mu_p
 
     def test_capping_above_support_is_free(self, four_coins):
         oracle = st.SystemOracle(four_coins)
@@ -738,6 +755,63 @@ class ScaledOracle(st.SystemOracle):
         return [(self.factor * q, self.factor * qstar) for q, qstar in row]
 
 
+class RecordingOracle(ScaledOracle):
+    """A :class:`ScaledOracle` that records the ``_key`` of the y of each (Q, Q*) row asked."""
+
+    def __init__(self, system, factor, cap):
+        super().__init__(system, factor, cap)
+        self.asked = []
+
+    def concentration_row(self, zs, y):
+        self.asked.append(_key(y))
+        return super().concentration_row(zs, y)
+
+
+class TestPairsByY:
+    """One (Q, Q*) row per distinct y of a whole z row, for the bounds table and the sweep."""
+
+    #: z values that share auto y values (1/2 is a halving of 1, 2 and 4)
+    ZS = [F(n, 4) for n in range(-2, 20)] + [0.7, 1.4, F(1), 2.8]
+
+    @pytest.mark.parametrize("cap", [st.CONVOLUTION_CAP, 8])
+    def test_table_asks_each_y_once(self, cap):
+        params = st.BoundParams(w=F(1, 4))
+        for system in ROW_SYSTEMS:
+            oracle = RecordingOracle(system, 1, cap)
+            row = st.p_bounds_row(system, self.ZS, params, oracle=oracle)
+            classes = [_y_classes(st.SystemOracle(system), z, params.p, params.w) for z in self.ZS]
+            want = {_key(y) for least in classes for y in least.values()}
+            assert len(want) < sum(map(len, classes))  # some y is asked at several z
+            assert len(oracle.asked) == len(set(oracle.asked))
+            assert set(oracle.asked) == want
+            assert row == [
+                st.p_bounds(system, z, params, oracle=_oracle(system, cap)) for z in self.ZS
+            ]
+
+    @pytest.mark.parametrize("cap", [st.CONVOLUTION_CAP, 5])
+    @pytest.mark.parametrize("factor", [0, F(1, 8)])
+    def test_sweep_asks_each_y_once(self, small_corpus, cap, factor):
+        # Q and Q* scaled down make violations at some cells, and the small
+        # cap skips some y values
+        from sumtails.verify import _sweep_ys
+
+        zs = [z for z in self.ZS if z >= 0]
+        y_grid = [F(1, 4), F(1, 2), 1]
+        want = {_key(y) for z in zs for y in _sweep_ys(z, y_grid, 2)}
+        for system in small_corpus[:6]:
+            oracle, log = RecordingOracle(system, factor, cap), []
+            found = st.verify_osipov(system, zs, y_grid=y_grid, oracle=oracle, skip_log=log)
+            assert len(oracle.asked) == len(set(oracle.asked))
+            assert set(oracle.asked) == want
+            one_found, one_log = [], []
+            for z in zs:
+                one = ScaledOracle(system, factor, cap)
+                one_found += st.verify_osipov(
+                    system, [z], y_grid=y_grid, oracle=one, skip_log=one_log
+                )
+            assert (found, log) == (one_found, one_log)
+
+
 def reference_p2_p3(system, z, params, oracle):
     """P2 and P3 minimized over every y candidate in plain number arithmetic.
 
@@ -822,22 +896,21 @@ class TestYSearch:
                         assert (report.p2, report.p3) == ref[:2]
 
     def test_classes_partition_the_candidates(self, small_corpus):
-        # the integer pairs of an exact system at an exact z and integer p,
-        # and the numbers of every other case, are the candidates of
-        # _auto_y_candidates, each class keyed by its signature and led by
-        # its least y
+        # the candidates of _auto_y_candidates, grouped by signature in order
+        # of first appearance, each class led by its least y, whether the
+        # exact grid of an exact system at an exact z and integer p or the
+        # numbers of every other case give them
         for system in small_corpus[:4] + [as_float_system(s) for s in small_corpus[:2]]:
             oracle = st.SystemOracle(system)
             for z, p in itertools.product((F(9, 4), 3, 2.3, F(-1)), (1, 2.0, 2.5, 6.0, 14.0)):
                 ys = _auto_y_candidates(z, p, F(1, 2))
-                candidates, least = _y_classes(oracle, z, p, F(1, 2))
-                assert [F(*y) if type(y) is tuple else y for _, y in candidates] == ys
+                least = _y_classes(oracle, z, p, F(1, 2))
                 sigs = [tuple(bisect_right(rv.values, y) for rv in system.rvs) for y in ys]
-                assert [sig for sig, _ in candidates] == sigs
                 want = {}
                 for sig, y in zip(sigs, ys):
                     want[sig] = min(want.get(sig, y), y)
                 assert least == want
+                assert list(least) == list(want)
                 assert [type(y) for y in least.values()] == [type(y) for y in want.values()]
 
     def test_fallback_and_ties_covered(self, small_corpus):

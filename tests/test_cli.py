@@ -329,6 +329,42 @@ class TestCalibrateCommand:
         assert capsys.readouterr() == ("", f"error: calibration {message} as a float\n")
 
 
+class TestPowerFactorsBeyondFloat:
+    """(c + z)^p and mu_p of P4 and P5 must be floats: else exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["bounds", "--system", str(GOLDEN / "corpus_seed1_system10.json")],
+                f"z = {F(1, 10**200)} has no float report: ",
+            ),
+            (
+                ["calibrate", "--seed", "1", "--count", "3", "--bound", "p5"],
+                "calibration z value 1e-200 underflows (c + z)^p to 0.0 as a float",
+            ),
+        ],
+        ids=["bounds", "calibrate"],
+    )
+    def test_c_plus_z_that_underflows(self, capsys, argv, message):
+        assert main([*argv, "--c", "1e-300", "--z-grid", "1e-200:1:1e-200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--system", str(GOLDEN / "corpus_seed1_system10.json")],
+            ["calibrate", "--seed", "1", "--count", "3", "--bound", "p5"],
+        ],
+        ids=["bounds", "calibrate"],
+    )
+    def test_mu_p_past_the_float_range(self, capsys, argv):
+        assert main([*argv, "--p", "5000", "--c", "0.9", "--z-grid", "0.1:1:0.1"]) == 2
+        assert capsys.readouterr() == ("", "error: mu_p at p = 5000.0 overflows a float\n")
+
+
 CALIBRATE_ARGV = ["calibrate", "--seed", "1", "--count", "1", "--bound", "p5"]
 MC_ARGV = ["mc", "--family", "standardized-exponential", "--n", "4"]
 MC_ARGV += ["--samples", "2000", "--seed", "1"]

@@ -690,6 +690,35 @@ class TestCalibrate:
             st.calibration_ratio(small_corpus, bound, {"system": 0, **cell})
         assert str(err.value) == expected
 
+    @pytest.mark.parametrize("bound", ["p4", "p5"])
+    def test_least_z_that_underflows_is_checked_before_any_work(
+        self, small_corpus, monkeypatch, bound
+    ):
+        # (c + z)^p = (1e-300 + 1e-200)^2 is 0.0 as a float at the least z only
+        from sumtails import verify
+
+        def no_oracle(system):
+            raise AssertionError("an oracle was built before the grids were checked")
+
+        monkeypatch.setattr(verify, "SystemOracle", no_oracle)
+        params = st.BoundParams(c=1e-300)
+        expected = "calibration z value 1e-200 underflows (c + z)^p to 0.0 as a float"
+        with pytest.raises(ValueError) as err:
+            st.calibrate(small_corpus[:3], bound, params=params, z_grid=[1, 1e-200, 2])
+        assert str(err.value) == expected
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            st.calibration_ratio(small_corpus, bound, {"system": 0, "z": 1e-200}, params)
+        assert str(err.value) == expected
+
+    def test_mu_p_past_the_float_range(self):
+        # the seed-1 corpus has an atom at -2, so mu_5000 is about 2^5000
+        corpus = st.gen_corpus(st.CorpusSpec(seed=1, count=3))
+        params = st.BoundParams(p=5000.0, c=0.9)
+        with pytest.raises(ValueError) as err:
+            st.calibrate(corpus, "p5", params=params, z_grid=[0.1])
+        assert str(err.value) == "mu_p at p = 5000.0 overflows a float"
+
     def test_infinite_interval_end_is_checked_before_any_work(self, small_corpus, monkeypatch):
         # a = 1e308 and its gap are finite, but b = a + gap is not
         from sumtails import verify
