@@ -176,7 +176,10 @@ class SystemOracle:
     builds at most one ``Fraction`` per returned value.  :meth:`delta`,
     :meth:`concentration`, :meth:`q` and :meth:`qstar` are rows of one, so
     a subclass overrides :meth:`delta_row` to change Delta and
-    :meth:`concentration_row` to change Q and Q*.  The restricted and
+    :meth:`concentration_row` to change Q and Q*, which must be
+    nonnegative: the sweep decides a cell with Delta at most
+    P(max_i X_i > y) without asking Q or Q*, as P2 and P3 are at least
+    that max tail (:func:`_pairs_by_y`).  The restricted and
     capped summands are built from the lattice summands in integers, once
     per summand per build through
     :func:`~sumtails.discrete.restrict_at_most` and
@@ -194,7 +197,8 @@ class SystemOracle:
     they are built, which keeps concurrent readers safe.
 
     ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`: per
-    grid, P1 per w and the per-z ``(y, pairs)`` rows of
+    grid, P1 per w, the Delta rows of every mode, which the first sweep
+    asks whatever its own mode, and the per-z ``(y, pairs)`` rows of
     :func:`_pairs_by_y`, the P2/P3 evaluator :func:`p_bounds_row` reads too.
     """
 
@@ -211,7 +215,7 @@ class SystemOracle:
         self._sum_exceedance: dict[object, Number] = {}
         self._beta_v: dict[object, Number] = {}
         self._mu_p: dict[object, Number] = {}
-        self._sweeps: dict[tuple, tuple[list, list]] = {}
+        self._sweeps: dict[tuple, tuple[list, dict, list]] = {}
         self._profile: tuple | None = None
         self._lattice: list[LatticeMeasure] | None = None
 
@@ -476,7 +480,9 @@ class SystemOracle:
         :meth:`delta` is its row of one.  An override may raise
         ``ConvolutionCapError`` only as a function of (w, mode), as
         :meth:`law_capped` does, so a sweep that asks one row per (w, mode)
-        skips the same cells as one that asks cell by cell.
+        skips the same cells as one that asks cell by cell.  The first
+        :func:`sumtails.verify.verify_osipov` call on an oracle asks the
+        rows of every mode, whatever its own.
         """
         raw, capped = self.law_sum(), self.law_capped(w, mode)
         if not self.system.exact:
@@ -513,14 +519,19 @@ class SystemOracle:
 
         This is the one method a subclass overrides to change Q and Q*:
         :meth:`concentration`, :meth:`q` and :meth:`qstar` read its row of
-        one.  An override must keep both nonincreasing as y falls within
-        one signature, as the true ones are (the restricted laws are fixed
-        and the threshold z - y rises), and may raise
-        ``ConvolutionCapError`` only as a function of ``signature(y)``, as
-        :meth:`restricted` does: an auto-y :func:`p_bounds` asks only the
-        least y of each signature class, and a cap there sends the whole
-        class to the fallback; a sweep that asks one row per y skips the
-        same cells as one that asks cell by cell.
+        one.  An override must return Q, Q* >= 0, as
+        :func:`sumtails.verify.verify_osipov` relies on P2, P3 >=
+        P(max_i X_i > y) and asks this row only at the z where some Delta,
+        of any w and mode, exceeds that max tail, possibly at none (its
+        first call on an oracle asks the Delta rows of every mode).  It
+        must keep both nonincreasing as y falls within one signature, as
+        the true ones are (the restricted laws are fixed and the threshold
+        z - y rises), and may raise ``ConvolutionCapError`` only as a
+        function of ``signature(y)``, as :meth:`restricted` does, even for
+        an empty ``zs``: an auto-y :func:`p_bounds` asks only the least y
+        of each signature class, and a cap there sends the whole class to
+        the fallback; a sweep that asks one row per y skips the same cells
+        as one that asks cell by cell.
         """
         loo, full = self.restricted(y)
         if not self.system.exact:
@@ -716,12 +727,15 @@ def _float_z(z: Number, params: BoundParams) -> float:
     The check asks that z be finite and fit a float, that the float factor
     e^(-lam z) of :func:`theorem_bound` not overflow, and that (c + z)^p,
     the divisor of P4 and P5 (read only for z > 0), be a positive finite
-    float: neither overflow nor underflow to 0.0.
+    float: neither overflow nor underflow to 0.0.  The error names z by
+    its float where that is finite, and by z itself otherwise.
     """
+    name = z
     try:
         zf = float(z)
         fits = math.isfinite(zf)
         if fits:
+            name = zf
             math.exp(-params.lam * zf)
             if zf > 0 or z > 0:  # a positive z may round to 0.0
                 fits = 0.0 < (params.c + zf) ** params.p < math.inf
@@ -729,14 +743,18 @@ def _float_z(z: Number, params: BoundParams) -> float:
         fits = False
     if not fits:
         raise ValueError(
-            f"z = {z} has no float report: z must be finite, e^(-lam z) must not overflow "
+            f"z = {name} has no float report: z must be finite, e^(-lam z) must not overflow "
             "a float, and for z > 0 (c + z)^p must be a positive finite float"
         )
     return zf
 
 
 def _pairs_by_y(
-    oracle: SystemOracle, zs: Sequence[Number], ys_at: Sequence[Sequence[Number]], at_w
+    oracle: SystemOracle,
+    zs: Sequence[Number],
+    ys_at: Sequence[Sequence[Number]],
+    at_w,
+    floors: Sequence[tuple | None] | None = None,
 ) -> list[list[tuple]]:
     """P2 and P3 at each y asked at each z of ``zs``, for each w of ``at_w``.
 
@@ -753,6 +771,15 @@ def _pairs_by_y(
     P(max_i X_i > y) + (2 Q*) P1 over 1.0 when not.  Denominators are
     positive, so cross-multiplying two fractions keeps their order, and
     :func:`_pair_value` reads the reported number from a pair.
+
+    ``floors``, when given, holds per z the largest value a caller will
+    compare with P2 and P3, as a :func:`_parts` pair, or None for none.
+    The (Q, Q*) row of y then covers only the z whose floor exceeds
+    P(max_i X_i > y), and every other (z, y) gets ``pairs == ()``: as Q,
+    Q*, sum_i P(X_i > w) and P1 are nonnegative, P2 and P3 are at least
+    P(max_i X_i > y) there, so no P2 or P3 is below the floor.  The row is
+    asked even when it is empty, so a y past the atom budget is None at
+    every z that asks it.
     """
     rows: list[list] = [[None] * len(ys) for ys in ys_at]
     asked: dict[object, tuple[Number, list[tuple[int, int]]]] = {}
@@ -761,13 +788,22 @@ def _pairs_by_y(
             asked.setdefault(_key(y), (y, []))[1].append((i, j))
     for y, at in asked.values():
         mn, md = _parts(oracle.max_tail_at(y))
+        undecided = at
+        if floors is not None:
+            undecided = []  # the (i, j) whose floor exceeds the max tail
+            for i, j in at:
+                floor = floors[i]
+                if floor is not None and floor[0] * md > mn * floor[1]:
+                    undecided.append((i, j))
+                else:
+                    rows[i][j] = ys_at[i][j], ()
         try:
-            row = oracle.concentration_row([zs[i] for i, _ in at], y)
+            row = oracle.concentration_row([zs[i] for i, _ in undecided], y)
         except ConvolutionCapError:
             for i, j in at:
                 rows[i][j] = ys_at[i][j], None
             continue
-        for (i, j), (q, qstar) in zip(at, row):
+        for (i, j), (q, qstar) in zip(undecided, row):
             (qn, qd), (sn, sd) = _parts(q), _parts(qstar)
             sn *= 2
             rows[i][j] = ys_at[i][j], [

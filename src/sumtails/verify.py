@@ -158,6 +158,16 @@ def _sweep_ys(z: Number, y_grid: Sequence[Number], p: Number) -> list[Number]:
     return list(dict.fromkeys([*y_grid, scaled_y(z, p)]))
 
 
+def _delta_parts(
+    oracle: SystemOracle, zs: Sequence[Number], w: Number, mode: str
+) -> list[tuple] | None:
+    """Delta_w(z) at each z of ``zs`` with its :func:`_parts`; None past the atom budget."""
+    try:
+        return [(delta, *_parts(delta)) for delta in oracle.delta_row(zs, w, mode)]
+    except ConvolutionCapError:
+        return None
+
+
 def verify_osipov(
     system: System,
     z_grid: Sequence[Number] = DEFAULT_Z_GRID,
@@ -177,16 +187,20 @@ def verify_osipov(
     P2 and P3 are the pairs of :func:`~sumtails.bounds._pairs_by_y`, the
     evaluator :func:`~sumtails.bounds.p_bounds_row` uses too, and are built
     as numbers only for a violation.  The oracle is asked by rows: one
-    Delta row per w over the whole z grid, and one max tail and one
+    Delta row per (w, mode) over the whole z grid, and one max tail and one
     (Q, Q*) row per distinct y of the whole grid, so a y past the atom
-    budget is skipped at every z it is swept at.  What does not depend on
-    ``mode`` (P1 per w and the per-z ``(y, pairs)`` rows) is kept in the
-    oracle's ``_sweeps`` memo, keyed by the grids, so a sweep of the other
-    mode on the same oracle reads it instead of asking the oracle again.
-    Cells whose convolutions exceed the atom budget are appended to
-    ``skip_log`` instead of failing the sweep, in the order z, then w,
-    then y.  The expected result is an empty list: these inequalities are
-    theorems.
+    budget is skipped at every z it is swept at.  The (Q, Q*) row of y
+    covers only the z whose largest Delta, over every w and mode, exceeds
+    P(max_i X_i > y): at any other (z, y), Delta <= P(max_i X_i > y) <= P2,
+    P3 for every w and mode, as Q and Q* are nonnegative, and that one
+    integer comparison decides the cell.  The first call on an oracle asks
+    the Delta rows of every mode and keeps them, with P1 per w and the per-z
+    ``(y, pairs)`` rows, in the oracle's ``_sweeps`` memo, keyed by the
+    grids, so a sweep of another mode on the same oracle reads them instead
+    of asking the oracle again.  Cells whose convolutions exceed the atom
+    budget are appended to ``skip_log`` instead of failing the sweep, in
+    the order z, then w, then y.  The expected result is an empty list:
+    these inequalities are theorems.
     """
     check_mode(mode)
     oracle = oracle if oracle is not None else SystemOracle(system)
@@ -200,31 +214,33 @@ def verify_osipov(
             p1, sum_exc = oracle.max_tail_at(w), oracle.sum_exceedance(w)
             per_w.append((float(w), p1, _parts(p1)))
             at_w.append((_parts(sum_exc), _parts(p1)))
+        deltas = {m: [_delta_parts(oracle, z_grid, w, m) for w in w_grid] for m in WINSOR_MODES}
+        # per z, the largest Delta of any w and mode as a _parts pair; a NaN
+        # Delta exceeds no bound, so it is passed over
+        floors: list[tuple | None] = [None] * len(z_grid)
+        for row_deltas in (r for rows in deltas.values() for r in rows if r is not None):
+            for i, (_, dn, dd) in enumerate(row_deltas):
+                floor = floors[i]
+                if dn == dn and (floor is None or dn * floor[1] > floor[0] * dd):
+                    floors[i] = dn, dd
         ys_at = [_sweep_ys(z, y_grid, p) for z in z_grid]
-        sweep = oracle._sweeps[grid] = per_w, _pairs_by_y(oracle, z_grid, ys_at, at_w)
-    per_w, rows = sweep
-    # Delta at every z per w; None where the capped sum is past the atom budget
-    deltas: list[list[Number] | None] = []
-    for w in w_grid:
-        try:
-            deltas.append(oracle.delta_row(z_grid, w, mode))
-        except ConvolutionCapError:
-            deltas.append(None)
+        rows = _pairs_by_y(oracle, z_grid, ys_at, at_w, floors)
+        sweep = oracle._sweeps[grid] = per_w, deltas, rows
+    per_w, deltas, rows = sweep
 
     for i, (z, row) in enumerate(zip(z_grid, rows)):
         zf = float(z)
-        kept = []  # the (y, pairs) within the atom budget
+        kept = []  # the (y, pairs) within the atom budget that Delta may exceed
         for y, pairs in row:
             if pairs is None:
                 skip_log.append({"z": zf, "y": float(y), "stage": "restricted"})
-            else:
+            elif pairs:
                 kept.append((y, pairs))
-        for k, ((wf, p1, (p1n, p1d)), row_deltas) in enumerate(zip(per_w, deltas)):
+        for k, ((wf, p1, (p1n, p1d)), row_deltas) in enumerate(zip(per_w, deltas[mode])):
             if row_deltas is None:
                 skip_log.append({"z": zf, "w": wf, "stage": "capped-sum"})
                 continue
-            delta = row_deltas[i]
-            dn, dd = _parts(delta)
+            delta, dn, dd = row_deltas[i]
             if dn < 0:
                 violations.append(OsipovViolation(zf, wf, None, "nonneg", delta, 0))
             if dn * p1d > p1n * dd:

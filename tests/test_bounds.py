@@ -580,22 +580,24 @@ class TestPBounds:
         assert report.best == F(1, 2)
 
     @pytest.mark.parametrize(
-        "z, params",
+        "z, params, name",
         [
-            (1e200, st.BoundParams()),  # (c + z)^p overflows
-            (F(10**400), st.BoundParams()),  # z itself is past the float range
-            (-2000, st.BoundParams()),  # e^(-lam z) overflows
-            (2, st.BoundParams(p=1000.0)),
-            (F(1, 10**200), st.BoundParams(c=1e-300)),  # (c + z)^p underflows to 0.0
-            (math.inf, st.BoundParams()),
-            (math.nan, st.BoundParams()),
+            (1e200, st.BoundParams(), "1e+200"),  # (c + z)^p overflows
+            # z itself is past the float range, so it keeps its exact name
+            (F(10**400), st.BoundParams(), str(10**400)),
+            (-2000, st.BoundParams(), "-2000.0"),  # e^(-lam z) overflows
+            (2, st.BoundParams(p=1000.0), "2.0"),
+            # (c + z)^p underflows to 0.0; z is named by its float
+            (F(1, 10**200), st.BoundParams(c=1e-300), "1e-200"),
+            (math.inf, st.BoundParams(), "inf"),
+            (math.nan, st.BoundParams(), "nan"),
         ],
         ids=["1e200", "10^400", "-2000", "p-1000", "c-1e-300", "inf", "nan"],
     )
-    def test_z_without_a_float_report(self, two_coins, z, params):
+    def test_z_without_a_float_report(self, two_coins, z, params, name):
         with pytest.raises(ValueError) as err:
             st.p_bounds(two_coins, z, params)
-        assert str(err.value).startswith(f"z = {z} has no float report: ")
+        assert str(err.value).startswith(f"z = {name} has no float report: ")
 
     def test_mu_p_past_the_float_range(self):
         # an atom at -2 makes mu_5000 about 2^5000; P4/P5 apply at z = 0.1 only

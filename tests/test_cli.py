@@ -105,7 +105,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize(
         "argv, z",
         [
-            (["bounds"], 10**200),
+            (["bounds"], 1e200),  # the CLI reads z exactly and names it by its float
             (
                 ["mc", "--family", "discrete-system", "--check-bounds", "--samples", "1000"]
                 + ["--seed", "1"],
@@ -337,7 +337,7 @@ class TestPowerFactorsBeyondFloat:
         [
             (
                 ["bounds", "--system", str(GOLDEN / "corpus_seed1_system10.json")],
-                f"z = {F(1, 10**200)} has no float report: ",
+                "z = 1e-200 has no float report: ",
             ),
             (
                 ["calibrate", "--seed", "1", "--count", "3", "--bound", "p5"],

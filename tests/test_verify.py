@@ -298,10 +298,10 @@ class CountingOracle(st.SystemOracle):
         return super().concentration_row(zs, y)
 
 
-def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2)):
-    """(violations, skip log) of a sweep in each mode, on ``oracles[i]`` with p = ``ps[i]``."""
+def sweeps(system, oracles, z_grid=DEFAULT_Z, ps=(2, 2), modes=MODES):
+    """(violations, skip log) of a sweep in each of ``modes``, on ``oracles[i]``, p = ``ps[i]``."""
     out = []
-    for mode, oracle, p in zip(MODES, oracles, ps):
+    for mode, oracle, p in zip(modes, oracles, ps):
         log = []
         found = st.verify_osipov(system, z_grid, mode=mode, p=p, oracle=oracle, skip_log=log)
         out.append((found, log))
@@ -435,6 +435,106 @@ class ShiftedDelta(st.SystemOracle):
         if case == 4:
             return delta - delta
         return delta
+
+
+class RecordingOracle(st.SystemOracle):
+    """Records the (y, zs) of every (Q, Q*) row it is asked."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.rows = []
+
+    def concentration_row(self, zs, y):
+        self.rows.append((y, list(zs)))
+        return super().concentration_row(zs, y)
+
+
+def undecided_rows(system, z_grid):
+    """Per distinct y of the sweep, in order, the z where some Delta exceeds P(max X_i > y).
+
+    Delta is taken at every w of the default grid in both modes; at any
+    other (z, y) the cell is decided by the max tail alone.
+    """
+    oracle = st.SystemOracle(system)
+    ys_at = {z: verify._sweep_ys(z, verify.DEFAULT_Y_GRID, 2) for z in z_grid}
+    largest = {
+        z: max(oracle.delta(z, w, mode) for w in verify.DEFAULT_W_GRID for mode in MODES)
+        for z in z_grid
+    }
+    ys = dict.fromkeys(y for z in z_grid for y in ys_at[z])
+    return [
+        (y, [z for z in z_grid if y in ys_at[z] and largest[z] > st.max_tail(system, y)])
+        for y in ys
+    ]
+
+
+class TestSweepSkipsDecidedCells:
+    """A sweep asks (Q, Q*) only at the z where some Delta exceeds P(max_i X_i > y)."""
+
+    def test_one_row_per_y_over_the_undecided_z(self, small_corpus):
+        extremal, _ = st.extremal_system(5)
+        cases = [(system, DEFAULT_Z) for system in small_corpus[:8]]
+        cases.append((extremal, [F(n, 4) for n in range(-2, 13)]))
+        asked = cells = empty = 0
+        for system, z_grid in cases:
+            oracle = RecordingOracle(system)
+            for mode in MODES:
+                assert st.verify_osipov(system, z_grid, mode=mode, oracle=oracle) == []
+            want = undecided_rows(system, z_grid)
+            assert oracle.rows == want
+            asked += sum(len(zs) for _, zs in want)
+            empty += sum(not zs for _, zs in want)
+            cells += sum(len(verify._sweep_ys(z, verify.DEFAULT_Y_GRID, 2)) for z in z_grid)
+        # some (z, y) are asked and most are not; a y with no such z asks an empty row
+        assert 0 < asked < cells / 2
+        assert empty
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            functools.partial(ScaledConcentration, factor=F(0)),
+            functools.partial(ScaledConcentration, factor=F(1, 8)),
+            ShiftedDelta,
+        ],
+        ids=["scaled-0", "scaled-1/8", "shifted-delta"],
+    )
+    def test_truncate_first_matches_fresh_oracles(self, small_corpus, make):
+        found = []
+        for system in small_corpus[:6]:
+            shared = make(system)
+            got = sweeps(system, [shared, shared], modes=MODES[::-1])
+            assert got == sweeps(system, [make(system), make(system)], modes=MODES[::-1])
+            found += [v for violations, _ in got for v in violations]
+        assert found
+
+    def test_nan_delta_does_not_hide_a_larger_one(self):
+        # a NaN Delta at the first w exceeds no bound; the raised Delta of
+        # the later w must still be compared with P2 and P3
+        class NaNFirst(st.SystemOracle):
+            def delta_row(self, zs, w, mode):
+                if w == verify.DEFAULT_W_GRID[0]:
+                    return [math.nan] * len(zs)
+                return [delta + 0.5 for delta in super().delta_row(zs, w, mode)]
+
+        system, _ = st.extremal_system(5)
+        z_grid = [F(n, 4) for n in range(13)]
+        for mode in MODES:
+            oracle = NaNFirst(system)
+            found = st.verify_osipov(system, z_grid, mode=mode, oracle=oracle)
+            assert found == reference_violations(system, oracle, z_grid, mode)
+            assert {"p2", "p3"} <= {v.bound for v in found}
+
+    def test_truncate_first_matches_fresh_oracles_at_cap(self):
+        systems = [s for s in st.gen_corpus(st.CorpusSpec(seed=1, count=40)) if s.n == 4][:2]
+        z_grid = [F(0), F(1), F(2)]
+        logs = []
+        for system in systems:
+            shared = st.SystemOracle(system, cap=40)
+            fresh = [st.SystemOracle(system, cap=40) for _ in MODES]
+            got = sweeps(system, [shared, shared], z_grid, modes=MODES[::-1])
+            assert got == sweeps(system, fresh, z_grid, modes=MODES[::-1])
+            logs += [entry for _, log in got for entry in log]
+        assert {entry["stage"] for entry in logs} == {"restricted", "capped-sum"}
 
 
 class TestPBoundsAgreesWithSweep:
