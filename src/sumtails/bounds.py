@@ -37,6 +37,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -74,12 +75,12 @@ _EXACT_TYPES = (Fraction, int)
 def _key(x: object) -> object:
     """The memo key of a query argument, which hashes no ``Fraction``.
 
-    It keys the y of the signature memo, the w of the capped-law memo and
-    the grids and z of the sweep memo.  An exact value (``Fraction`` or
-    ``int``) becomes its (numerator, denominator) pair and a float is its
-    own key, so 3 and 3.0 never share an entry: a sweep at an exact z has
-    exact scaled y candidates, one at a float z float ones.  The exact type
-    test is used because ``isinstance`` against ``Fraction``, an
+    It keys the w of the capped-law memos, the sweep grids and the y of a
+    :func:`_pairs_by_y` row.  An exact value (``Fraction`` or ``int``)
+    becomes its (numerator, denominator) pair and a float is its own key,
+    so 3 and 3.0 never share an entry: a sweep at an exact z has exact
+    scaled y candidates, one at a float z float ones.  The exact type test
+    is used because ``isinstance`` against ``Fraction``, an
     abstract-base-class subclass, is slow for the floats that queries pass.
     """
     return (x.numerator, x.denominator) if type(x) in _EXACT_TYPES else x
@@ -91,7 +92,7 @@ class BoundParams:
 
     ``y`` may be a positive number or ``"auto"``, in which case P2/P3 are
     minimized over the candidate grid {z / (1 + p/2)} union {z 2^-j : j <=
-    12}.  The minimum is taken exactly over the least y of each signature
+    12}.  The minimum is taken exactly over the least y of each restriction
     class of the grid (see :func:`p_bounds`).  The structural constants of
     the inexplicit bounds (theorem, P4 and P5) live in ``constants`` under
     the keys in :data:`CONSTANT_NAMES`.  Every number must be finite and
@@ -186,20 +187,27 @@ class SystemOracle:
     :func:`~sumtails.discrete.capped_sum_rv`.  Float systems are convolved
     as float sub-measures.
 
-    The laws restricted to {X_i <= y} depend on y only through its
-    *signature*, the number of atoms each summand keeps, so they are cached
-    by signature; so is the max tail P(max_i X_i > y) = 1 - prod_i
-    P(X_i <= y).  Every memo keyed by a query argument keys it through
-    :func:`_key`, so an exact argument hashes as a pair of integers.  Cached
-    laws are immutable apart from their suffix sums, built on the first
-    query; the cache dictionaries are only grown, never mutated in place,
-    and the moment profile and the lattice summands are assigned only once
-    they are built, which keeps concurrent readers safe.
+    The laws restricted to {X_i <= y}, and the max tail P(max_i X_i > y) =
+    1 - prod_i P(X_i <= y), depend on y only through which atoms each
+    summand keeps: the *restriction class* of y, which :meth:`signature`
+    names by one integer.  Six caches, grown and never mutated in place,
+    hold what a workload asks again:
 
-    ``_sweeps`` is the memo of :func:`sumtails.verify.verify_osipov`: per
-    grid, P1 per w, the Delta rows of every mode, which the first sweep
-    asks whatever its own mode, and the per-z ``(y, pairs)`` rows of
-    :func:`_pairs_by_y`, the P2/P3 evaluator :func:`p_bounds_row` reads too.
+    - ``_law_sum`` (S): every Delta row and every cap that moves no atom;
+    - ``_law_capped`` (S_bar) and ``_loo_capped``, by ``(_key(w), mode)``:
+      a caller that reads one (w, mode) in several rows or cells;
+    - ``_restricted`` and ``_max_tail``, by the signature: the many y
+      values per class of a table or a sweep, P1 and the P4 scaled y;
+    - ``_sweeps``: per grid, what :func:`sumtails.verify.verify_osipov`
+      asks (P1 per w, the Delta rows of every mode, which the first sweep
+      asks whatever its own mode, and the per-z ``(y, pairs)`` rows of
+      :func:`_pairs_by_y`), so a sweep of the other mode asks nothing.
+
+    A build past the atom budget is cached as its error (:meth:`_memo`).
+    The lattice summands, the atom values and the moment profile are cached
+    properties; laws are immutable apart from their suffix sums.  sum_i
+    P(X_i > w), beta_v and mu_p are computed on each call: a table, a
+    sweep or a calibrated system asks each at most once (per w).
     """
 
     def __init__(self, system: System, cap: int = CONVOLUTION_CAP):
@@ -207,17 +215,10 @@ class SystemOracle:
         self.cap = cap
         self._law_sum: dict[None, Law] = {}
         self._law_capped: dict[tuple[object, str], Law] = {}
-        self._signatures: dict[object, tuple[int, ...]] = {}
-        self._cut_signatures: dict[int, tuple[int, ...]] = {}
-        self._restricted: dict[tuple[int, ...], tuple[list[Law], Law]] = {}
+        self._restricted: dict[int, tuple[list[Law], Law]] = {}
         self._loo_capped: dict[tuple[object, str], list[Law]] = {}
-        self._max_tail: dict[tuple[int, ...], Number] = {}
-        self._sum_exceedance: dict[object, Number] = {}
-        self._beta_v: dict[object, Number] = {}
-        self._mu_p: dict[object, Number] = {}
+        self._max_tail: dict[int, Number] = {}
         self._sweeps: dict[tuple, tuple[list, dict, list]] = {}
-        self._profile: tuple | None = None
-        self._lattice: list[LatticeMeasure] | None = None
 
     # -- laws ---------------------------------------------------------------
 
@@ -225,9 +226,7 @@ class SystemOracle:
     def _memo(cache: dict, key: object, build, *args):
         """``cache[key]``, built as ``build(*args)`` on the first call.
 
-        It holds the laws and the scalars asked once per row (sum_i
-        P(X_i > w), beta_v and mu_p); the per-y memos of the signature and
-        the max tail, asked thousands of times per round, stay inline.  A
+        It holds the laws; the max tail, asked at every y, stays inline.  A
         build that exceeds the atom budget stores its error, and every
         later call raises a fresh :class:`ConvolutionCapError` with the
         same message.
@@ -268,7 +267,7 @@ class SystemOracle:
 
     def _summands(self) -> Sequence[Law]:
         """The summands in the form the convolution kernel takes."""
-        return self._lattice_rvs() if self.system.exact else self.system.rvs
+        return self._lattice_rvs if self.system.exact else self.system.rvs
 
     def _capped_parts(self, w: Number, mode: str) -> list[Law]:
         """The summands capped at level w, on one lattice for an exact system."""
@@ -300,54 +299,39 @@ class SystemOracle:
         """
         return self._memo(self._law_capped, (_key(w), mode), self._capped_sum, w, mode)
 
+    @cached_property
     def _lattice_rvs(self) -> list[LatticeMeasure]:
-        """The exact system's summands on their common integer lattice, built once.
+        """The exact system's summands on their common integer lattice.
 
         Each distinct summand (see :meth:`System.distinct_rvs`) is converted
         once, and equal summands share its ``LatticeMeasure``.
         """
-        lattice = self._lattice
-        if lattice is None:
-            laws, index = self.system.distinct_rvs()
-            converted = to_lattice(laws)
-            lattice = self._lattice = [converted[j] for j in index]
-        return lattice
+        laws, index = self.system.distinct_rvs()
+        converted = to_lattice(laws)
+        return [converted[j] for j in index]
 
-    def signature(self, y: Number) -> tuple[int, ...]:
-        """Atoms each summand keeps under the restriction to {X_i <= y}.
+    @cached_property
+    def _atom_values(self) -> list:
+        """The distinct atom values of the system, sorted: lattice integers when exact."""
+        return sorted({x for rv in self._summands() for x in rv.values})
 
-        On an exact system a finite y is read exactly as ``floor(y * scale)``
-        and bisects the integer lattice values, which compares no
-        ``Fraction`` with y; x = a / scale <= y holds exactly when a <= that
-        floor.  A NaN y is a ``ValueError``: the restriction to {X_i <= NaN}
-        keeps no atom, while the max tail reads P(X_i <= NaN) as
-        1 - P(X_i > NaN) = 1, so no signature could key both caches.
+    def signature(self, y: Number) -> int:
+        """The restriction class of y: how many distinct atom values are at most y.
+
+        Two y values keep the same atoms of every summand under {X_i <= y}
+        exactly when their counts are equal.  On an exact system a finite y
+        is read as ``cut = floor(y * scale)`` and bisects the lattice
+        integers, as x = a / scale <= y exactly when a <= cut; otherwise y
+        itself bisects the values, compared exactly.  A NaN y is a
+        ``ValueError``: {X_i <= NaN} keeps no atom, while the max tail reads
+        P(X_i <= NaN) as 1 - P(X_i > NaN) = 1, so no class fits both caches.
         """
-        key = _key(y)
-        sig = self._signatures.get(key)
-        if sig is None:
-            if y != y:
-                raise ValueError("y must not be NaN")
-            ratio = _as_ratio(y) if self.system.exact else None
-            if ratio is None:
-                sig = tuple(bisect_right(rv.values, y) for rv in self.system.rvs)
-            else:
-                sig = self._cut_signature(ratio[0] * self._lattice_rvs()[0].scale // ratio[1])
-            self._signatures[key] = sig
-        return sig
-
-    def _cut_signature(self, cut: int) -> tuple[int, ...]:
-        """The signature of every y with ``floor(y * scale) == cut`` on an exact system.
-
-        ``scale`` is that of :meth:`_lattice_rvs`.  Memoised by ``cut``
-        beneath :meth:`signature`, so equal y values of different types, and
-        a y known only as an integer pair, share one bisection per cut.
-        """
-        sig = self._cut_signatures.get(cut)
-        if sig is None:
-            sig = tuple(bisect_right(m.values, cut) for m in self._lattice_rvs())
-            self._cut_signatures[cut] = sig
-        return sig
+        ratio = _as_ratio(y) if self.system.exact else None
+        if ratio is not None:
+            y = ratio[0] * self._lattice_rvs[0].scale // ratio[1]
+        elif y != y:
+            raise ValueError("y must not be NaN")
+        return bisect_right(self._atom_values, y)
 
     def _restrict(self, y: Number) -> tuple[list[Law], Law]:
         parts = [restrict_at_most(m, y) for m in self._summands()]
@@ -385,7 +369,7 @@ class SystemOracle:
                 value = max_tail(self.system, t)
             else:
                 kept = total = 1
-                for m in self._lattice_rvs():
+                for m in self._lattice_rvs:
                     kept *= m.den - m.tail_numerator(*ratio)
                     total *= m.den
                 value = Fraction(total - kept, total)
@@ -393,22 +377,23 @@ class SystemOracle:
         return value
 
     def sum_exceedance(self, w: Number) -> Number:
-        """sum_i P(X_i > w), cached by ``_key(w)``."""
+        """sum_i P(X_i > w), computed on each call (a table or a sweep asks it once per w)."""
         zero = Fraction(0) if self.system.exact else 0.0
-        tails = (rv.tail(w) for rv in self.system.rvs)
-        return self._memo(self._sum_exceedance, _key(w), sum, tails, zero)
+        return sum((rv.tail(w) for rv in self.system.rvs), zero)
 
     def beta_v_at(self, v: Number) -> Number:
-        """beta_v of the system at scale v, ``bikelis_at(0, v)``, cached by ``_key(v)``.
+        """beta_v of the system at scale v, ``bikelis_at(0, v)``.
 
-        It does not depend on z, so a sweep computes it once per v.
+        It does not depend on z, so a table or a calibrated system asks it
+        once; on an exact system it is read from the moment profile.
         """
-        return self._memo(self._beta_v, _key(v), self.bikelis_at, 0, v)
+        return self.bikelis_at(0, v)
 
     def mu_p_at(self, p: Number) -> Number:
-        """mu_p = sum_i E |X_i|^p, cached by ``_key(p)`` (it does not depend on z)."""
-        return self._memo(self._mu_p, _key(p), mu_p, self.system, p)
+        """mu_p = sum_i E |X_i|^p; it does not depend on z, so a table asks it once."""
+        return mu_p(self.system, p)
 
+    @cached_property
     def _moment_profile(self) -> tuple:
         """The exact system's atoms as integers, sorted by |x|, with moment sums.
 
@@ -417,20 +402,16 @@ class SystemOracle:
         where ``cubes[k]`` sums m a^3 over the first k atoms and
         ``squares[k]`` sums m a^2 over the rest.
         """
-        profile = self._profile
-        if profile is None:
-            atoms = [(abs(x), p) for rv in self.system.rvs for x, p in zip(rv.values, rv.masses)]
-            xden = math.lcm(*(x.denominator for x, _ in atoms))
-            pden = math.lcm(*(p.denominator for _, p in atoms))
-            ints = sorted(
-                (x.numerator * (xden // x.denominator), p.numerator * (pden // p.denominator))
-                for x, p in atoms
-            )
-            cubes = list(accumulate((m * a**3 for a, m in ints), initial=0))
-            squares = list(accumulate((m * a * a for a, m in reversed(ints)), initial=0))[::-1]
-            profile = ([a for a, _ in ints], cubes, squares, xden, pden)
-            self._profile = profile  # assigned whole, so a reader never sees a partial one
-        return profile
+        atoms = [(abs(x), p) for rv in self.system.rvs for x, p in zip(rv.values, rv.masses)]
+        xden = math.lcm(*(x.denominator for x, _ in atoms))
+        pden = math.lcm(*(p.denominator for _, p in atoms))
+        ints = sorted(
+            (x.numerator * (xden // x.denominator), p.numerator * (pden // p.denominator))
+            for x, p in atoms
+        )
+        cubes = list(accumulate((m * a**3 for a, m in ints), initial=0))
+        squares = list(accumulate((m * a * a for a, m in reversed(ints)), initial=0))[::-1]
+        return [a for a, _ in ints], cubes, squares, xden, pden
 
     def bikelis_at(self, z: Number, v: Number) -> Number:
         """:func:`bikelis_sum` of the system, from the moment profile when exact.
@@ -456,7 +437,7 @@ class SystemOracle:
             sn, sd = ratio
         if sn <= 0:
             return bikelis_sum(self.system, z, v)
-        values, cubes, squares, xden, pden = self._moment_profile()
+        values, cubes, squares, xden, pden = self._moment_profile
         # |x| = a / xden <= sn / sd  <=>  a <= floor(sn * xden / sd)
         k = bisect_right(values, sn * xden // sd)
         # A = squares[k] / (pden xden^2), B = cubes[k] / (pden xden^3), s = sn / sd
@@ -489,15 +470,12 @@ class SystemOracle:
             return [raw.tail(z) - capped.tail(z) for z in zs]
         out = []
         for z in zs:
-            if type(z) in _EXACT_TYPES:
-                zn, zd = z.numerator, z.denominator
+            ratio = _as_ratio(z)
+            if ratio is None:
+                out.append(raw.tail(z) - capped.tail(z))
             else:
-                ratio = _as_ratio(z)
-                if ratio is None:
-                    out.append(raw.tail(z) - capped.tail(z))
-                    continue
-                zn, zd = ratio
-            out.append(raw.fraction(raw.tail_numerator(zn, zd) - capped.tail_numerator(zn, zd)))
+                diff = raw.tail_numerator(*ratio) - capped.tail_numerator(*ratio)
+                out.append(raw.fraction(diff))
         return out
 
     def delta(self, z: Number, w: Number, mode: str) -> Number:
@@ -524,14 +502,14 @@ class SystemOracle:
         P(max_i X_i > y) and asks this row only at the z where some Delta,
         of any w and mode, exceeds that max tail, possibly at none (its
         first call on an oracle asks the Delta rows of every mode).  It
-        must keep both nonincreasing as y falls within one signature, as
-        the true ones are (the restricted laws are fixed and the threshold
-        z - y rises), and may raise ``ConvolutionCapError`` only as a
-        function of ``signature(y)``, as :meth:`restricted` does, even for
-        an empty ``zs``: an auto-y :func:`p_bounds` asks only the least y
-        of each signature class, and a cap there sends the whole class to
-        the fallback; a sweep that asks one row per y skips the same cells
-        as one that asks cell by cell.
+        must keep both nonincreasing as y falls within one restriction
+        class, as the true ones are (the restricted laws are fixed and the
+        threshold z - y rises), and may raise ``ConvolutionCapError`` only
+        as a function of ``signature(y)``, as :meth:`restricted` does, even
+        for an empty ``zs``: an auto-y :func:`p_bounds` asks only the least
+        y of each restriction class, and a cap there sends the whole class
+        to the fallback; a sweep that asks one row per y skips the same
+        cells as one that asks cell by cell.
         """
         loo, full = self.restricted(y)
         if not self.system.exact:
@@ -652,30 +630,30 @@ def _auto_y_candidates(z: Number, p: float, w: Number) -> list[Number]:
     return list(dict.fromkeys([first, *(z * 0.5**j for j in range(1, 13))]))
 
 
-def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> dict:
-    """The least y of each signature class of the auto-y candidates of :func:`_auto_y_candidates`.
+def _y_classes(oracle: SystemOracle, z: Number, p: float, w: Number) -> dict[int, Number]:
+    """The least y of each restriction class of the candidates of :func:`_auto_y_candidates`.
 
-    Keyed by the signature, in order of first appearance.  On an exact
-    system, where :func:`_exact_y_grid` gives the grid, a candidate's y
-    stays an integer pair (num, den), its signature comes from its lattice
-    cut ``floor(y * scale)``, and only the least y of a class becomes a
-    ``Fraction``.  The cut of the halving z 2^-j is that of z shifted right
-    by j, as floor(floor(x) / 2^j) = floor(x / 2^j).
+    Keyed by :meth:`SystemOracle.signature`, in order of first appearance.
+    On an exact system, where :func:`_exact_y_grid` gives the grid, a
+    candidate stays an integer pair (num, den) that bisects the atom values
+    with its cut ``floor(y * scale)``, and only the least y of a class
+    becomes a ``Fraction``.  The cut of the halving z 2^-j is that of z
+    shifted right by j, as floor(floor(x) / 2^j) = floor(x / 2^j).
     """
     grid = _exact_y_grid(z, p) if oracle.system.exact else None
     if grid is None:
-        least: dict[tuple[int, ...], Number] = {}
+        least: dict[int, Number] = {}
         for y in _auto_y_candidates(z, p, w):
             sig = oracle.signature(y)
             if sig not in least or y < least[sig]:
                 least[sig] = y
         return least
     (fn, fd), zn, zd, js = grid
-    scale = oracle._lattice_rvs()[0].scale
-    cut, at = oracle._cut_signature, zn * scale // zd
-    candidates = [(cut(fn * scale // fd), (fn, fd))]
-    candidates += [(cut(at >> j), (zn, zd << j)) for j in js]
-    low: dict[tuple[int, ...], tuple[int, int]] = {}
+    atoms, scale = oracle._atom_values, oracle._lattice_rvs[0].scale
+    at = zn * scale // zd
+    candidates = [(bisect_right(atoms, fn * scale // fd), (fn, fd))]
+    candidates += [(bisect_right(atoms, at >> j), (zn, zd << j)) for j in js]
+    low: dict[int, tuple[int, int]] = {}
     for sig, (n, d) in candidates:
         other = low.get(sig)
         if other is None or n * other[1] < other[0] * d:
@@ -721,6 +699,24 @@ def _least_value(values: Iterable[Number]) -> Number:
     return best
 
 
+def _finite_floats(values: Sequence[Number], message: str) -> list[float]:
+    """float(x) of each x, else ``ValueError(message.format(x))`` for the first x that is not.
+
+    That x is infinite, NaN, or past the float range, and is named by its
+    exact value.
+    """
+    floats = []
+    for x in values:
+        try:
+            xf = float(x)
+        except OverflowError:
+            xf = math.inf
+        if not math.isfinite(xf):
+            raise ValueError(message.format(x))
+        floats.append(xf)
+    return floats
+
+
 def _float_z(z: Number, params: BoundParams) -> float:
     """float(z) after checking that a report at z has float values, else ``ValueError`` naming z.
 
@@ -730,22 +726,19 @@ def _float_z(z: Number, params: BoundParams) -> float:
     float: neither overflow nor underflow to 0.0.  The error names z by
     its float where that is finite, and by z itself otherwise.
     """
-    name = z
+    message = (
+        "z = {} has no float report: z must be finite, e^(-lam z) must not overflow a float, "
+        "and for z > 0 (c + z)^p must be a positive finite float"
+    )
+    (zf,) = _finite_floats((z,), message)
     try:
-        zf = float(z)
-        fits = math.isfinite(zf)
-        if fits:
-            name = zf
-            math.exp(-params.lam * zf)
-            if zf > 0 or z > 0:  # a positive z may round to 0.0
-                fits = 0.0 < (params.c + zf) ** params.p < math.inf
+        math.exp(-params.lam * zf)
+        # a positive z may round to 0.0
+        fits = not (zf > 0 or z > 0) or 0.0 < (params.c + zf) ** params.p < math.inf
     except OverflowError:
         fits = False
     if not fits:
-        raise ValueError(
-            f"z = {name} has no float report: z must be finite, e^(-lam z) must not overflow "
-            "a float, and for z > 0 (c + z)^p must be a positive finite float"
-        )
+        raise ValueError(message.format(zf))
     return zf
 
 
@@ -827,87 +820,31 @@ def _float_mu(oracle: SystemOracle, p: Number) -> float:
     return mu
 
 
-def p_bounds_row(
-    system: System,
-    zs: Sequence[Number],
-    params: BoundParams = BoundParams(),
-    mode: str = "winsorize",
-    *,
-    oracle: SystemOracle | None = None,
-) -> list[BoundReport]:
-    """Evaluate Delta_w(z) and all five bounds at each z of ``zs``, one report per z.
+def _p1_to_p3(oracle: SystemOracle, zs: Sequence[Number], params: BoundParams) -> tuple:
+    """``(P1, [(P2, P3, warnings) per z of zs])``: the least P2/P3 and their fallback warnings.
 
-    This is the definition of the bounds table; :func:`p_bounds` is its
-    row of one.  Every z is checked before the oracle is asked anything: a
-    z that is not finite, at which e^(-lam z) overflows a float, or, for
-    z > 0, at which (c + z)^p is not a positive finite float, is a
-    ``ValueError``; so is a mu_p past the float range when some z > 0.
-    What does not depend on z is asked once per row: mu_p, P1,
-    sum_i P(X_i > w), one Delta row (:meth:`SystemOracle.delta_row`),
-    beta_v and the constants.
-
-    P2/P3 are minimized over the y candidates when ``params.y`` is "auto".
-    Only the least y of each signature class (the atoms each summand keeps
-    under {X_i <= y}) is evaluated, and the minimum is still exact: within
-    a class P(max_i X_i > y) is fixed and Q(z, y), Q*(z, y) are
-    nondecreasing in y, as the threshold z - y falls (the contract of
-    :meth:`SystemOracle.concentration_row`).  The y values of the whole row
-    go to :func:`_pairs_by_y`, which evaluates each distinct y once over
-    all the z values whose classes it is least of, and each z then takes
-    its own least P2 and P3.  P4/P5 are reported as
-    not-applicable (None) for z <= 0, where their derivation does not
-    apply; with defaulted constants they are reported and flagged but
-    excluded from ``best``.  The exact tail difference is included
-    whenever the convolution oracle fits the atom budget.  A y whose
-    restricted convolutions exceed it offers no P2 candidate, and its P3
-    candidate uses the Bennett-Hoeffding bound in place of Q* when the
-    total variance is at most one (none otherwise), with a warning; P2/P3
-    are None when no y yields a candidate, so ``best`` stays a proven
-    bound.
+    The P1-P3 part of :func:`p_bounds_row`, which
+    :func:`sumtails.mc.mc_check_bounds` reads without asking mu_p or
+    (c + z)^p.  An auto y is minimized exactly over the least y of each
+    restriction class: within a class P(max_i X_i > y) is fixed and Q, Q*
+    are nondecreasing in y (see :meth:`SystemOracle.concentration_row`).
+    A y past the atom budget offers no P2, and Bennett-Hoeffding replaces
+    Q* in its P3 when the total variance is at most one, with a warning.
     """
-    check_mode(mode)
-    zfs = [_float_z(z, params) for z in zs]
-    if not zfs:
-        return []
-    oracle = oracle if oracle is not None else SystemOracle(system)
-    positive = [z > 0 for z in zs]  # P4 and P5 apply
-    mu = _float_mu(oracle, params.p) if any(positive) else None
-    shared: list[str] = []  # the warnings of every z
-
-    w = params.w
+    system, w = oracle.system, params.w
     p1 = oracle.max_tail_at(w)
     sum_exc = oracle.sum_exceedance(w)
-
-    try:
-        deltas: Sequence[Number | None] = oracle.delta_row(zs, w, mode)
-    except ConvolutionCapError:
-        deltas = [None] * len(zfs)
-        shared.append("tail-difference oracle skipped: convolution cap exceeded")
-
     auto = params.y == "auto"
     if auto:
         classes = [_y_classes(oracle, z, params.p, w) for z in zs]
     else:  # one class of one y
-        classes = [{None: params.y}] * len(zfs)
+        classes = [{None: params.y}] * len(zs)
     ys_at = [list(least.values()) for least in classes]
     rows = _pairs_by_y(oracle, zs, ys_at, [(_parts(sum_exc), _parts(p1))])
 
-    # P4/P5 with defaulted constants are reported (flagged) but kept out of
-    # `best`: an unsupplied constant must never silently tighten the bound
-    a_theorem, _ = params.constant("theorem")
-    a4, a4_defaulted = params.constant("p4")
-    a5, a5_defaulted = params.constant("p5")
-    defaulted = [
-        f"constant {name!r} defaulted to 1"
-        for name, flag in (("p4", a4_defaulted), ("p5", a5_defaulted))
-        if flag
-    ]
-    beta = float(oracle.beta_v_at(params.v))
-    p1f = float(p1)
-
-    reports = []
-    for z, zf, z_positive, delta_w, least, row in zip(zs, zfs, positive, deltas, classes, rows):
-        warnings = list(shared)
+    out = []
+    for z, least, row in zip(zs, classes, rows):
+        warnings = []
         # the least P2 and P3 candidates so far, as (numerator, denominator)
         least2 = least3 = None
         capped = set()  # the classes past the atom budget
@@ -938,8 +875,66 @@ def p_bounds_row(
                 f"{fallback} at {len(capped_ys)} of {len(candidates)} y values: "
                 "convolution cap exceeded"
             )
-        p3 = _least_value(p3_cands)
+        out.append((p2, _least_value(p3_cands), warnings))
+    return p1, out
 
+
+def p_bounds_row(
+    system: System,
+    zs: Sequence[Number],
+    params: BoundParams = BoundParams(),
+    mode: str = "winsorize",
+    *,
+    oracle: SystemOracle | None = None,
+) -> list[BoundReport]:
+    """Evaluate Delta_w(z) and all five bounds at each z of ``zs``, one report per z.
+
+    This is the definition of the bounds table; :func:`p_bounds` is its
+    row of one.  Every z is checked before the oracle is asked anything: a
+    z that is not finite, at which e^(-lam z) overflows a float, or, for
+    z > 0, at which (c + z)^p is not a positive finite float, is a
+    ``ValueError``; so is a mu_p past the float range when some z > 0.
+    What does not depend on z is asked once per row: mu_p, one Delta row
+    (:meth:`SystemOracle.delta_row`), P1 and sum_i P(X_i > w), beta_v and
+    the constants.  P1-P3 come from :func:`_p1_to_p3`, so ``best`` stays a
+    proven bound past the atom budget.  P4/P5 are reported as
+    not-applicable (None) for z <= 0, where their derivation does not
+    apply; with defaulted constants they are reported and flagged but
+    excluded from ``best``.  The exact tail difference is included
+    whenever the convolution oracle fits the atom budget.
+    """
+    check_mode(mode)
+    zfs = [_float_z(z, params) for z in zs]
+    if not zfs:
+        return []
+    oracle = oracle if oracle is not None else SystemOracle(system)
+    positive = [z > 0 for z in zs]  # P4 and P5 apply
+    mu = _float_mu(oracle, params.p) if any(positive) else None
+    shared: list[str] = []  # the warnings of every z
+
+    try:
+        deltas: Sequence[Number | None] = oracle.delta_row(zs, params.w, mode)
+    except ConvolutionCapError:
+        deltas = [None] * len(zfs)
+        shared.append("tail-difference oracle skipped: convolution cap exceeded")
+    p1, p23 = _p1_to_p3(oracle, zs, params)
+
+    # P4/P5 with defaulted constants are reported (flagged) but kept out of
+    # `best`: an unsupplied constant must never silently tighten the bound
+    a_theorem, _ = params.constant("theorem")
+    a4, a4_defaulted = params.constant("p4")
+    a5, a5_defaulted = params.constant("p5")
+    defaulted = [
+        f"constant {name!r} defaulted to 1"
+        for name, flag in (("p4", a4_defaulted), ("p5", a5_defaulted))
+        if flag
+    ]
+    beta = float(oracle.beta_v_at(params.v))
+    p1f = float(p1)
+
+    reports = []
+    for z, zf, z_positive, delta_w, (p2, p3, fallback) in zip(zs, zfs, positive, deltas, p23):
+        warnings = shared + fallback
         in_best: list[Number] = [p for p in (p1, p2, p3) if p is not None]
         if z_positive:
             warnings += defaulted
@@ -951,8 +946,7 @@ def p_bounds_row(
             if not a5_defaulted:
                 in_best.append(p5)
         else:
-            p4 = None
-            p5 = None
+            p4 = p5 = None
 
         best = _least_value(in_best)
         theorem = a_theorem * beta * math.exp(-params.lam * zf)
@@ -1010,7 +1004,8 @@ def theorem_bound(
     The constant A is caller-supplied (``constants["theorem"]``, default 1);
     it is a claimed bound only up to that constant, which
     :func:`sumtails.verify.calibrate` estimates empirically.  Pass the
-    system's ``oracle`` to reuse its cached beta_v across z.
+    system's ``oracle`` to read beta_v from its moment profile, built once
+    per oracle, across z.
     """
     a, _ = params.constant("theorem")
     oracle = oracle if oracle is not None else SystemOracle(system)

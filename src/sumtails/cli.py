@@ -285,13 +285,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         spec = SamplerSpec(family=args.family, system=load_system(args.system))
     else:
         spec = SamplerSpec(family=args.family, n=args.n, q=args.q, alpha=args.alpha)
-    z_grid = [float(z) for z in args.z_grid]
 
     if args.check_bounds:
         report = mc_check_bounds(
             spec,
             params,
-            z_grid,
+            args.z_grid,
             args.samples,
             args.seed,
             mode=args.mode or "winsorize",
@@ -305,7 +304,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     estimates = mc_tails(
-        spec, z_grid, args.samples, args.seed, mode=args.mode or "raw",
+        spec, args.z_grid, args.samples, args.seed, mode=args.mode or "raw",
         w=None if args.w is None else float(params.w), workers=args.workers,
     )
     header = "z,p_hat,ci_lo,ci_hi,n_samples,seed".split(",")

@@ -42,9 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams, SystemOracle, p_bounds_row
-# the exact bounds are one p_bounds_row call; the name p_bounds stays here
-# because benchmarks/sumbench/tracing.py wraps mc.p_bounds
+from .bounds import BoundParams, SystemOracle, _finite_floats, _p1_to_p3
+# the exact bounds are P1-P3 of one _p1_to_p3 call; the name p_bounds stays
+# here because benchmarks/sumbench/tracing.py wraps mc.p_bounds
 from .bounds import p_bounds  # noqa: F401
 from .discrete import WINSOR_MODES, System, check_mode
 
@@ -186,14 +186,20 @@ def summand_cdf(spec: SamplerSpec, t: float) -> float:
     )
 
 
-def _check_run(n_samples: int, seed: int, workers: int) -> None:
-    """Reject a sample count, seed or worker count that no run can use, before any draw."""
+def _check_run(z_grid: Sequence[float], n_samples: int, seed: int, workers: int) -> np.ndarray:
+    """The z grid as floats, after rejecting what no run can use, before any draw.
+
+    That is a sample count, seed or worker count out of range, or a z that
+    is not a finite float.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if n_samples < 1_000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    message = "z = {} has no float report: z must be a finite float"
+    return np.asarray(_finite_floats(z_grid, message), dtype=float)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -323,9 +329,7 @@ def mc_tails(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode != "raw" and (w is None or not w > 0):
         raise ValueError(f"mode {mode!r} needs a positive cap w, got {w}")
-    _check_run(n_samples, seed, workers)
-
-    zs = np.asarray([float(z) for z in z_grid], dtype=float)
+    zs = _check_run(z_grid, n_samples, seed, workers)
     raw, bar = _tail_counts(
         spec, zs, n_samples, seed, None if mode == "raw" else float(w), mode, workers
     )
@@ -393,24 +397,22 @@ def mc_check_bounds(
     A cell is flagged only when the 99% lower confidence bound of the
     estimated Delta_w(z) = P(S > z) - P(S_bar > z) exceeds the bound, i.e.
     a statistically significant violation.  For discrete systems the bound
-    is the exact min of P1, P2, P3 (those the convolution cap allows); for
-    the continuous families it is P1 from
-    the closed-form summand CDF.  ``bound_scale``, finite and positive,
-    shrinks the bound and exists for negative-control self-tests (a scale
-    like 0.01 must raise flags).
+    is the exact min of P1, P2, P3 (those the convolution cap allows, from
+    :func:`~sumtails.bounds._p1_to_p3`, which reads no P4 or P5 input); for
+    the continuous families it is P1 from the closed-form summand CDF.
+    ``bound_scale``, finite and positive, shrinks the bound and exists for
+    negative-control self-tests (a scale like 0.01 must raise flags).
     """
     check_mode(mode)
-    _check_run(n_samples, seed, workers)
+    zs = _check_run(z_grid, n_samples, seed, workers)
     params.check_float_range()
     if not 0 < bound_scale < math.inf:
         raise ValueError(f"bound_scale must be finite and positive, got {bound_scale!r}")
     w = float(params.w)
-    zs = np.asarray([float(z) for z in z_grid], dtype=float)
-    # the exact bounds first, so a z without a float report fails before any draw
     exact = None
     if spec.family == "discrete-system":
-        oracle = SystemOracle(spec.system)
-        exact = p_bounds_row(spec.system, zs.tolist(), params, mode, oracle=oracle)
+        p1, exact = _p1_to_p3(SystemOracle(spec.system), zs.tolist(), params)
+        p1 = float(p1)
     raw, bar = _tail_counts(spec, zs, n_samples, seed, w, mode, workers)
 
     rows = []
@@ -420,8 +422,7 @@ def mc_check_bounds(
         k_delta = int(k_raw - k_bar)
         lo, hi = clopper_pearson(k_delta, n_samples)
         if exact is not None:
-            r = exact[k]
-            p1, p2, p3 = (None if p is None else float(p) for p in (r.p1, r.p2, r.p3))
+            p2, p3 = (None if p is None else float(p) for p in exact[k][:2])
         else:
             p1, p2, p3 = 1.0 - summand_cdf(spec, w) ** spec.n, None, None
         bound = min(p for p in (p1, p2, p3) if p is not None) * bound_scale

@@ -25,6 +25,7 @@ from typing import Sequence
 from .bounds import (
     BoundParams,
     SystemOracle,
+    _finite_floats,
     _float_mu,
     _key,
     _pair_value,
@@ -342,6 +343,16 @@ class CalibrationResult:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+#: per calibrated bound, the grid whose large values overflow its structural
+#: right side, that float factor, and the factor as a function of (params, value)
+_FACTORS = dict(
+    theorem=("z", "e^(lam z)", lambda params, z: math.exp(params.lam * z)),
+    concentration=("a", "e^(-lam a)", lambda params, a: math.exp(-params.lam * a)),
+    p4=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
+    p5=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
+)
+
+
 def _ratio_theorem(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
     beta = float(oracle.beta_v_at(params.v))
     law = oracle.law_capped(params.w, mode)
@@ -350,13 +361,14 @@ def _ratio_theorem(oracle: SystemOracle, params: BoundParams, mode: str, zs: Seq
         tails = [law.tail_numerator(*z.as_integer_ratio()) / law.den for z in zs]
     else:
         tails = [float(law.tail(z)) for z in zs]
+    factor = _FACTORS["theorem"][2]
     out = []
     for z, tail in zip(zs, tails):
         lhs = abs(tail - normal_tail(z))
         if beta == 0.0:
             out.append(math.inf if lhs > 0.0 else 0.0)
         else:
-            out.append(lhs * math.exp(params.lam * z) / beta)
+            out.append(lhs * factor(params, z) / beta)
     return out
 
 
@@ -364,7 +376,8 @@ def _ratio_concentration(
     oracle: SystemOracle, params: BoundParams, mode: str, intervals: Sequence[tuple]
 ):
     beta = float(oracle.beta_v_at(params.v))
-    rhs = [(b - a + beta) * math.exp(-params.lam * a) for a, b in intervals]
+    factor = _FACTORS["concentration"][2]
+    rhs = [(b - a + beta) * factor(params, a) for a, b in intervals]
     # each distinct endpoint as an integer pair, read once per lattice law
     a_pairs = {a: a.as_integer_ratio() for a, _ in intervals}
     b_pairs = {b: b.as_integer_ratio() for _, b in intervals}
@@ -387,23 +400,24 @@ def _ratio_concentration(
 def _ratio_p4(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
     deltas = oracle.delta_row(zs, params.w, mode)
     p1 = float(oracle.max_tail_at(params.w))
+    factor = _FACTORS["p4"][2]
     out = []
     for z, delta in zip(zs, deltas):
         lhs = float(delta) - float(oracle.max_tail_at(scaled_y(z, params.p)))
         if lhs <= 0.0:
             out.append(0.0)
             continue
-        structure = p1 / (params.c + z) ** params.p
+        structure = p1 / factor(params, z)
         out.append(math.inf if structure == 0.0 else lhs / structure)
     return out
 
 
 def _ratio_p5(oracle: SystemOracle, params: BoundParams, mode: str, zs: Sequence[Number]):
-    mu = _float_mu(oracle, params.p)
+    mu, factor = _float_mu(oracle, params.p), _FACTORS["p5"][2]
     out = []
     for z, delta in zip(zs, oracle.delta_row(zs, params.w, mode)):
         delta = float(delta)
-        structure = mu / (params.c + z) ** params.p
+        structure = mu / factor(params, z)
         if structure == 0.0:
             out.append(math.inf if delta > 0.0 else 0.0)
         else:
@@ -430,21 +444,8 @@ def _ratio(bound_name: str):
     return _RATIOS[bound_name]
 
 
-def _check_finite(name: str, values: Sequence[Number]) -> None:
-    """Raise ``ValueError`` naming the first value of ``values`` that is not finite."""
-    for x in values:
-        if not math.isfinite(x):
-            raise ValueError(f"calibration {name} values must be finite, got {x}")
-
-
-#: per calibrated bound, the grid whose large values overflow its structural
-#: right side, that float factor, and the factor as a function of (params, value)
-_FACTORS = dict(
-    theorem=("z", "e^(lam z)", lambda params, z: math.exp(params.lam * z)),
-    concentration=("a", "e^(-lam a)", lambda params, a: math.exp(-params.lam * a)),
-    p4=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
-    p5=("z", "(c + z)^p", lambda params, z: (params.c + z) ** params.p),
-)
+#: the error of a calibration value that is not a finite float, by grid name
+_FINITE = "calibration {} values must be finite, got {{}}"
 
 
 def _check_range(bound_name: str, params: BoundParams, x: float) -> None:
@@ -472,10 +473,10 @@ def calibration_ratio(
     ratio = _ratio(bound_name)
     oracle = SystemOracle(corpus[cell["system"]])
     if bound_name == "concentration":
-        _check_finite("a and b", (cell["a"], cell["b"]))
+        _finite_floats((cell["a"], cell["b"]), _FINITE.format("a and b"))
         _check_range(bound_name, params, cell["a"])
         return ratio(oracle, params, mode, [(cell["a"], cell["b"])])[cell["i"]]
-    _check_finite("z", (cell["z"],))
+    _finite_floats((cell["z"],), _FINITE.format("z"))
     _check_range(bound_name, params, cell["z"])
     return ratio(oracle, params, mode, [cell["z"]])[0]
 
@@ -495,7 +496,8 @@ def calibrate(
     Deterministic given (corpus, grids, params): one pass walks the systems
     in a fixed order and asks each for its row of ratios (see
     :data:`_RATIOS`), each a pure float computation of its cell.  Ties keep
-    the earliest cell as witness.  The z and a values must be finite and
+    the earliest cell as witness.  The z and a values must be finite
+    floats (an exact value past the float range is named in the error) and
     the gaps finite and nonnegative, no z or a may overflow its bound's
     float factor of :data:`_FACTORS`, and no z may underflow (c + z)^p to
     0.0, else ``ValueError``.  A system whose
@@ -508,20 +510,19 @@ def calibrate(
         raise ValueError("calibration needs a nonempty corpus")
     check_mode(mode)
     params.check_float_range()
-    zs = [float(z) for z in z_grid]
-    _check_finite("z", zs)
+    zs = _finite_floats(z_grid, _FINITE.format("z"))
     if bound_name in ("p4", "p5"):
         zs = [z for z in zs if z > 0.0]
     concentration = bound_name == "concentration"
     intervals = []
     if concentration:  # only this bound reads them
-        a_values = [float(a) for a in a_grid]
-        _check_finite("a", a_values)
+        a_values = _finite_floats(a_grid, _FINITE.format("a"))
         for gap in gaps:
             if not 0 <= gap < math.inf:
                 raise ValueError(f"calibration gaps must be finite and nonnegative, got {gap}")
-        intervals = [(float(a), float(a + gap)) for a in a_grid for gap in gaps]
-        _check_finite("b = a + gap", [b for _, b in intervals])
+        bs = [a + gap for a in a_grid for gap in gaps]
+        b_values = _finite_floats(bs, _FINITE.format("b = a + gap"))
+        intervals = list(zip([a for a in a_values for _ in gaps], b_values))
     if bound_name in ("theorem", "p4", "p5") and not zs:
         raise ValueError("calibration needs a nonempty z grid")
     if concentration and not intervals:

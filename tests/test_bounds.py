@@ -20,6 +20,25 @@ from sumtails.discrete import WINSOR_MODES, _as_ratio, capped_sum_rv
 GOLDEN = Path(__file__).parent / "golden"
 
 
+#: query arguments of every kind the oracle accepts: Fraction, int, float
+#: (mostly off every lattice), and the non-finite floats
+query_args = hyp.one_of(
+    hyp.builds(F, hyp.integers(min_value=-40, max_value=40), hyp.sampled_from([1, 2, 3, 4, 8])),
+    hyp.integers(min_value=-4, max_value=4),
+    hyp.floats(min_value=-6, max_value=6, allow_subnormal=False),
+    hyp.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+#: the caches a SystemOracle keeps
+SIX_CACHES = ("_law_sum", "_law_capped", "_restricted", "_loo_capped", "_max_tail", "_sweeps")
+
+
+def kept_atoms(system, y):
+    """How many atoms each summand keeps under the restriction to {X_i <= y}."""
+    return tuple(sum(1 for x in rv.values if x <= y) for rv in system.rvs)
+
+
 def q_by_enumeration(system, z, y):
     """Independent oracle for Q(z, y): max over i of the joint event mass."""
     best = F(0)
@@ -132,8 +151,15 @@ class TestOracleCaches:
 
         monkeypatch.setattr(bounds, "restrict_at_most", counting_restrict)
         oracle = st.SystemOracle(four_coins)
+        # two y values share a class exactly when every coin keeps the same atoms
+        ys = [F(1, 2), 0.75, F(0), -1, F(-1, 2), 0.4999, math.inf, -math.inf]
+        for a, b in itertools.product(ys, repeat=2):
+            same = kept_atoms(four_coins, a) == kept_atoms(four_coins, b)
+            assert (oracle.signature(a) == oracle.signature(b)) == same, (a, b)
+        assert type(oracle.signature(F(1, 2))) is int
+        with pytest.raises(ValueError, match="NaN"):
+            oracle.signature(math.nan)
         # every coin keeps both atoms at y = 1/2 and at y = 0.75
-        assert oracle.signature(F(1, 2)) == oracle.signature(0.75) == (2, 2, 2, 2)
         first = oracle.restricted(F(1, 2))
         assert len(calls) == four_coins.n
         assert oracle.restricted(0.75) is first
@@ -145,6 +171,36 @@ class TestOracleCaches:
         oracle.restricted(F(0))
         assert len(calls) == 2 * four_coins.n
         assert len(oracle._restricted) == 2
+
+    @given(
+        seed=hyp.integers(min_value=0, max_value=10**6),
+        positions=hyp.lists(hyp.integers(min_value=0, max_value=2), min_size=1, max_size=5),
+        exact=hyp.booleans(),
+        extra=hyp.lists(query_args, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_signature_is_one_to_one_on_kept_atoms(self, seed, positions, exact, extra):
+        (base,) = st.gen_corpus(st.CorpusSpec(seed=seed, count=1, n_max=3, atoms_max=3))
+        if not exact:
+            base = as_float_system(base)
+        # summands drawn with repeats share one law object
+        system = st.System(rvs=tuple(base.rvs[i % base.n] for i in positions), unit_variance=False)
+        oracle = st.SystemOracle(system)
+        atoms = sorted({x for rv in system.rvs for x in rv.values})
+        ys = [*atoms, *extra, math.inf, -math.inf]
+        ys += [math.nextafter(float(x), t) for x in atoms for t in (-math.inf, math.inf)]
+        if exact:
+            ys += [x + d for x in atoms for d in (F(-1, 10**9), F(1, 10**9))]
+        by_class, by_kept = {}, {}
+        for y in ys:
+            if y != y:
+                continue
+            sig, kept = oracle.signature(y), kept_atoms(system, y)
+            assert type(sig) is int
+            assert by_class.setdefault(sig, kept) == kept, y
+            assert by_kept.setdefault(kept, sig) == sig, y
+        # every atom opens a class of its own, and y below every atom is class 0
+        assert len(by_class) == len(atoms) + 1 and min(by_class) == 0
 
     def test_int_and_equal_float_z_keep_their_own_entries(self):
         # leave-one-out sums of four coins +-3/5 reach 12/5 = 3 - 3/5 exactly,
@@ -184,7 +240,7 @@ class TestOracleCaches:
                 for a, b in forms:
                     assert (oracle.q(a, b), oracle.qstar(a, b)) == expected, (a, b)
 
-    def test_beta_v_and_mu_p_computed_once(self, four_coins, monkeypatch):
+    def test_beta_v_and_mu_p_computed_once(self, four_coins, small_corpus, monkeypatch):
         from sumtails import bounds
 
         calls = []
@@ -198,26 +254,33 @@ class TestOracleCaches:
 
         monkeypatch.setattr(bounds, "beta_v", counting(st.beta_v))
         monkeypatch.setattr(bounds, "mu_p", counting(st.mu_p))
-        oracle = st.SystemOracle(four_coins)
-        profile_reads = []
-        bikelis_at = oracle.bikelis_at
+        bikelis_at = st.SystemOracle.bikelis_at
 
-        def counting_bikelis(z, v):
-            profile_reads.append((z, v))
-            return bikelis_at(z, v)
+        def counting_bikelis(oracle, z, v):
+            calls.append(("beta_v_at", z, v))
+            return bikelis_at(oracle, z, v)
 
-        monkeypatch.setattr(oracle, "bikelis_at", counting_bikelis)
+        monkeypatch.setattr(st.SystemOracle, "bikelis_at", counting_bikelis)
         params = st.BoundParams(v=F(1, 2), w=F(1, 4), constants={"p5": 2.0})
-        reports = [st.p_bounds(four_coins, F(n, 2), params, oracle=oracle) for n in range(1, 6)]
-        # an exact oracle reads beta_v from its moment profile, once per v,
-        # and never sums it with scalars.beta_v
-        assert [name for name, _ in calls].count("beta_v") == 0
-        assert profile_reads.count((0, F(1, 2))) == 1
+        zs = [F(n, 2) for n in range(1, 6)]
+        reports = st.p_bounds_row(four_coins, zs, params)
+        # a table asks mu_p once and beta_v once; an exact oracle reads beta_v
+        # from its moment profile and never sums it with scalars.beta_v
         assert calls.count(("mu_p", 2.0)) == 1
-        beta = oracle.beta_v_at(F(1, 2))
+        assert calls.count(("beta_v_at", 0, F(1, 2))) == 1
+        assert [call[0] for call in calls].count("beta_v") == 0
+        # so does each calibrated system, for the bounds that read them
+        systems = small_corpus[:3]
+        for bound, asked in (("theorem", "beta_v_at"), ("concentration", "beta_v_at")):
+            calls.clear()
+            st.calibrate(systems, bound, params=params)
+            assert calls == [(asked, 0, F(1, 2))] * len(systems), bound
+        calls.clear()
+        st.calibrate(systems, "p5", params=params)
+        assert calls == [("mu_p", 2.0)] * len(systems)
+        beta = st.SystemOracle(four_coins).beta_v_at(F(1, 2))
         assert type(beta) is F and beta == st.beta_v(four_coins, F(1, 2))
-        assert profile_reads.count((0, F(1, 2))) == 1
-        # the cached floats are the uncached ones, bit for bit
+        # the table's floats are those of the one-off functions, bit for bit
         monkeypatch.undo()
         for n, report in zip(range(1, 6), reports):
             assert report.theorem_bound == st.theorem_bound(four_coins, F(n, 2), params)
@@ -236,16 +299,6 @@ class TestOracleCaches:
                     got = approx.delta(z, 0.5, mode)
                     assert type(got) is float
                     assert got == pytest.approx(float(exact.delta(z, F(1, 2), mode)), abs=1e-12)
-
-
-#: query arguments of every kind the oracle accepts: Fraction, int, float
-#: (mostly off every lattice), and the non-finite floats
-query_args = hyp.one_of(
-    hyp.builds(F, hyp.integers(min_value=-40, max_value=40), hyp.sampled_from([1, 2, 3, 4, 8])),
-    hyp.integers(min_value=-4, max_value=4),
-    hyp.floats(min_value=-6, max_value=6, allow_subnormal=False),
-    hyp.sampled_from([math.inf, -math.inf, math.nan]),
-)
 
 
 def _mass_where(outcomes, keep):
@@ -288,7 +341,8 @@ class TestIntegerReads:
                     got = law.interval_mass(t, b)
                     assert got == _mass_where(outcomes, lambda s: t <= s <= b), (t, b)
                     assert type(got) is F
-        for y in args:
+        classes = {}  # the kept-atom tuple of each class met
+        for y in [*args, math.inf, -math.inf]:
             if y != y:
                 for query in (oracle.signature, oracle.max_tail_at, oracle.restricted):
                     with pytest.raises(ValueError, match="NaN"):
@@ -296,8 +350,9 @@ class TestIntegerReads:
                 with pytest.raises(ValueError, match="NaN"):
                     oracle.q(F(0), y)
                 continue
-            kept = tuple(sum(1 for x in rv.values if x <= y) for rv in system.rvs)
-            assert oracle.signature(y) == kept, y
+            # a class is one integer, and one class is one kept-atom tuple
+            sig, kept = oracle.signature(y), kept_atoms(system, y)
+            assert type(sig) is int and classes.setdefault(sig, kept) == kept, y
             for z in args:
                 q, qstar = oracle.q(z, y), oracle.qstar(z, y)
                 assert q == q_by_enumeration(system, z, y), (z, y)
@@ -451,7 +506,7 @@ class TestLatticeCapLaws:
         coin = {"atoms": [{"x": "-1/2", "p": "1/2"}, {"x": "1/2", "p": "1/2"}]}
         three = {"atoms": [{"x": -1, "p": "1/4"}, {"x": 0, "p": "1/2"}, {"x": 1, "p": "1/4"}]}
         system = st.system_from_dict({"rvs": [coin, three, coin], "unit_variance": False})
-        lattice = st.SystemOracle(system)._lattice_rvs()
+        lattice = st.SystemOracle(system)._lattice_rvs
         assert lattice[0] is lattice[2] and lattice[0] is not lattice[1]
         assert [m.to_submeasure().values for m in lattice] == [rv.values for rv in system.rvs]
 
@@ -460,16 +515,14 @@ class TestLatticeCapLaws:
         first = oracle.loo_capped(F(1, 4), "truncate")
         assert oracle.loo_capped(F(1, 4), "truncate") is first
         assert list(oracle._loo_capped) == [((1, 4), "truncate")]
-        # the scalar memos key an exact argument the same way, a float as itself
-        for query, memo in (
-            (oracle.sum_exceedance, oracle._sum_exceedance),
-            (oracle.beta_v_at, oracle._beta_v),
-            (oracle.mu_p_at, oracle._mu_p),
-        ):
-            first = query(F(1, 4))
-            assert query(F(1, 4)) is first
-            assert query(0.25) == first
-            assert list(memo) == [(1, 4), 0.25]
+        # the oracle keeps six caches, and the scalars asked once per table,
+        # sweep or calibrated system grow none of them: an exact and a float
+        # argument give equal values
+        caches = {name: dict(v) for name, v in vars(oracle).items() if isinstance(v, dict)}
+        assert sorted(caches) == sorted(SIX_CACHES)
+        for query in (oracle.sum_exceedance, oracle.beta_v_at, oracle.mu_p_at):
+            assert query(F(1, 4)) == query(0.25)
+        assert {name: dict(getattr(oracle, name)) for name in SIX_CACHES} == caches
 
 
 class TestCapFallback:
@@ -907,13 +960,17 @@ class TestYSearch:
             for z, p in itertools.product((F(9, 4), 3, 2.3, F(-1)), (1, 2.0, 2.5, 6.0, 14.0)):
                 ys = _auto_y_candidates(z, p, F(1, 2))
                 least = _y_classes(oracle, z, p, F(1, 2))
-                sigs = [tuple(bisect_right(rv.values, y) for rv in system.rvs) for y in ys]
+                kept = [kept_atoms(system, y) for y in ys]
                 want = {}
-                for sig, y in zip(sigs, ys):
-                    want[sig] = min(want.get(sig, y), y)
-                assert least == want
-                assert list(least) == list(want)
+                for k, y in zip(kept, ys):
+                    want[k] = min(want.get(k, y), y)
+                # the same classes, in the same order, each led by the same y
+                assert list(least.values()) == list(want.values())
                 assert [type(y) for y in least.values()] == [type(y) for y in want.values()]
+                keys = [oracle.signature(y) for y in ys]
+                assert list(least) == list(dict.fromkeys(keys))
+                for (k1, t1), (k2, t2) in itertools.combinations(zip(keys, kept), 2):
+                    assert (k1 == k2) == (t1 == t2)
 
     def test_fallback_and_ties_covered(self, small_corpus):
         # the small cap mixes fitting y values with Bennett-Hoeffding ones, and
@@ -938,19 +995,26 @@ class TestYSearch:
             return st.max_tail(system, y)
 
         monkeypatch.setattr(bounds, "max_tail", counting)
-        ys_seen = 0
+        signature = st.SystemOracle.signature
+        ys_seen = set()  # the distinct y values asked of each oracle
+
+        def recording(oracle, y):
+            ys_seen.add((id(oracle), _key(y)))
+            return signature(oracle, y)
+
+        monkeypatch.setattr(st.SystemOracle, "signature", recording)
         # an exact oracle reads the max tail from its lattice summands, so
         # only a float system calls max_tail
-        for system in [as_float_system(s) for s in small_corpus if s.n >= 3][:3]:
-            oracle = st.SystemOracle(system)
+        systems = [as_float_system(s) for s in small_corpus if s.n >= 3][:3]
+        oracles = [st.SystemOracle(system) for system in systems]
+        for system, oracle in zip(systems, oracles):
             params = st.BoundParams(w=F(1, 2))
             for mode in WINSOR_MODES:
                 for n in range(33):
                     st.p_bounds(system, F(n, 4), params, mode, oracle=oracle)
-            ys_seen += len(oracle._signatures)
         assert len(calls) == len(set(calls))
         # many y values share a signature, so the cache saves most computations
-        assert 4 * len(calls) < ys_seen
+        assert 4 * len(calls) < len(ys_seen)
 
     @given(
         num=hyp.integers(min_value=1, max_value=10**9),

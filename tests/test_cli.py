@@ -103,23 +103,58 @@ class TestBoundsCommand:
         assert "mean" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, z",
+        "argv, grid, z",
         [
-            (["bounds"], 1e200),  # the CLI reads z exactly and names it by its float
+            # the CLI reads z exactly and names it by its float
+            (["bounds"], "1e200:1:1e200", 1e200),
+            # mc reads no P4/P5, so only a z past the float range has no report;
+            # it is named exactly
             (
                 ["mc", "--family", "discrete-system", "--check-bounds", "--samples", "1000"]
                 + ["--seed", "1"],
-                1e200,
+                "1e400:1:1e400",
+                10**400,
             ),
         ],
         ids=["bounds", "mc"],
     )
-    def test_z_without_a_float_report_is_a_usage_error(self, capsys, argv, z):
+    def test_z_without_a_float_report_is_a_usage_error(self, capsys, argv, grid, z):
         system = str(GOLDEN / "corpus_seed1_system10.json")
-        assert main([*argv, "--system", system, "--z-grid", "1e200:1:1e200"]) == 2
+        assert main([*argv, "--system", system, "--z-grid", grid]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: z = {z} has no float report: ")
+
+    @pytest.mark.parametrize(
+        "extra", [["--z-grid", "1e200:1:1e200"], ["--p", "1100", "--z-grid", "0.5:1:0.5"]]
+    )
+    def test_mc_check_bounds_reads_no_p4_p5_input(self, capsys, extra):
+        # (1 + z)^p overflows at z = 1e200 and mu_p at p = 1100, which only
+        # P4 and P5 read; the check reports P1-P3 and P1 is the table's
+        path = GOLDEN / "corpus_seed1_system10.json"
+        argv = ["mc", "--family", "discrete-system", "--system", str(path), "--check-bounds"]
+        assert main([*argv, "--samples", "1000", "--seed", "1", "--w", "1/2", *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        *table_lines, flags = out.splitlines()
+        assert flags == "0 statistically significant flags"
+        (row,) = csv.DictReader(table_lines)
+        (table,) = st.p_bounds_row(st.load_system(str(path)), [F(0)], st.BoundParams(w=F(1, 2)))
+        assert float(row["p1"]) == float(table.p1) == 180387 / 329795
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--family", "standardized-exponential", "--n", "4", "--samples", "2000"],
+            ["calibrate", "--count", "2", "--bound", "theorem"],
+        ],
+        ids=["mc", "calibrate"],
+    )
+    def test_z_past_the_float_range_is_a_usage_error(self, capsys, argv):
+        assert main([*argv, "--seed", "1", "--z-grid", "1e400:1:1e400"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and f"{10**400}" in err and "Traceback" not in err
 
 
     def test_csv_warnings_go_to_stderr_once(self, two_coins_path, monkeypatch, capsys):

@@ -4,12 +4,15 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sumtails as st
 from sumtails import mc
+
+GOLDEN = Path(__file__).parent / "golden"
 
 Z_GRID = [-0.9, -0.5, 0.0, 0.4, 0.9]
 IID_SPECS = [
@@ -158,7 +161,7 @@ class TestEstimates:
         with pytest.raises(ValueError, match="bound_scale must be finite and positive"):
             st.mc_check_bounds(coin_spec, st.BoundParams(), [0.0], 10_000, 1, bound_scale=scale)
 
-    @pytest.mark.parametrize("z", [1e200, math.inf, math.nan])
+    @pytest.mark.parametrize("z", [math.inf, math.nan, pytest.param(F(10**400), id="10^400")])
     def test_z_without_a_float_report_rejected_before_drawing(self, coin_spec, monkeypatch, z):
         from sumtails import mc
 
@@ -167,6 +170,41 @@ class TestEstimates:
         with pytest.raises(ValueError) as err:
             st.mc_check_bounds(coin_spec, st.BoundParams(w=F(1, 4)), [0.0, 1.0, z], 10_000, 1)
         assert str(err.value).startswith(f"z = {z} has no float report: ")
+        # a tails run reads each z as a float too
+        with pytest.raises(ValueError) as err:
+            st.mc_tails(coin_spec, [0.0, z], 10_000, 1)
+        assert str(err.value).startswith(f"z = {z} has no float report: ")
+
+    @pytest.mark.parametrize(
+        "z, p",
+        [(1e200, 2.0), (F(1, 2), 1100.0), (-2000.0, 2.0)],
+        ids=["1e+200", "p-1100", "-2000"],
+    )
+    def test_inputs_read_only_by_p4_p5_are_accepted(self, z, p):
+        # (c + z)^p overflows at z = 1e200, mu_p at p = 1100 and e^(-lam z)
+        # at z = -2000, so a bounds table refuses each; P1-P3 read none of them
+        system = st.load_system(GOLDEN / "corpus_seed1_system10.json")
+        spec = st.SamplerSpec(family="discrete-system", system=system)
+        params = st.BoundParams(w=F(1, 2), p=p)
+        with pytest.raises(ValueError):
+            st.p_bounds_row(system, [z], params)
+        report = st.mc_check_bounds(spec, params, [0.0, z], 2_000, 1)
+
+        class NoP4P5(st.SystemOracle):  # a table whose mu_p fits a float
+            def mu_p_at(self, p):
+                return 1
+
+        # z = 0 and P1 fit any table, and a table with mu_p replaced fits p = 1100
+        (at_zero,) = st.p_bounds_row(system, [F(0)], params, oracle=NoP4P5(system))
+        want = [float(at_zero.p1), float(at_zero.p2), float(at_zero.p3)]
+        assert [report.rows[0].p1, report.rows[0].p2, report.rows[0].p3] == want
+        assert report.rows[1].p1 == float(at_zero.p1) == float(st.max_tail(system, F(1, 2)))
+        if z == 1e200:  # every y candidate lies above every atom and far below z
+            assert (report.rows[1].p2, report.rows[1].p3) == (0.0, 0.0)
+        else:  # lam enters no P1-P3, and a small one keeps e^(-lam z) a float
+            small = dataclasses.replace(params, lam=1e-3)
+            (table,) = st.p_bounds_row(system, [z], small, oracle=NoP4P5(system))
+            assert (report.rows[1].p2, report.rows[1].p3) == (float(table.p2), float(table.p3))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_rejected_before_drawing(self, coin_spec, monkeypatch, workers):

@@ -731,6 +731,14 @@ class TestCalibrate:
             ("concentration", dict(gaps=[F(1), F(-1)]), f"{GAPS_MUST}, got -1"),
             ("concentration", dict(gaps=[math.inf]), f"{GAPS_MUST}, got inf"),
             ("concentration", dict(gaps=[math.nan]), f"{GAPS_MUST}, got nan"),
+            # exact values past the float range are named exactly
+            ("theorem", dict(z_grid=[F(1), F(10**400)]), f"z values must be finite, got {10**400}"),
+            ("concentration", dict(a_grid=[-(10**400)]), f"a values must be finite, got {-(10**400)}"),
+            (
+                "concentration",
+                dict(a_grid=[F(1)], gaps=[F(10**400)]),
+                f"b = a + gap values must be finite, got {10**400 + 1}",
+            ),
         ],
         ids=[
             "theorem-z-nan",
@@ -743,6 +751,9 @@ class TestCalibrate:
             "concentration-gap-negative",
             "concentration-gap-inf",
             "concentration-gap-nan",
+            "theorem-z-10^400",
+            "concentration-a-minus-10^400",
+            "concentration-b-10^400",
         ],
     )
     def test_grids_are_checked_before_any_work(
