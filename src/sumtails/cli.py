@@ -4,12 +4,16 @@ Every stochastic command takes a mandatory ``--seed`` and produces
 byte-identical output for identical configurations, so runs are usable as
 reproducible evidence.  Exit status is 0 iff no exact inequality violation
 and no statistically significant Monte Carlo flag was found.
+
+:func:`main` builds only the invoked command's parser, so a ``bounds`` call
+does not pay for the other five; ``-h``, ``--version``, no command and an
+unknown command build all six.  Help, usage errors and exit status are the
+same either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -103,7 +107,22 @@ def _emit(text: str, out: str | None) -> None:
 def _y_value(text: str) -> Fraction | str:
     if text == "auto":
         return "auto"
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"y must be a number such as 1/2 or 0.5, or 'auto', got {text!r}"
+        ) from None
+
+
+def _parse_n_list(spec: str) -> list[int]:
+    """Parse "2,101" into ``[2, 101]``; empty items are skipped, so "," is ``[]``."""
+    try:
+        return [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"n list must be comma-separated integers such as 2,101, got {spec!r}"
+        ) from None
 
 
 #: the flag and its ``add_argument`` settings for each ``BoundParams`` field
@@ -358,7 +377,114 @@ def _cmd_young(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--system", required=True, help="system JSON path")
+    parser.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
+    parser.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
+    _add_bound_param_flags(parser, _BOUND_FLAGS)
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.set_defaults(func=_cmd_bounds)
+
+
+def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
+    _add_corpus_flags(parser)
+    parser.add_argument("--mode", choices=(*WINSOR_MODES, "both"), default="both")
+    parser.add_argument("--out", help="JSON report path")
+    parser.set_defaults(func=_cmd_verify)
+
+
+def _add_calibrate_flags(parser: argparse.ArgumentParser) -> None:
+    _add_corpus_flags(parser)
+    parser.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
+    parser.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
+    parser.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
+    _add_bound_param_flags(parser, ("v", "w", "lam", "p", "c"))
+    parser.add_argument("--out", help="JSON output path (default stdout)")
+    parser.set_defaults(func=_cmd_calibrate)
+
+
+def _add_extremal_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--n-list",
+        type=_parse_n_list,
+        default=[2, 101, 10001, 100000001],
+        help="comma-separated n values (each >= 2)",
+    )
+    parser.add_argument("--v", type=Fraction, default=Fraction(1))
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="json")
+    parser.set_defaults(func=_cmd_extremal)
+
+
+def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=FAMILIES, required=True)
+    parser.add_argument("--system", help="system JSON path (discrete-system family)")
+    parser.add_argument("--n", type=int, default=1, help="number of summands (iid families)")
+    parser.add_argument("--q", type=float, default=0.5, help="two-point upper mass")
+    parser.add_argument("--alpha", type=float, default=4.0, help="Pareto shape (> 2)")
+    parser.add_argument("--z-grid", type=_parse_grid, default="0:0.5:4")
+    parser.add_argument("--samples", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument(
+        "--mode",
+        choices=MODES,
+        default=None,
+        help="capping of the sampled sums (default: raw for the tails, winsorize with "
+        "--check-bounds, which accepts only winsorize or truncate)",
+    )
+    parser.add_argument(
+        "--w",
+        type=Fraction,
+        default=None,
+        help="cap level w > 0 of the sampled sums: needed by the winsorize and truncate "
+        "tails, 1 by default with --check-bounds, not accepted with raw tails",
+    )
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--check-bounds", action="store_true", help="flag significant bound violations"
+    )
+    parser.add_argument(
+        "--bound-scale",
+        type=float,
+        default=None,
+        help="multiply bounds by this finite positive factor (negative-control self-test; "
+        "default 1)",
+    )
+    # the check reads only P1-P3, so only the flags they read
+    _add_bound_param_flags(parser, ("p", "y"))
+    parser.add_argument("--out", help="CSV output path (default stdout)")
+    parser.set_defaults(func=_cmd_mc)
+
+
+def _add_young_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=float, default=None, help="scan one k (default: full grid)")
+    parser.add_argument("--u-min", type=float, default=0.0)
+    parser.add_argument("--u-max", type=float, default=10.0)
+    parser.add_argument("--u-step", type=float, default=1e-3)
+    parser.add_argument("--out", help="JSON output path (default stdout)")
+    parser.set_defaults(func=_cmd_young)
+
+
+#: each command's help line and the function that adds its flags and handler,
+#: in the order ``sumtails -h`` lists them
+_COMMANDS = {
+    "bounds": ("bound table over a z grid for one system", _add_bounds_flags),
+    "verify": ("exact verification suite over a seeded corpus", _add_verify_flags),
+    "calibrate": ("empirical minimal constant for one bound", _add_calibrate_flags),
+    "extremal": ("sharpness report for the two-scale family", _add_extremal_flags),
+    "mc": ("Monte Carlo tail estimates and bound flags", _add_mc_flags),
+    "young": ("Delta(k, u) grid scan and boundary study", _add_young_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``sumtails`` parser: every command's, or only the named command's.
+
+    A one-command parser parses that command's argv as the full parser
+    does, with the same help, usage errors and exit status: its usage line
+    still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="sumtails",
         description="Tail bounds for sums of independent random variables: "
@@ -367,93 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag must be given in full: a prefix such as --c for --check-bounds
-    # would otherwise silently stand for the one flag it begins
-    command = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p_bounds_cmd = command("bounds", help="bound table over a z grid for one system")
-    p_bounds_cmd.add_argument("--system", required=True, help="system JSON path")
-    p_bounds_cmd.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
-    p_bounds_cmd.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    _add_bound_param_flags(p_bounds_cmd, _BOUND_FLAGS)
-    p_bounds_cmd.add_argument("--out", help="output path (default stdout)")
-    p_bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bounds_cmd.set_defaults(func=_cmd_bounds)
-
-    p_verify = command("verify", help="exact verification suite over a seeded corpus")
-    _add_corpus_flags(p_verify)
-    p_verify.add_argument("--mode", choices=(*WINSOR_MODES, "both"), default="both")
-    p_verify.add_argument("--out", help="JSON report path")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_cal = command("calibrate", help="empirical minimal constant for one bound")
-    _add_corpus_flags(p_cal)
-    p_cal.add_argument("--bound", choices=CALIBRATION_BOUNDS, required=True)
-    p_cal.add_argument("--mode", choices=WINSOR_MODES, default="winsorize")
-    p_cal.add_argument("--z-grid", type=_parse_grid, default="0:0.25:8")
-    _add_bound_param_flags(p_cal, ("v", "w", "lam", "p", "c"))
-    p_cal.add_argument("--out", help="JSON output path (default stdout)")
-    p_cal.set_defaults(func=_cmd_calibrate)
-
-    p_ext = command("extremal", help="sharpness report for the two-scale family")
-    p_ext.add_argument(
-        "--n-list",
-        type=lambda s: [int(x) for x in s.split(",") if x],
-        default=[2, 101, 10001, 100000001],
-        help="comma-separated n values (each >= 2)",
-    )
-    p_ext.add_argument("--v", type=Fraction, default=Fraction(1))
-    p_ext.add_argument("--out", help="output path (default stdout)")
-    p_ext.add_argument("--format", choices=("csv", "json"), default="json")
-    p_ext.set_defaults(func=_cmd_extremal)
-
-    p_mc = command("mc", help="Monte Carlo tail estimates and bound flags")
-    p_mc.add_argument("--family", choices=FAMILIES, required=True)
-    p_mc.add_argument("--system", help="system JSON path (discrete-system family)")
-    p_mc.add_argument("--n", type=int, default=1, help="number of summands (iid families)")
-    p_mc.add_argument("--q", type=float, default=0.5, help="two-point upper mass")
-    p_mc.add_argument("--alpha", type=float, default=4.0, help="Pareto shape (> 2)")
-    p_mc.add_argument("--z-grid", type=_parse_grid, default="0:0.5:4")
-    p_mc.add_argument("--samples", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="capping of the sampled sums (default: raw for the tails, winsorize with "
-        "--check-bounds, which accepts only winsorize or truncate)",
-    )
-    p_mc.add_argument(
-        "--w",
-        type=Fraction,
-        default=None,
-        help="cap level w > 0 of the sampled sums: needed by the winsorize and truncate "
-        "tails, 1 by default with --check-bounds, not accepted with raw tails",
-    )
-    p_mc.add_argument("--workers", type=int, default=1)
-    p_mc.add_argument(
-        "--check-bounds", action="store_true", help="flag significant bound violations"
-    )
-    p_mc.add_argument(
-        "--bound-scale",
-        type=float,
-        default=None,
-        help="multiply bounds by this finite positive factor (negative-control self-test; "
-        "default 1)",
-    )
-    # the check reads only P1-P3, so only the flags they read
-    _add_bound_param_flags(p_mc, ("p", "y"))
-    p_mc.add_argument("--out", help="CSV output path (default stdout)")
-    p_mc.set_defaults(func=_cmd_mc)
-
-    p_young = command("young", help="Delta(k, u) grid scan and boundary study")
-    p_young.add_argument("--k", type=float, default=None, help="scan one k (default: full grid)")
-    p_young.add_argument("--u-min", type=float, default=0.0)
-    p_young.add_argument("--u-max", type=float, default=10.0)
-    p_young.add_argument("--u-step", type=float, default=1e-3)
-    p_young.add_argument("--out", help="JSON output path (default stdout)")
-    p_young.set_defaults(func=_cmd_young)
-
+    if command is not None:
+        # only here: with it set, the "required" and "invalid choice" errors
+        # of the full parser would name the brace list instead of "command"
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_flags = _COMMANDS[name]
+        # a flag must be given in full: a prefix such as --c for --check-bounds
+        # would otherwise silently stand for the one flag it begins
+        add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -475,8 +523,10 @@ def _join_grid_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    tokens = _join_grid_values(sys.argv[1:] if argv is None else argv)
+    # help, --version, no command and an unknown command need every command
+    command = tokens[0] if tokens and tokens[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(tokens)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -52,6 +52,59 @@ def two_coins_path(tmp_path):
     return str(path)
 
 
+def _outcome(argv, capsys):
+    """``main(argv)``'s exit status, stdout and stderr, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestOneCommandParser:
+    """``main`` builds only the invoked command's parser, with the full parser's output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["-h"],
+            ["--version"],
+            ["-h", "bounds"],
+            *([cmd, "-h"] for cmd in ("bounds", "verify", "calibrate", "extremal", "mc", "young")),
+            ["bounds", "--system", "{system}", "--bogus"],
+            ["bounds"],
+            ["bounds", "--system", "{system}", "--mode", "bogus"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-argument",
+    )
+    def test_same_output_as_the_full_parser(self, two_coins_path, capsys, monkeypatch, argv):
+        from sumtails import cli
+
+        argv = [arg.format(system=two_coins_path) for arg in argv]
+        got = _outcome(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == _outcome(argv, capsys)
+        assert got[0] in (0, 2)
+
+    def test_bounds_builds_one_subparser(self, two_coins_path, capsys, monkeypatch):
+        import argparse
+
+        built, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert main(["bounds", "--system", two_coins_path, "--z-grid", "0:1:1"]) == 0
+        assert built == ["bounds"]
+        assert capsys.readouterr().out.count("\n") == 3
+
+
 class TestBoundsCommand:
     def test_constant_p1_column(self, two_coins_path, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
@@ -80,6 +133,20 @@ class TestBoundsCommand:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    @pytest.mark.parametrize("y", ["abc", "1/0"])
+    def test_bad_y_is_a_usage_error_naming_the_form(self, two_coins_path, capsys, command, y):
+        argv = {
+            "bounds": ["bounds", "--system", two_coins_path],
+            "mc": ["mc", "--family", "standardized-exponential", "--samples", "1", "--seed", "1"],
+        }[command]
+        code, out, err = _outcome([*argv, "--y", y], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"sumtails {command}: error: argument --y: "
+            f"y must be a number such as 1/2 or 0.5, or 'auto', got {y!r}\n"
+        )
 
     def test_malformed_json_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -579,6 +646,15 @@ class TestExtremalCommand:
         out, err = capsys.readouterr()
         assert err == f"error: --v must be at most {sys.float_info.max!r}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("spec", ["x", "2,x", "2.5"])
+    def test_n_list_not_integers_is_a_usage_error(self, capsys, spec):
+        code, out, err = _outcome(["extremal", "--n-list", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "sumtails extremal: error: argument --n-list: "
+            f"n list must be comma-separated integers such as 2,101, got {spec!r}\n"
+        )
 
     def test_empty_list_csv_is_the_header_alone(self, capsys):
         assert main(["extremal", "--format", "csv", "--n-list", ","]) == 0
